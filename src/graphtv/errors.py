@@ -6,11 +6,17 @@ class GraphTVError(Exception):
 
 
 class IsolatedNodeError(GraphTVError):
-    """A node ended up with zero degree; the normalization needs d_i > 0."""
+    """A node ended up with zero degree; the normalization needs d_i > 0.
 
-    def __init__(self, node):
+    ``reason``, when given, says why the node lost its edges and what to change.
+    """
+
+    def __init__(self, node, reason=None):
         self.node = int(node)
-        super().__init__(f"node {self.node} is isolated (zero degree)")
+        message = f"node {self.node} is isolated (zero degree)"
+        if reason is not None:
+            message = f"{message}: {reason}"
+        super().__init__(message)
 
 
 class DegenerateFeaturesError(GraphTVError):

@@ -4,6 +4,11 @@ A :class:`Graph` is symmetric, has non-negative weights, no self-loops and
 strictly positive degrees.  Those invariants are enforced at every
 construction site (k-NN builder, synthetic generators, file loader) because
 the degree-normalized operators downstream divide by ``d_i``.
+
+The k-NN build is an exact search in O(n^2 d) time.  It walks the rows in
+blocks of ``max(2, 2**20 // n)`` rows, so beyond its O(n k) result it holds
+one fixed-size block of distances (O(n) memory in n), never an n x n matrix.
+Distance ties go to the lower node index.
 """
 
 import math
@@ -21,6 +26,8 @@ from .errors import (
 )
 
 _GXG_MAGIC = b"GXG1"
+# distances held at once by the k-NN search: 8 MiB of float64
+_BLOCK_ENTRIES = 2**20
 
 _METRICS = ("euclidean", "cosine")
 _KERNELS = ("gaussian", "binary")
@@ -173,27 +180,76 @@ class Graph:
         return cls.from_csr(mat.tocsr())
 
 
-def _pairwise_distances(values, metric):
-    if metric == "euclidean":
-        return cdist(values, values, metric="euclidean")
-    # cosine distance 1 - <x,y>/(|x||y|); zero-norm rows are undefined
-    norms = np.linalg.norm(values, axis=1)
-    bad = np.flatnonzero(norms == 0.0)
-    if bad.size:
-        raise DegenerateFeaturesError(
-            f"row {bad[0]} has zero norm; cosine distance is undefined"
-        )
-    sim = (values @ values.T) / np.outer(norms, norms)
-    return np.clip(1.0 - sim, 0.0, 2.0)
+def _row_blocks(n):
+    """Row ranges of about ``_BLOCK_ENTRIES`` distances each, none a single row.
+
+    A one-row product would go through BLAS gemv, whose rounding differs from
+    the gemm path the other blocks take, so a single-row tail is folded into
+    the block before it.
+    """
+    size = max(2, _BLOCK_ENTRIES // n)
+    starts = list(range(0, n, size))
+    if len(starts) > 1 and n - starts[-1] == 1:
+        starts.pop()
+    return zip(starts, starts[1:] + [n])
+
+
+def _nearest_neighbors(values, k, metric):
+    """Indices and distances of each row's ``k`` nearest other rows, ascending.
+
+    Distance ties are broken by node index.  Rows are processed in blocks, so
+    at most one block of distances is held at a time.
+    """
+    n = values.shape[0]
+    if metric == "cosine":
+        # cosine distance 1 - <x,y>/(|x||y|); zero-norm rows are undefined
+        norms = np.linalg.norm(values, axis=1)
+        bad = np.flatnonzero(norms == 0.0)
+        if bad.size:
+            raise DegenerateFeaturesError(
+                f"row {bad[0]} has zero norm; cosine distance is undefined"
+            )
+    neighbor = np.empty((n, k), dtype=np.intp)
+    ndist = np.empty((n, k))
+    for lo, hi in _row_blocks(n):
+        if metric == "euclidean":
+            dist = cdist(values[lo:hi], values, metric="euclidean")
+        else:
+            dist = values[lo:hi] @ values.T
+            dist /= np.outer(norms[lo:hi], norms)
+            np.subtract(1.0, dist, out=dist)
+            np.clip(dist, 0.0, 2.0, out=dist)
+        rows = np.arange(hi - lo)
+        dist[rows, rows + lo] = np.inf
+        # every entry up to the k-th smallest, in (row, distance, index) order
+        kth = np.partition(dist, k - 1, axis=1)[:, k - 1]
+        r, c = np.nonzero(dist <= kth[:, None])
+        d = dist[r, c]
+        order = np.lexsort((c, d, r))
+        # keep the first k of each row's run; ties past the k-th are dropped
+        starts = np.searchsorted(r[order], rows)
+        keep = (starts[:, None] + np.arange(k)).ravel()
+        neighbor[lo:hi] = c[order[keep]].reshape(-1, k)
+        ndist[lo:hi] = d[order[keep]].reshape(-1, k)
+    return neighbor, ndist
 
 
 def build_knn_graph(features, spec):
     """Exact k-nearest-neighbor graph of a feature matrix.
 
     Each node is connected to its ``spec.k`` nearest neighbors (self
-    excluded, distance ties broken by node index), directed weights are
-    computed by the kernel, and the directed graph is symmetrized by
-    ``mean`` (missing reverse edge counts as zero) or elementwise ``max``.
+    excluded, distance ties broken by node index, also across the k-th
+    neighbor), directed weights are computed by the kernel, and the directed
+    graph is symmetrized by ``mean`` (missing reverse edge counts as zero) or
+    elementwise ``max``.
+
+    The search is exact and takes O(n^2 d) time.  Rows are handled in blocks
+    of about ``_BLOCK_ENTRIES`` distances, each reduced to its k nearest by
+    partition rather than a full sort, so the build holds one fixed-size
+    block of distances (O(n) memory in n) rather than an n x n matrix.  Each
+    distance is computed exactly as a dense matrix would compute it, except
+    that a cosine block's Gram products go through BLAS on a row slice and
+    may round differently from the full product in the last bit.
 
     Parameters
     ----------
@@ -208,7 +264,8 @@ def build_knn_graph(features, spec):
     ------
     IsolatedNodeError
         If a node has zero degree after symmetrization (possible when
-        gaussian weights underflow to zero).
+        gaussian weights underflow to zero).  The message names the metric,
+        the bandwidth and the node's nearest-neighbor distance.
     DegenerateFeaturesError
         For cosine metric with a zero-norm feature row.
     """
@@ -218,11 +275,7 @@ def build_knn_graph(features, spec):
     if spec.k >= n:
         raise ValueError(f"k must be < n (k={spec.k}, n={n})")
 
-    dist = _pairwise_distances(features.values, spec.metric)
-    np.fill_diagonal(dist, np.inf)
-    # stable argsort => deterministic neighbor choice under distance ties
-    neighbor = np.argsort(dist, axis=1, kind="stable")[:, : spec.k]
-    ndist = np.take_along_axis(dist, neighbor, axis=1)
+    neighbor, ndist = _nearest_neighbors(features.values, spec.k, spec.metric)
 
     if spec.kernel == "gaussian":
         sigma = spec.sigma
@@ -243,7 +296,17 @@ def build_knn_graph(features, spec):
         sym = (directed + directed.T) * 0.5
     else:
         sym = directed.maximum(directed.T)
-    return Graph.from_csr(sym)
+    try:
+        return Graph.from_csr(sym)
+    except IsolatedNodeError as exc:
+        # only gaussian weights can vanish: binary ones are all 1
+        raise IsolatedNodeError(
+            exc.node,
+            f"its gaussian weights underflow to zero (metric {spec.metric}, "
+            f"bandwidth sigma={sigma:.6g}, nearest-neighbor distance "
+            f"{ndist[exc.node, 0]:.6g}); pass a larger --sigma or use "
+            f"--kernel binary",
+        ) from exc
 
 
 def _read_exact(handle, count, what):

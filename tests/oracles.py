@@ -1,12 +1,17 @@
 """Independent oracles and small graph builders shared across test modules.
 
 These deliberately avoid the library's own code paths: the dense gradient
-matrix is assembled entry-by-entry from the edge list, and the AUC oracle
-counts pairs literally.  Tests compare the fast implementations against
-these slow-but-obvious routes.
+matrix is assembled entry-by-entry from the edge list, the AUC oracle
+counts pairs literally, and the k-NN oracle stable-sorts a full distance
+matrix.  Tests compare the fast implementations against these
+slow-but-obvious routes.
 """
 
+import math
+
 import numpy as np
+from scipy import sparse
+from scipy.spatial.distance import cdist
 
 from graphtv import Graph
 
@@ -76,3 +81,42 @@ def cliques_graph(blocks, bridges=()):
     for i, j, weight in bridges:
         w[i, j] = w[j, i] = weight
     return Graph.from_dense(w)
+
+
+def dense_distances(values, metric):
+    """Full n x n distance matrix with ``inf`` on the diagonal."""
+    if metric == "euclidean":
+        dist = cdist(values, values, metric="euclidean")
+    else:
+        norms = np.linalg.norm(values, axis=1)
+        sim = (values @ values.T) / np.outer(norms, norms)
+        dist = np.clip(1.0 - sim, 0.0, 2.0)
+    np.fill_diagonal(dist, np.inf)
+    return dist
+
+
+def dense_knn_graph(values, spec):
+    """k-NN graph from the full n x n distance matrix and a stable row sort.
+
+    Same distance arithmetic, tie rule (equal distances go to the lower node
+    index), kernel and symmetrization as ``build_knn_graph``.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    n = values.shape[0]
+    dist = dense_distances(values, spec.metric)
+    neighbor = np.argsort(dist, axis=1, kind="stable")[:, : spec.k]
+    ndist = np.take_along_axis(dist, neighbor, axis=1)
+    if spec.kernel == "gaussian":
+        sigma = spec.sigma
+        if sigma is None:
+            sigma = float(np.mean(ndist[:, math.ceil(spec.k / 2) - 1])) or 1.0
+        weights = np.exp(-((ndist / sigma) ** 2))
+    else:
+        weights = np.ones_like(ndist)
+    rows = np.repeat(np.arange(n), spec.k)
+    directed = sparse.coo_matrix(
+        (weights.ravel(), (rows, neighbor.ravel())), shape=(n, n)
+    ).tocsr()
+    if spec.symmetrization == "mean":
+        return Graph.from_csr((directed + directed.T) * 0.5)
+    return Graph.from_csr(directed.maximum(directed.T))

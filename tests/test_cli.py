@@ -1,6 +1,7 @@
 """End-to-end CLI runs (in-process), run-config replay, exit codes."""
 
 import json
+import re
 import warnings
 
 import numpy as np
@@ -216,6 +217,24 @@ def test_usage_errors_exit_2(tmp_path, sbm_files, capsys):
                "1.5", "--seed", "0", "--out-graph", str(tmp_path / "g2.gxg"),
                "--out-truth", str(tmp_path / "t2.csv")) == 2
     assert "p_out" in capsys.readouterr().err
+
+
+def test_isolated_node_build_exits_2_and_explains(tmp_path, capsys):
+    # centred two-moons under cosine: the auto bandwidth is so small that one
+    # node's gaussian weights all underflow to zero
+    feats = tmp_path / "f.csv"
+    run("synth", "two-moons", "--n", "500", "--seed", "2",
+        "--out-features", str(feats), "--out-truth", str(tmp_path / "t.csv"))
+    capsys.readouterr()
+    build = ("build-graph", "--features", str(feats), "--k", "10",
+             "--metric", "cosine", "--out", str(tmp_path / "g.gxg"))
+    assert run(*build) == 2
+    err = capsys.readouterr().err
+    assert re.search(r"node \d+ is isolated", err)
+    assert "metric cosine" in err and "sigma=" in err
+    assert "nearest-neighbor distance" in err
+    assert "--sigma" in err and "--kernel binary" in err
+    assert run(*build, "--kernel", "binary") == 0
 
 
 def test_wrong_command_config_exits_2(tmp_path, sbm_files, capsys):

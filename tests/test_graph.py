@@ -1,9 +1,16 @@
 """Graph construction: k-NN build, kernels, validation, binary cache format."""
 
+import itertools
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
+import graphtv.graph as graph_module
 from graphtv import (
     FeatureMatrix,
     Graph,
@@ -18,7 +25,7 @@ from graphtv.errors import (
     IsolatedNodeError,
     ParseError,
 )
-from oracles import random_connected_graph
+from oracles import dense_distances, dense_knn_graph, random_connected_graph
 
 
 # ---------------------------------------------------------------- KernelSpec
@@ -116,8 +123,14 @@ def test_cosine_metric_runs_and_rejects_zero_rows():
 def test_isolated_node_rejected():
     # distances so large the gaussian kernel underflows to exactly zero
     feats = FeatureMatrix(np.array([[0.0], [1e9], [2e9]]))
-    with pytest.raises(IsolatedNodeError):
+    with pytest.raises(IsolatedNodeError) as info:
         build_knn_graph(feats, KernelSpec(k=1, sigma=1e-3))
+    assert info.value.node == 0
+    message = str(info.value)
+    assert "metric euclidean" in message
+    assert "sigma=0.001" in message
+    assert "nearest-neighbor distance 1e+09" in message
+    assert "--sigma" in message and "--kernel binary" in message
 
 
 def test_k_must_be_smaller_than_n():
@@ -133,13 +146,128 @@ def test_build_is_deterministic():
     assert np.array_equal(a.csr.toarray(), b.csr.toarray())
 
 
+# ------------------------------------------- blocked search vs dense oracle
+
+
+def assert_same_graph(built, oracle):
+    assert np.array_equal(built.csr.indptr, oracle.csr.indptr)
+    assert np.array_equal(built.csr.indices, oracle.csr.indices)
+    assert np.array_equal(built.csr.data, oracle.csr.data)
+    assert np.array_equal(built.edge_weights, oracle.edge_weights)
+
+
+SPECS = list(
+    itertools.product(("euclidean", "cosine"), ("gaussian", "binary"), ("mean", "max"))
+)
+
+
+@st.composite
+def knn_cases(draw):
+    """Features, k and rows per block; small-integer grids give heavy ties."""
+    n = draw(st.integers(2, 30))
+    d = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        values = np.array(
+            draw(st.lists(st.integers(-2, 2), min_size=n * d, max_size=n * d)),
+            dtype=np.float64,
+        ).reshape(n, d)
+        values[np.all(values == 0.0, axis=1), 0] = 1.0  # cosine needs a norm
+    else:
+        seed = draw(st.integers(0, 2**32 - 1))
+        values = np.random.default_rng(seed).normal(size=(n, d))
+    for src, dst in draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                            st.integers(0, n - 1)), max_size=4)):
+        values[dst] = values[src]
+    k = draw(st.integers(1, n - 1))
+    rows = draw(st.integers(2, n + 1))
+    return values, k, rows
+
+
+def _exact_gram(values):
+    """Integer features: every Gram entry is exact whatever BLAS kernel runs."""
+    return np.array_equal(values, np.round(values))
+
+
+# seven rows in blocks of three would leave a one-row tail; the ties at
+# distance 1 straddle the k-th neighbor of several rows
+TIED_LINE = np.array([[0.0], [1.0], [1.0], [2.0], [3.0], [3.0], [4.0]])
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=knn_cases(), spec_index=st.integers(0, len(SPECS) - 1))
+@example(case=(TIED_LINE, 2, 3), spec_index=0)
+@example(case=(TIED_LINE + 1.0, 3, 3), spec_index=SPECS.index(("cosine", "binary", "max")))
+def test_blocked_build_matches_dense_oracle(case, spec_index):
+    values, k, rows = case
+    metric, kernel, sym = SPECS[spec_index]
+    spec = KernelSpec(k=k, metric=metric, kernel=kernel, symmetrization=sym)
+    n = values.shape[0]
+    # one block runs the same Gram product as the oracle; several blocks run
+    # BLAS gemm on row slices, whose rounding may differ from the full product
+    # in the last bit unless the entries are exact
+    if metric == "cosine" and not _exact_gram(values):
+        rows = n
+    with mock.patch.object(graph_module, "_BLOCK_ENTRIES", rows * n):
+        built = build_knn_graph(values, spec)
+    assert_same_graph(built, dense_knn_graph(values, spec))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 40), rows=st.integers(2, 8))
+def test_blocked_cosine_distances_match_oracle_to_rounding(seed, n, rows):
+    values = np.random.default_rng(seed).normal(size=(n, 4))
+    k = min(5, n - 1)
+    with mock.patch.object(graph_module, "_BLOCK_ENTRIES", rows * n):
+        _, ndist = graph_module._nearest_neighbors(values, k, "cosine")
+    expected = np.sort(dense_distances(values, "cosine"), axis=1)[:, :k]
+    assert np.allclose(ndist, expected, rtol=1e-12, atol=1e-15)
+
+
+@pytest.mark.parametrize("n, rows, blocks", [
+    (7, 3, [(0, 3), (3, 7)]),   # a single-row tail folds into the block before
+    (6, 3, [(0, 3), (3, 6)]),
+    (5, 1, [(0, 2), (2, 5)]),   # never fewer than two rows per block
+    (4, 100, [(0, 4)]),
+])
+def test_row_blocks_never_leave_a_single_row(n, rows, blocks):
+    with mock.patch.object(graph_module, "_BLOCK_ENTRIES", rows * n):
+        assert list(graph_module._row_blocks(n)) == blocks
+
+
+def test_two_moons_matches_dense_oracle():
+    feats, _ = synth_two_moons(2000, 0.1, 3)  # several blocks of rows
+    spec = KernelSpec(k=10)
+    assert_same_graph(build_knn_graph(feats, spec), dense_knn_graph(feats.values, spec))
+    # shifted off the origin so no cosine weight underflows; the Gram rounding
+    # of row slices may differ from the full product's in the last bit
+    values = feats.values + np.array([3.0, 2.0])
+    spec = KernelSpec(k=10, metric="cosine")
+    built, oracle = build_knn_graph(values, spec), dense_knn_graph(values, spec)
+    assert np.array_equal(built.csr.indptr, oracle.csr.indptr)
+    assert np.array_equal(built.csr.indices, oracle.csr.indices)
+    assert np.allclose(built.csr.data, oracle.csr.data, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("metric", ["euclidean", "cosine"])
+def test_build_memory_stays_below_one_dense_matrix(metric):
+    n = 4000
+    values = np.random.default_rng(8).normal(size=(n, 8))
+    tracemalloc.start()
+    try:
+        build_knn_graph(values, KernelSpec(k=10, metric=metric))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * 8
+
+
 # --------------------------------------------------------- Graph invariants
 
 
 def test_from_dense_validates():
     with pytest.raises(ValueError, match="symmetric"):
         Graph.from_dense(np.array([[0.0, 1.0], [0.5, 0.0]]))
-    with pytest.raises(IsolatedNodeError):
+    with pytest.raises(IsolatedNodeError, match=r"^node 0 is isolated \(zero degree\)$"):
         Graph.from_dense(np.zeros((2, 2)))
     with pytest.raises(ValueError):
         Graph.from_dense(np.array([[0.0, -1.0], [-1.0, 0.0]]))

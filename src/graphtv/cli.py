@@ -222,7 +222,6 @@ _SOLVER_OPTS = [
     _Opt("inner_tol", "param", float, 1e-8),
     _Opt("outer_max", "param", int, 100),
     _Opt("outer_tol", "param", float, 1e-6),
-    _Opt("seed", "param", int, 0, help="rng seed for the unlabeled-row init"),
 ]
 
 _COMMANDS = {
@@ -269,7 +268,7 @@ _COMMANDS = {
         *_kernel_opts(10),
         _Opt("fractions", "param", _csv_floats, required=True),
         _Opt("seeds", "param", _csv_ints, required=True),
-        *[o for o in _SOLVER_OPTS if o.dest != "seed"],
+        *_SOLVER_OPTS,
         _Opt("jobs", "param", int, 1),
         _Opt("report", "out", str, required=True),
         _Opt("report_csv", "out", str),
@@ -326,7 +325,6 @@ def _solver_config(params):
         inner_tol=float(params["inner_tol"]),
         outer_max=int(params["outer_max"]),
         outer_tol=float(params["outer_tol"]),
-        seed=int(params.get("seed", 0)),
         step_rule=str(params["step_rule"]),
     )
 

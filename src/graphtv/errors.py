@@ -106,3 +106,7 @@ class DegenerateClassWarning(UserWarning):
 
 class NoProgressWarning(UserWarning):
     """The outer loop stagnated on its first iteration."""
+
+
+class SeedlessComponentWarning(UserWarning):
+    """Some connected component holds no seed; its nodes are returned tied."""

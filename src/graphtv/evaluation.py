@@ -11,7 +11,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 from scipy.stats import rankdata
 
 from .errors import (
@@ -19,10 +18,10 @@ from .errors import (
     DegenerateClassWarning,
     GraphTVError,
     InvalidExperimentError,
-    NoConvergenceError,
     ShapeMismatchError,
 )
 from .graph import build_knn_graph
+from .operators import diffusion_solve, normalized_adjacency
 from .datasets import make_partition
 from .solver import SolverConfig, prediction_from_scores, solve
 
@@ -131,36 +130,23 @@ def evaluate(prediction, truth, constraints):
     )
 
 
-def baseline_label_spreading(graph, constraints, alpha=0.99, iters=1000, tol=1e-9):
-    """Classic quadratic diffusion baseline.
+def baseline_label_spreading(graph, constraints, alpha=0.99):
+    """Classic quadratic diffusion baseline (Zhou et al. 2004).
 
-    Iterates ``F <- alpha * S F + (1 - alpha) * Y`` with the symmetrically
-    normalized adjacency ``S = D^-1/2 W D^-1/2`` and one-hot seeds ``Y``
-    until the sup-norm update falls below ``tol``.  Returns a
-    :class:`~graphtv.solver.Prediction`; raises
-    :class:`~graphtv.errors.NoConvergenceError` (carrying the last iterate)
-    if ``iters`` is exhausted.
+    Scores are the fixed point ``F = (1 - alpha) (I - alpha S)^-1 Y`` of
+    ``F <- alpha * S F + (1 - alpha) * Y``, with ``S = D^-1/2 W D^-1/2`` and
+    one-hot seeds ``Y``, solved by :func:`~graphtv.operators.diffusion_solve`
+    (whose :class:`~graphtv.errors.NoConvergenceError` it passes on).
     """
     if constraints.n != graph.n:
         raise ShapeMismatchError("constraints do not match the graph")
     if not (0.0 <= alpha < 1.0):
         raise ValueError("alpha must lie in [0, 1)")
-    d_isqrt = sparse.diags(1.0 / np.sqrt(graph.degrees))
-    smoother = d_isqrt @ graph.csr @ d_isqrt
     y = np.zeros((graph.n, constraints.n_classes))
     lab = constraints.labeled_nodes
     y[lab, constraints.own_class[lab]] = 1.0
-    f = y.copy()
-    for _ in range(iters):
-        f_next = alpha * (smoother @ f) + (1.0 - alpha) * y
-        delta = float(np.abs(f_next - f).max())
-        f = f_next
-        if delta < tol:
-            return prediction_from_scores(f)
-    raise NoConvergenceError(
-        f"label spreading did not reach {tol:g} in {iters} iterations",
-        last_iterate=f,
-    )
+    f = diffusion_solve(normalized_adjacency(graph), (1.0 - alpha) * y, alpha)
+    return prediction_from_scores(f)
 
 
 def _run_cell(graph, truth, n_classes, fraction, part_seed, config, epsilon):

@@ -12,10 +12,12 @@ nullspace of K.  The adjoint scatters an edge function back to the nodes,
 
 with a plus sign where i is the first endpoint.  Both maps are realized
 once as sparse matrices so they are exactly transposes of each other.
+The p=2 side, S = D^-1/2 W D^-1/2 and one CG solve with it, lives here too.
 """
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse.linalg import cg
 
 from .errors import DimensionMismatchError, NoConvergenceError
 
@@ -126,3 +128,34 @@ def operator_norm(operator, iters=500, tol=1e-12, seed=0):
         f"power iteration did not settle in {iters} iterations",
         last_estimate=estimate,
     )
+
+
+def normalized_adjacency(graph):
+    """S = D^-1/2 W D^-1/2 as an exactly symmetric csr matrix."""
+    w = graph.csr.tocoo()
+    inv_sqrt = 1.0 / np.sqrt(graph.degrees)
+    vals = w.data * (inv_sqrt[w.row] * inv_sqrt[w.col])
+    return sparse.csr_matrix((vals, (w.row, w.col)), shape=w.shape)
+
+
+def diffusion_solve(block, rhs, alpha):
+    """Solve ``(I - alpha * block) X = rhs`` column by column with CG.
+
+    ``block`` is a principal block of :func:`normalized_adjacency`; the
+    system is positive definite for ``alpha < 1``, and for ``alpha = 1``
+    when every connected piece of the block has an edge leaving it.  Raises
+    :class:`~graphtv.errors.NoConvergenceError` (carrying the last iterate)
+    if a column misses relative residual 1e-12.
+    """
+    rhs = np.asarray(rhs, dtype=np.float64)
+    system = sparse.identity(block.shape[0], format="csr") - alpha * block
+    out = np.zeros_like(rhs)
+    for k in range(rhs.shape[1]):
+        out[:, k], info = cg(system, rhs[:, k], rtol=1e-12, atol=0.0)
+        if info != 0:
+            raise NoConvergenceError(
+                f"conjugate gradients did not reach 1e-12 on column {k} "
+                f"in {info} iterations",
+                last_iterate=out,
+            )
+    return out

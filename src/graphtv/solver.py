@@ -35,7 +35,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
+from scipy.sparse.csgraph import connected_components
 
 from .errors import (
     DegenerateStateError,
@@ -45,9 +45,15 @@ from .errors import (
     NonFiniteError,
     NonFiniteValueError,
     ParseError,
+    SeedlessComponentWarning,
     ShapeMismatchError,
 )
-from .operators import NormalizedGradient, operator_norm
+from .operators import (
+    NormalizedGradient,
+    diffusion_solve,
+    normalized_adjacency,
+    operator_norm,
+)
 
 log = logging.getLogger(__name__)
 
@@ -55,7 +61,6 @@ log = logging.getLogger(__name__)
 TIE_THRESHOLD = 1e-12
 
 _STEP_RULES = ("heuristic", "safeguarded")
-_GAMMA_RULES = ("plain", "strong")
 
 
 @dataclass
@@ -134,9 +139,8 @@ class SolverConfig:
     ``sigma0``/``tau0`` proportionally whenever sigma0*tau0*dt*||K||^2
     >= 1, the certified primal-dual product bound, which buys exact inner
     minimizers at the price of more inner iterations — use it when the
-    per-step decrease certificates matter more than speed.
-    ``gamma_rule`` picks the extrapolation decay 1/sqrt(1 + tau/dt)
-    ('plain', default) or 1/sqrt(1 + 2*tau/dt) ('strong').
+    per-step decrease certificates matter more than speed.  The inner loop
+    decays its step ratio by 1/sqrt(1 + tau/dt) per iteration.
     """
 
     dt: float = 1.0
@@ -146,9 +150,7 @@ class SolverConfig:
     inner_tol: float = 1e-8
     outer_max: int = 100
     outer_tol: float = 1e-6
-    seed: int = 0
     step_rule: str = "heuristic"
-    gamma_rule: str = "plain"
     zero_guard: float = 1e-12
 
     def __post_init__(self):
@@ -164,8 +166,6 @@ class SolverConfig:
             raise ValueError("zero_guard must be positive")
         if self.step_rule not in _STEP_RULES:
             raise ValueError(f"step_rule must be one of {_STEP_RULES}")
-        if self.gamma_rule not in _GAMMA_RULES:
-            raise ValueError(f"gamma_rule must be one of {_GAMMA_RULES}")
 
 
 @dataclass
@@ -313,13 +313,25 @@ def surrogate_objective(operator, u, anchor, dt=1.0, zero_guard=1e-12):
     return tether + float((tv - linear).sum())
 
 
-def initialize_state(graph, constraints, config, operator=None):
-    """Deterministic initial state for a given ``config.seed``.
+def seedless_nodes(graph, constraints):
+    """Boolean mask of the nodes whose connected component holds no seed."""
+    _, component = connected_components(graph.csr, directed=False)
+    seeded = np.zeros(component.max() + 1, dtype=bool)
+    seeded[component[constraints.labeled_nodes]] = True
+    return ~seeded[component]
 
-    Seeds are set to their margin values, unlabeled rows are uniform(-1, 1)
-    draws projected to zero class-sum; the state is then median-centered
-    per class, normalized to unit Frobenius norm, and the dual variable is
-    started at the clamped gradient of u.
+
+def initialize_state(graph, constraints, operator=None):
+    """Harmonic extension of the seed margins, normalized and projected.
+
+    Ratio descent only moves downhill from where it starts, so it starts
+    from the p=2 smooth solution (Zhu, Ghahramani & Lafferty 2003): seeds
+    sit at their margins ``Y_L``, unlabeled rows solve
+    ``(I - S_UU) X_U = S_UL (Y_L - rowmean(Y_L))`` with
+    ``S = D^-1/2 W D^-1/2`` (zero class-sums included), and nodes of a
+    component without seeds stay zero.  The state is scaled to unit
+    Frobenius norm, without a median shift that could zero a tied block,
+    and projected; the dual variable starts at the clamped gradient of u.
     """
     if constraints.n != graph.n:
         raise ShapeMismatchError(
@@ -327,23 +339,20 @@ def initialize_state(graph, constraints, config, operator=None):
         )
     if operator is None:
         operator = NormalizedGradient(graph)
-    rng = np.random.default_rng(config.seed)
-    n, L = constraints.n, constraints.n_classes
-    u = np.zeros((n, L))
+    u = np.zeros((constraints.n, constraints.n_classes))
     lab = constraints.labeled_nodes
-    if lab.size:
-        u[lab] = -constraints.epsilon
-        u[lab, constraints.own_class[lab]] = constraints.epsilon
+    u[lab] = -constraints.epsilon
+    u[lab, constraints.own_class[lab]] = constraints.epsilon
     unl = constraints.unlabeled_nodes
-    if unl.size:
-        draw = rng.uniform(-1.0, 1.0, size=(unl.size, L))
-        draw -= draw.mean(axis=1, keepdims=True)
-        u[unl] = draw
-    u -= np.median(u, axis=0)
+    free = unl[~seedless_nodes(graph, constraints)[unl]]
+    if free.size:
+        rows = normalized_adjacency(graph)[free]
+        margins = u[lab] - u[lab].mean(axis=1, keepdims=True)
+        u[free] = diffusion_solve(rows[:, free], rows[:, lab] @ margins, 1.0)
     nrm = np.linalg.norm(u)
     if nrm < 1e-14:
         raise DegenerateStateError("initial state is numerically zero")
-    u /= nrm
+    u = project_constraints(u / nrm, constraints)
     z = np.clip(operator.matrix @ u, -1.0, 1.0)
     return MultiClassState(u=u, z=z, u_extrapolated=u.copy(), v=u.copy())
 
@@ -352,7 +361,6 @@ def _inner_loop(state, operator, constraints, config, coeff):
     fwd = operator.matrix
     adj = operator.adjoint_matrix
     dt = config.dt
-    accel = 2.0 if config.gamma_rule == "strong" else 1.0
     drive = np.sign(state.v) * coeff  # c^k * sign(v^k), zero where v is zero
     anchor = state.v
     u = state.u
@@ -375,7 +383,7 @@ def _inner_loop(state, operator, constraints, config, coeff):
         u = project_constraints(u, constraints)
         if not np.isfinite(u).all():
             raise NonFiniteError("inner iterate is not finite", iteration=it)
-        gamma = 1.0 / np.sqrt(1.0 + accel * tau / dt)
+        gamma = 1.0 / np.sqrt(1.0 + tau / dt)
         tau *= gamma
         sigma /= gamma
         u_tilde = u + gamma * (u - u_prev)
@@ -470,65 +478,21 @@ def _effective_config(config, operator):
     )
 
 
-def diffusion_warm_start(state, graph, constraints, operator, passes=500, tol=1e-10):
-    """Replace the random part of ``state`` by diffused seed information.
-
-    Ratio descent only moves downhill from wherever it starts, and a
-    uniform random start frequently sits in the basin of a partition that
-    disagrees with the seeds (piecewise-constant states whose boundaries
-    the non-smooth ratio cannot cross).  The standard cure, inherited from
-    inverse-power-method treatments of the 1-Laplacian, is to start from
-    the p=2 smooth solution instead: iterate the lazy symmetric-normalized
-    adjacency (I + D^-1/2 W D^-1/2)/2 on the unlabeled rows, re-pinning
-    seed rows after every pass, until the field settles.  The result is
-    deterministic, respects the zero class-sum coupling, and concentrates
-    each class around its seeds before the non-smooth descent sharpens the
-    boundaries.
-    """
-    unl = constraints.unlabeled_nodes
-    if unl.size == 0:
-        return state
-    inv_sqrt_deg = 1.0 / np.sqrt(graph.degrees)
-    smooth = sparse.diags(inv_sqrt_deg) @ graph.csr @ sparse.diags(inv_sqrt_deg)
-    lab = constraints.labeled_nodes
-    u = state.u.copy()
-    for _ in range(passes):
-        nxt = 0.5 * (u + smooth @ u)
-        if lab.size:
-            nxt[lab] = -constraints.epsilon
-            nxt[lab, constraints.own_class[lab]] = constraints.epsilon
-        nxt[unl] -= nxt[unl].mean(axis=1, keepdims=True)
-        delta = np.linalg.norm(nxt - u) / max(np.linalg.norm(u), 1e-30)
-        u = nxt
-        if delta < tol:
-            break
-    # No median re-centering here: on clusters whose diffused values tie
-    # exactly, subtracting a median that coincides with the tied value
-    # would zero the whole block and sign-blind the descent to it.
-    nrm = np.linalg.norm(u)
-    if nrm < 1e-14:
-        raise DegenerateStateError("warm start collapsed to the zero state")
-    u /= nrm
-    state.u = u
-    state.v = u.copy()
-    state.u_extrapolated = u.copy()
-    state.z = np.clip(operator.matrix @ u, -1.0, 1.0)
-    return state
-
-
 def solve(graph, constraints, config=None):
     """Label every node of ``graph`` from the seeds in ``constraints``.
 
-    Initializes per the seeded RNG, diffuses the seed information over the
-    graph (see :func:`diffusion_warm_start`), then runs outer ratio-descent
-    steps.  The loop keeps a step only if it does not raise the monitored
+    Starts from the harmonic extension of the seeds (see
+    :func:`initialize_state`), then runs outer ratio-descent steps.  The
+    loop keeps a step only if it does not raise the monitored
     sum of per-class ratios: the re-centering inside each step is not a
     descent operation, so the first step that comes back worse marks
     convergence and is rolled back.  It otherwise stops once the sum moves
     by less than ``outer_tol``, or at ``outer_max``.  Returns
     ``(Prediction, SolveTrace)``; ``trace.stop_reason`` says which
     happened.  Labels are the row argmax of the final scores, ties broken
-    toward the smallest class index and flagged.
+    toward the smallest class index and flagged.  Nodes of a component
+    without seeds are returned tied (label 0) with one
+    :class:`~graphtv.errors.SeedlessComponentWarning`.
     """
     if config is None:
         config = SolverConfig()
@@ -536,11 +500,17 @@ def solve(graph, constraints, config=None):
         raise ShapeMismatchError(
             f"constraints built for n={constraints.n}, graph has n={graph.n}"
         )
+    seedless = seedless_nodes(graph, constraints)
+    if seedless.any():
+        warnings.warn(
+            f"{int(seedless.sum())} nodes lie in components without seeds; "
+            "they are returned tied",
+            SeedlessComponentWarning,
+            stacklevel=2,
+        )
     operator = NormalizedGradient(graph)
     config = _effective_config(config, operator)
-    state = initialize_state(graph, constraints, config, operator=operator)
-    state = diffusion_warm_start(state, graph, constraints, operator)
-    state.u = project_constraints(state.u, constraints)
+    state = initialize_state(graph, constraints, operator=operator)
     _, _, r0 = _ratio_terms(operator, state.u, config.zero_guard)
     trace = SolveTrace(initial_ratios=[float(r) for r in r0])
     prev_sum = float(r0.sum())
@@ -575,7 +545,9 @@ def solve(graph, constraints, config=None):
             trace.stop_reason = "tol"
             break
         prev_sum = record.sum_ratios
-    return prediction_from_scores(state.u.copy()), trace
+    scores = state.u.copy()
+    scores[seedless] = 0.0
+    return prediction_from_scores(scores), trace
 
 
 def _fmt(x):

@@ -2,8 +2,8 @@
 
 These deliberately avoid the library's own code paths: the dense gradient
 matrix is assembled entry-by-entry from the edge list, the AUC oracle
-counts pairs literally, and the k-NN oracle stable-sorts a full distance
-matrix.  Tests compare the fast implementations against these
+counts pairs literally, the k-NN oracle stable-sorts a full distance
+matrix, and the diffusion oracles solve their linear systems densely.  Tests compare the fast implementations against these
 slow-but-obvious routes.
 """
 
@@ -120,3 +120,34 @@ def dense_knn_graph(values, spec):
     if spec.symmetrization == "mean":
         return Graph.from_csr((directed + directed.T) * 0.5)
     return Graph.from_csr(directed.maximum(directed.T))
+
+
+def dense_normalized_adjacency(graph):
+    """D^-1/2 W D^-1/2 as a dense matrix."""
+    inv_sqrt = 1.0 / np.sqrt(graph.degrees)
+    return graph.csr.toarray() * np.outer(inv_sqrt, inv_sqrt)
+
+
+def dense_harmonic_extension(graph, constraints):
+    """Seed margins plus the harmonic unlabeled rows, unit Frobenius norm.
+
+    Solves (I - S_UU) X = S_UL (Y_L - rowmean(Y_L)) with ``np.linalg.solve``;
+    the graph must be connected.
+    """
+    s = dense_normalized_adjacency(graph)
+    lab, unl = constraints.labeled_nodes, constraints.unlabeled_nodes
+    u = np.full((graph.n, constraints.n_classes), -constraints.epsilon)
+    u[lab, constraints.own_class[lab]] = constraints.epsilon
+    margins = u[lab] - u[lab].mean(axis=1, keepdims=True)
+    system = np.eye(unl.size) - s[np.ix_(unl, unl)]
+    u[unl] = np.linalg.solve(system, s[np.ix_(unl, lab)] @ margins)
+    return u / np.linalg.norm(u)
+
+
+def dense_label_spreading(graph, constraints, alpha):
+    """(1 - alpha) (I - alpha S)^-1 Y with one-hot seed rows Y."""
+    y = np.zeros((graph.n, constraints.n_classes))
+    lab = constraints.labeled_nodes
+    y[lab, constraints.own_class[lab]] = 1.0
+    system = np.eye(graph.n) - alpha * dense_normalized_adjacency(graph)
+    return (1.0 - alpha) * np.linalg.solve(system, y)

@@ -142,6 +142,29 @@ def test_solve_sidecar_expands_defaults_and_replays_identically(
     assert rc2.inputs == rc.inputs
 
 
+def test_solve_replays_sidecar_written_with_seed(tmp_path, sbm_files, capsys):
+    # sidecars of earlier versions still carry the removed "seed" parameter;
+    # replay reads only declared options, so the old key is ignored
+    graph, truth, seeds = sbm_files
+    scores = tmp_path / "scores.csv"
+    assert run("solve", "--graph", str(graph), "--labels", str(seeds),
+               "--out-scores", str(scores)) == 0
+    rc = RunConfig.load(tmp_path / "scores.config.json")
+    assert "seed" not in rc.parameters
+    rc.parameters["seed"] = 0
+    old = tmp_path / "old.config.json"
+    rc.write(old)
+    replay = tmp_path / "replay.csv"
+    assert run("solve", "--config", str(old), "--out-scores", str(replay)) == 0
+    assert replay.read_bytes() == scores.read_bytes()
+    # the flag itself is gone: argparse rejects it
+    with pytest.raises(SystemExit) as info:
+        run("solve", "--graph", str(graph), "--labels", str(seeds),
+            "--out-scores", str(scores), "--seed", "1")
+    assert info.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+
+
 def test_cli_flags_override_config_values(tmp_path, sbm_files, capsys):
     graph, truth, seeds = sbm_files
     feats = tmp_path / "f.csv"

@@ -14,7 +14,8 @@ from graphtv import (
     total_variation,
 )
 from graphtv.errors import DimensionMismatchError, NoConvergenceError
-from oracles import dense_gradient, random_connected_graph
+from graphtv.operators import diffusion_solve, normalized_adjacency
+from oracles import dense_gradient, dense_normalized_adjacency, random_connected_graph
 
 
 def two_node_graph():
@@ -135,6 +136,24 @@ def test_operator_norm_budget_error_carries_estimate(rng):
         operator_norm(op, iters=1, tol=1e-16)
     reference = operator_norm(op, iters=20000, tol=1e-11)
     assert info.value.last_estimate == pytest.approx(reference, rel=0.5)
+
+
+def test_normalized_adjacency_matches_dense_oracle(rng):
+    graph = random_connected_graph(rng, 15)
+    s = normalized_adjacency(graph)
+    assert (s != s.T).nnz == 0  # exactly symmetric, as CG assumes
+    assert np.max(np.abs(s.toarray() - dense_normalized_adjacency(graph))) <= 1e-15
+
+
+def test_diffusion_solve_error_carries_iterate(rng):
+    # alpha = 1 on the whole graph is singular (I - S kills D^1/2 1); a
+    # right-hand side with a component along that direction has no solution
+    graph = random_connected_graph(rng, 8)
+    rhs = np.sqrt(graph.degrees)[:, None] * np.ones((1, 2))
+    rhs[0] += 1.0
+    with pytest.raises(NoConvergenceError, match="column 0") as info:
+        diffusion_solve(normalized_adjacency(graph), rhs, 1.0)
+    assert info.value.last_iterate.shape == (8, 2)
 
 
 def test_operator_norm_deterministic(rng):

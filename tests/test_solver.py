@@ -31,10 +31,16 @@ from graphtv.errors import (
     EmptyClassError,
     NonFiniteError,
     NoProgressWarning,
+    SeedlessComponentWarning,
     ShapeMismatchError,
 )
-from graphtv.solver import _effective_config, diffusion_warm_start, surrogate_objective
-from oracles import cliques_graph, random_connected_graph, triangles_bridge
+from graphtv.solver import _effective_config, surrogate_objective
+from oracles import (
+    cliques_graph,
+    dense_harmonic_extension,
+    random_connected_graph,
+    triangles_bridge,
+)
 
 
 def make_constraints(n, n_classes, labeled, epsilon=0.1):
@@ -118,7 +124,7 @@ def test_projection_properties(seed, n, n_classes):
 def test_initialize_state_two_seeds_pinned():
     graph = Graph.from_dense(np.array([[0.0, 1.0], [1.0, 0.0]]))
     cons = make_constraints(2, 2, [[0], [1]], epsilon=0.1)
-    state = initialize_state(graph, cons, SolverConfig())
+    state = initialize_state(graph, cons)
     # margins 0.1, medians zero, Frobenius norm 0.2 -> entries +-0.5
     assert np.array_equal(state.u, np.array([[0.5, -0.5], [-0.5, 0.5]]))
     assert np.linalg.norm(state.u) == pytest.approx(1.0, abs=1e-12)
@@ -127,19 +133,25 @@ def test_initialize_state_two_seeds_pinned():
 def test_initialize_state_deterministic(rng):
     graph = random_connected_graph(rng, 15)
     cons = make_constraints(15, 2, [[0], [1]], epsilon=0.1)
-    a = initialize_state(graph, cons, SolverConfig(seed=42))
-    b = initialize_state(graph, cons, SolverConfig(seed=42))
+    a = initialize_state(graph, cons)
+    b = initialize_state(graph, cons)
     assert np.array_equal(a.u, b.u) and np.array_equal(a.z, b.z)
-    c = initialize_state(graph, cons, SolverConfig(seed=43))
-    assert not np.array_equal(a.u, c.u)
+
+
+@pytest.mark.parametrize("n_classes", [2, 3])
+def test_initialize_state_matches_dense_harmonic_oracle(rng, n_classes):
+    for n in (6, 11, 20, 35):
+        graph = random_connected_graph(rng, n)
+        cons = random_constraints(rng, n, n_classes)
+        state = initialize_state(graph, cons)
+        expected = project_constraints(dense_harmonic_extension(graph, cons), cons)
+        assert np.max(np.abs(state.u - expected)) <= 1e-10
 
 
 def test_initialize_state_validates():
     graph = Graph.from_dense(np.array([[0.0, 1.0], [1.0, 0.0]]))
     with pytest.raises(ShapeMismatchError):
-        initialize_state(
-            graph, make_constraints(3, 2, [[0], [1]]), SolverConfig()
-        )
+        initialize_state(graph, make_constraints(3, 2, [[0], [1]]))
     with pytest.raises(EmptyClassError, match="class 1 has no seeds"):
         make_constraints(2, 2, [[0], []])
 
@@ -167,7 +179,7 @@ def test_inner_loop_preserves_its_own_fixed_point():
     cons = make_constraints(6, 2, [[0, 1, 2], [3, 4, 5]], epsilon=0.1)
     op = NormalizedGradient(graph)
     config = SolverConfig(inner_tol=1e-12, inner_max=20000)
-    state = initialize_state(graph, cons, config, op)
+    state = initialize_state(graph, cons, op)
     anchor = state.u.copy()
     state.v = anchor.copy()
     state, _, _ = inner_primal_dual(state, op, cons, config)
@@ -190,7 +202,7 @@ def test_inner_loop_beats_random_feasible_candidates(rng):
     cons = make_constraints(6, 2, [[0], [3]], epsilon=0.1)
     op = NormalizedGradient(graph)
     config = SolverConfig(inner_tol=1e-12, inner_max=6000)
-    state = initialize_state(graph, cons, config, op)
+    state = initialize_state(graph, cons, op)
     state.v = state.u.copy()
     anchor = state.v.copy()
     state, _, _ = inner_primal_dual(state, op, cons, config)
@@ -213,7 +225,7 @@ def test_inner_loop_dual_feasible(rng):
     cons = make_constraints(12, 3, [[0], [5], [9]], epsilon=0.1)
     op = NormalizedGradient(graph)
     config = SolverConfig(inner_max=37)  # stop mid-flight on purpose
-    state = initialize_state(graph, cons, config, op)
+    state = initialize_state(graph, cons, op)
     state.v = state.u.copy()
     state, _, _ = inner_primal_dual(state, op, cons, config)
     assert np.max(np.abs(state.z)) <= 1.0 + 1e-12
@@ -223,7 +235,7 @@ def test_inner_loop_flags_non_finite_state(rng):
     graph = random_connected_graph(rng, 8)
     cons = make_constraints(8, 2, [[0], [4]], epsilon=0.1)
     op = NormalizedGradient(graph)
-    state = initialize_state(graph, cons, SolverConfig(), op)
+    state = initialize_state(graph, cons, op)
     state.v = state.u.copy()
     state.u[2, 0] = np.nan
     with pytest.raises(NonFiniteError) as info:
@@ -239,7 +251,7 @@ def test_outer_step_decreases_on_bridged_triangles():
     cons = make_constraints(6, 2, [[0], [3]], epsilon=0.1)
     op = NormalizedGradient(graph)
     config = SolverConfig()
-    state = initialize_state(graph, cons, config, op)
+    state = initialize_state(graph, cons, op)
     before = sum(
         ratio(op, state.u[:, k], config.zero_guard) for k in range(2)
     )
@@ -260,7 +272,7 @@ def test_outer_step_record_ratios_match_carried_state(rng):
     cons = make_constraints(14, 2, [[0], [7]], epsilon=0.1)
     op = NormalizedGradient(graph)
     config = SolverConfig()
-    state = initialize_state(graph, cons, config, op)
+    state = initialize_state(graph, cons, op)
     state, record = outer_step(state, op, cons, config)
     again = [ratio(op, state.u[:, k], config.zero_guard) for k in range(2)]
     assert record.ratios == pytest.approx(again, rel=1e-12)
@@ -336,8 +348,8 @@ def test_solve_warns_when_first_step_stagnates():
 def test_solve_deterministic(rng):
     graph, truth = synth_sbm((8, 8), 0.8, 0.1, 5)
     cons = make_constraints(16, 2, [[0, 1], [8, 9]], epsilon=0.1)
-    pred_a, trace_a = solve(graph, cons, SolverConfig(seed=7))
-    pred_b, trace_b = solve(graph, cons, SolverConfig(seed=7))
+    pred_a, trace_a = solve(graph, cons)
+    pred_b, trace_b = solve(graph, cons)
     assert np.array_equal(pred_a.scores, pred_b.scores)
     assert np.array_equal(pred_a.labels, pred_b.labels)
     assert trace_a.stop_reason == trace_b.stop_reason
@@ -423,18 +435,28 @@ def test_warm_start_is_deterministic_and_feasible(rng):
     graph, _ = synth_sbm((10, 10), 0.7, 0.05, 3)
     cons = make_constraints(20, 2, [[0], [10]], epsilon=0.1)
     op = NormalizedGradient(graph)
-    config = SolverConfig()
-    a = diffusion_warm_start(
-        initialize_state(graph, cons, config, op), graph, cons, op
-    )
-    b = diffusion_warm_start(
-        initialize_state(graph, cons, config, op), graph, cons, op
-    )
+    a = initialize_state(graph, cons, op)
+    b = initialize_state(graph, cons, op)
     assert np.array_equal(a.u, b.u)
-    assert np.linalg.norm(a.u) == pytest.approx(1.0, abs=1e-12)
+    assert constraint_violation(a.u, cons) <= 1e-12
     # unlabeled rows keep the zero class-sum coupling
     unl = cons.unlabeled_nodes
     assert np.max(np.abs(a.u[unl].sum(axis=1))) <= 1e-10
+
+
+def test_seedless_component_is_returned_tied():
+    # three disjoint K4s, the third without seeds: no class has any claim
+    # on it, so its nodes come back tied with label 0, and one warning
+    graph = cliques_graph([range(4), range(4, 8), range(8, 12)])
+    cons = make_constraints(12, 2, [[0], [4]], epsilon=0.1)
+    with pytest.warns(SeedlessComponentWarning, match="4 nodes") as record:
+        prediction, _ = solve(graph, cons)
+    assert len(record) == 1
+    assert np.array_equal(prediction.labels, [0] * 4 + [1] * 4 + [0] * 4)
+    assert prediction.tie_flag[8:].all() and not prediction.tie_flag[:8].any()
+    assert np.all(prediction.scores[8:] == prediction.scores[8:, :1])
+    # the warm start leaves the seedless block at zero as well
+    assert np.all(initialize_state(graph, cons).u[8:] == 0.0)
 
 
 def test_warm_start_beats_random_init_on_weak_bridges():

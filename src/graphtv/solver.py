@@ -30,6 +30,7 @@ with the re-centered ratios.
 import dataclasses
 import json
 import logging
+import math
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -185,7 +186,9 @@ class OuterRecord:
     ``ratios`` are the per-class ratios of the stored (re-centered,
     normalized) state; ``ratios_pre`` those of the raw inner-loop output;
     ``decrease_slack`` is c^k*||u||_1 - TV(u) on the raw output, which the
-    surrogate keeps non-negative up to solver tolerance.
+    surrogate keeps non-negative up to solver tolerance.  ``hit_cap`` is
+    true when the inner loop ran to ``inner_max`` without meeting
+    ``inner_tol``.
     """
 
     ratios: list
@@ -193,6 +196,7 @@ class OuterRecord:
     decrease_slack: list
     sum_ratios: float
     inner_iters: int
+    hit_cap: bool
     residual: float
     max_violation: float
     wall_ms: float
@@ -233,12 +237,55 @@ def prediction_from_scores(scores):
     )
 
 
+class _Projection:
+    """Row-wise projection of C-ordered (n, L) states, done in place.
+
+    The index arrays and the scratch it needs are built once per constraint
+    set, so the inner loop can project every iterate without allocating.
+    """
+
+    def __init__(self, constraints):
+        n_classes = constraints.n_classes
+        lab = constraints.labeled_nodes
+        self.epsilon = constraints.epsilon
+        # flat positions of the seed rows in the state, and of each seed's
+        # own class inside the gathered seed block
+        self.seed_entries = (lab[:, None] * n_classes + np.arange(n_classes)).ravel()
+        self.own_entries = np.arange(lab.size) * n_classes + constraints.own_class[lab]
+        self.block = np.empty(self.seed_entries.size)
+        self.own_block = np.empty(lab.size)
+        self.row_mean = np.empty(constraints.n)
+
+    def __call__(self, u):
+        flat = u.reshape(-1)  # a view: u is C-contiguous
+        np.take(flat, self.seed_entries, out=self.block, mode="clip")
+        np.take(self.block, self.own_entries, out=self.own_block, mode="clip")
+        # Every row loses its mean; the seed rows are then overwritten from
+        # the values taken above, so only the unlabeled rows keep the shift.
+        n_classes = u.shape[1]
+        if n_classes < 8:
+            # mean(axis=1) adds short rows left to right onto +0.0; column
+            # sums do the same without a slow reduction over a short axis
+            self.row_mean.fill(0.0)
+            for k in range(n_classes):
+                self.row_mean += u[:, k]
+            self.row_mean /= n_classes
+        else:  # numpy sums longer rows pairwise
+            np.mean(u, axis=1, out=self.row_mean)
+        u -= self.row_mean[:, None]
+        np.minimum(self.block, -self.epsilon, out=self.block)
+        np.maximum(self.own_block, self.epsilon, out=self.own_block)
+        self.block[self.own_entries] = self.own_block
+        flat[self.seed_entries] = self.block
+
+
 def project_constraints(u, constraints):
     """Project a state row-wise onto the seed margins and zero class-sums.
 
     Seeded node i of class k: u[i, k] -> max(u[i, k], eps) and
     u[i, k'] -> min(u[i, k'], -eps) for k' != k.  Unlabeled rows lose their
-    mean across classes.  The map is idempotent.
+    mean across classes.  The map is idempotent.  Returns a new array; the
+    inner loop runs the same projection in place on its own buffers.
     """
     u = np.asarray(u, dtype=np.float64)
     if u.shape != (constraints.n, constraints.n_classes):
@@ -246,17 +293,8 @@ def project_constraints(u, constraints):
             f"state shape {u.shape} does not match "
             f"({constraints.n}, {constraints.n_classes})"
         )
-    out = u.copy()
-    unl = constraints.unlabeled_nodes
-    if unl.size:
-        out[unl] -= out[unl].mean(axis=1, keepdims=True)
-    lab = constraints.labeled_nodes
-    if lab.size:
-        eps = constraints.epsilon
-        own = constraints.own_class[lab]
-        block = np.minimum(u[lab], -eps)
-        block[np.arange(lab.size), own] = np.maximum(u[lab, own], eps)
-        out[lab] = block
+    out = np.array(u, order="C")
+    _Projection(constraints)(out)
     return out
 
 
@@ -363,38 +401,62 @@ def _inner_loop(state, operator, constraints, config, coeff):
     dt = config.dt
     drive = np.sign(state.v) * coeff  # c^k * sign(v^k), zero where v is zero
     anchor = state.v
-    u = state.u
-    z = state.z
-    u_tilde = state.u_extrapolated
+    project = _Projection(constraints)
+    # Buffers owned by the loop: the caller's u and u_extrapolated are only
+    # read.  The dual and the extrapolation are held class-major, so each
+    # class is one contiguous vector for the sparse products; z is written
+    # back into the caller's array at the end.  Every update keeps the
+    # operand order of the whole-array form (reference_inner_loop in
+    # tests/oracles.py), so the results are bit-identical to it.
+    u = np.array(state.u, order="C")
+    u_prev = np.empty_like(u)
+    scratch = np.empty_like(u)
+    u_tilde = np.array(state.u_extrapolated.T, order="C")
+    z = np.array(state.z.T, order="C")
     sigma = config.sigma0
     tau = config.tau0
     iters = 0
     residual = np.inf
-    for it in range(1, config.inner_max + 1):
-        # dual ascent on the edges, then projection onto the unit box
-        z += sigma * (fwd @ u_tilde)
-        np.clip(z, -1.0, 1.0, out=z)
-        # proximal descent on the nodes: resolvent of the quadratic tether
-        # ||u - anchor||^2 / (2 dt) plus the linearized-l1 drive, followed
-        # by projection onto the seed set
-        u_prev = u
-        step = tau * dt
-        u = (u + step * (drive - adj @ z) + tau * anchor) / (1.0 + tau)
-        u = project_constraints(u, constraints)
-        if not np.isfinite(u).all():
-            raise NonFiniteError("inner iterate is not finite", iteration=it)
-        gamma = 1.0 / np.sqrt(1.0 + tau / dt)
-        tau *= gamma
-        sigma /= gamma
-        u_tilde = u + gamma * (u - u_prev)
-        diff = np.linalg.norm(u - u_prev)
-        residual = diff / max(np.linalg.norm(u_prev), 1e-30)
-        iters = it
-        if residual < config.inner_tol:
-            break
+    try:
+        for it in range(1, config.inner_max + 1):
+            # dual ascent on the edges, then projection onto the unit box
+            for k, z_k in enumerate(z):
+                grad = fwd @ u_tilde[k]
+                grad *= sigma
+                z_k += grad
+            np.maximum(z, -1.0, out=z)
+            np.minimum(z, 1.0, out=z)
+            # proximal descent on the nodes: resolvent of the quadratic tether
+            # ||u - anchor||^2 / (2 dt) plus the linearized-l1 drive, followed
+            # by projection onto the seed set
+            for k, z_k in enumerate(z):
+                scratch[:, k] = adj @ z_k
+            np.subtract(drive, scratch, out=scratch)
+            scratch *= tau * dt
+            u, u_prev = u_prev, u
+            np.add(u_prev, scratch, out=u)
+            np.multiply(anchor, tau, out=scratch)
+            u += scratch
+            u /= 1.0 + tau
+            project(u)
+            np.subtract(u, u_prev, out=scratch)
+            diff = np.linalg.norm(scratch)
+            # a finite change implies a finite iterate; look closer otherwise
+            if not math.isfinite(diff) and not np.isfinite(u).all():
+                raise NonFiniteError("inner iterate is not finite", iteration=it)
+            gamma = 1.0 / np.sqrt(1.0 + tau / dt)
+            tau *= gamma
+            sigma /= gamma
+            scratch *= gamma
+            np.add(u, scratch, out=u_tilde.T)
+            residual = diff / max(np.linalg.norm(u_prev), 1e-30)
+            iters = it
+            if residual < config.inner_tol:
+                break
+    finally:
+        state.z[...] = z.T
     state.u = u
-    state.z = z
-    state.u_extrapolated = u_tilde
+    state.u_extrapolated = np.ascontiguousarray(u_tilde.T)
     return state, iters, residual
 
 
@@ -402,8 +464,10 @@ def inner_primal_dual(state, operator, constraints, config):
     """Run the accelerated primal-dual loop from ``state``.
 
     ``state.v`` holds the linearization point; ``state.u``/``state.z``/
-    ``state.u_extrapolated`` are the warm-start iterates.  Returns the
-    mutated state, the iterations used, and the final relative change.
+    ``state.u_extrapolated`` are the warm-start iterates.  ``state.z`` is
+    updated in place; ``state.u`` and ``state.u_extrapolated`` are replaced
+    by new arrays, and the arrays passed in are left unchanged.  Returns the
+    state, the iterations used, and the final relative change.
     """
     _, _, coeff = _ratio_terms(operator, state.v, config.zero_guard)
     return _inner_loop(state, operator, constraints, config, coeff)
@@ -421,8 +485,8 @@ def outer_step(state, operator, constraints, config):
     carried into the next step is feasible again.
     """
     t0 = time.perf_counter()
-    state.v = state.u.copy()
-    state.u_extrapolated = state.u.copy()
+    state.v = state.u  # the inner loop only reads v and u_extrapolated
+    state.u_extrapolated = state.u
     state.z = np.clip(operator.matrix @ state.v, -1.0, 1.0)
     _, _, coeff = _ratio_terms(operator, state.v, config.zero_guard)
     state, iters, residual = _inner_loop(state, operator, constraints, config, coeff)
@@ -442,6 +506,7 @@ def outer_step(state, operator, constraints, config):
         decrease_slack=[float(s) for s in slack],
         sum_ratios=float(ratios_carried.sum()),
         inner_iters=iters,
+        hit_cap=not residual < config.inner_tol,  # the only early stop
         residual=float(residual),
         max_violation=float(violation),
         wall_ms=(time.perf_counter() - t0) * 1e3,

@@ -3,8 +3,9 @@
 These deliberately avoid the library's own code paths: the dense gradient
 matrix is assembled entry-by-entry from the edge list, the AUC oracle
 counts pairs literally, the k-NN oracle stable-sorts a full distance
-matrix, and the diffusion oracles solve their linear systems densely.  Tests compare the fast implementations against these
-slow-but-obvious routes.
+matrix, the diffusion oracles solve their linear systems densely, and the
+reference inner loop allocates fresh arrays on every iteration.  Tests
+compare the fast implementations against these slow-but-obvious routes.
 """
 
 import math
@@ -14,6 +15,7 @@ from scipy import sparse
 from scipy.spatial.distance import cdist
 
 from graphtv import Graph
+from graphtv.errors import NonFiniteError, ShapeMismatchError
 
 
 def dense_gradient(graph):
@@ -151,3 +153,76 @@ def dense_label_spreading(graph, constraints, alpha):
     y[lab, constraints.own_class[lab]] = 1.0
     system = np.eye(graph.n) - alpha * dense_normalized_adjacency(graph)
     return (1.0 - alpha) * np.linalg.solve(system, y)
+
+
+def reference_project_constraints(u, constraints):
+    """Projection onto the seed margins and zero class-sums, one copy per call.
+
+    Unlabeled rows lose the mean of their own gathered block; seed rows are
+    clamped from the input values.
+    """
+    u = np.asarray(u, dtype=np.float64)
+    if u.shape != (constraints.n, constraints.n_classes):
+        raise ShapeMismatchError(
+            f"state shape {u.shape} does not match "
+            f"({constraints.n}, {constraints.n_classes})"
+        )
+    out = u.copy()
+    unl = constraints.unlabeled_nodes
+    if unl.size:
+        out[unl] -= out[unl].mean(axis=1, keepdims=True)
+    lab = constraints.labeled_nodes
+    if lab.size:
+        eps = constraints.epsilon
+        own = constraints.own_class[lab]
+        block = np.minimum(u[lab], -eps)
+        block[np.arange(lab.size), own] = np.maximum(u[lab, own], eps)
+        out[lab] = block
+    return out
+
+
+def reference_inner_loop(state, operator, constraints, config, coeff):
+    """The accelerated primal-dual loop written with whole-array temporaries.
+
+    Every update builds new arrays and the projection is the copying
+    :func:`reference_project_constraints`; ``state.z`` is updated in place.
+    Returns ``(state, iters, residual)`` like the solver's loop.
+    """
+    fwd = operator.matrix
+    adj = operator.adjoint_matrix
+    dt = config.dt
+    drive = np.sign(state.v) * coeff  # c^k * sign(v^k), zero where v is zero
+    anchor = state.v
+    u = state.u
+    z = state.z
+    u_tilde = state.u_extrapolated
+    sigma = config.sigma0
+    tau = config.tau0
+    iters = 0
+    residual = np.inf
+    for it in range(1, config.inner_max + 1):
+        # dual ascent on the edges, then projection onto the unit box
+        z += sigma * (fwd @ u_tilde)
+        np.clip(z, -1.0, 1.0, out=z)
+        # proximal descent on the nodes: resolvent of the quadratic tether
+        # ||u - anchor||^2 / (2 dt) plus the linearized-l1 drive, followed
+        # by projection onto the seed set
+        u_prev = u
+        step = tau * dt
+        u = (u + step * (drive - adj @ z) + tau * anchor) / (1.0 + tau)
+        u = reference_project_constraints(u, constraints)
+        if not np.isfinite(u).all():
+            raise NonFiniteError("inner iterate is not finite", iteration=it)
+        gamma = 1.0 / np.sqrt(1.0 + tau / dt)
+        tau *= gamma
+        sigma /= gamma
+        u_tilde = u + gamma * (u - u_prev)
+        diff = np.linalg.norm(u - u_prev)
+        residual = diff / max(np.linalg.norm(u_prev), 1e-30)
+        iters = it
+        if residual < config.inner_tol:
+            break
+    state.u = u
+    state.z = z
+    state.u_extrapolated = u_tilde
+    return state, iters, residual

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from graphtv import (
     Graph,
     LabelConstraints,
+    MultiClassState,
     NormalizedGradient,
     SolverConfig,
     constraint_violation,
@@ -34,11 +35,19 @@ from graphtv.errors import (
     SeedlessComponentWarning,
     ShapeMismatchError,
 )
-from graphtv.solver import _effective_config, surrogate_objective
+from graphtv.datasets import make_partition
+from graphtv.solver import (
+    _effective_config,
+    _inner_loop,
+    _ratio_terms,
+    surrogate_objective,
+)
 from oracles import (
     cliques_graph,
     dense_harmonic_extension,
     random_connected_graph,
+    reference_inner_loop,
+    reference_project_constraints,
     triangles_bridge,
 )
 
@@ -52,12 +61,59 @@ def make_constraints(n, n_classes, labeled, epsilon=0.1):
     )
 
 
-def random_constraints(rng, n, n_classes, epsilon=0.1):
+def random_constraints(rng, n, n_classes, epsilon=0.1, per=None):
     nodes = rng.permutation(n)
-    cap = max(1, n // n_classes)
-    per = int(rng.integers(1, cap + 1))
+    if per is None:
+        cap = max(1, n // n_classes)
+        per = int(rng.integers(1, cap + 1))
     labeled = [nodes[k * per : (k + 1) * per] for k in range(n_classes)]
     return make_constraints(n, n_classes, labeled, epsilon)
+
+
+def same_bits(a, b):
+    """Equal shape and identical float64 bytes (signed zeros and NaNs too)."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def random_inner_problem(rng, n, n_classes, per=None):
+    """A random graph, seed sets, and an arbitrary (infeasible) start state."""
+    graph = random_connected_graph(rng, n)
+    op = NormalizedGradient(graph)
+    cons = random_constraints(rng, n, n_classes, per=per)
+    state = MultiClassState(
+        u=rng.normal(size=(n, n_classes)),
+        z=rng.uniform(-1.0, 1.0, size=(graph.num_edges, n_classes)),
+        u_extrapolated=rng.normal(size=(n, n_classes)),
+        v=project_constraints(rng.normal(size=(n, n_classes)), cons),
+    )
+    return op, cons, state
+
+
+def copy_state(state):
+    return MultiClassState(
+        u=state.u.copy(),
+        z=state.z.copy(),
+        u_extrapolated=state.u_extrapolated.copy(),
+        v=state.v.copy(),
+    )
+
+
+def run_both_loops(state, op, cons, config):
+    """Fused loop and reference oracle from the same start; both outcomes."""
+    _, _, coeff = _ratio_terms(op, state.v, config.zero_guard)
+    ref = copy_state(state)
+    fused_out = _inner_loop(state, op, cons, config, coeff)
+    ref_out = reference_inner_loop(ref, op, cons, config, coeff)
+    return fused_out, ref_out
+
+
+def assert_loops_agree(fused_out, ref_out):
+    (fused, iters, residual), (ref, ref_iters, ref_residual) = fused_out, ref_out
+    assert iters == ref_iters
+    assert same_bits(residual, ref_residual)
+    for name in ("u", "z", "u_extrapolated", "v"):
+        assert same_bits(getattr(fused, name), getattr(ref, name)), name
 
 
 # -------------------------------------------------------------- projection
@@ -116,6 +172,35 @@ def test_projection_properties(seed, n, n_classes):
     if unl.size:
         assert np.max(np.abs(once[unl].sum(axis=1))) <= 1e-12
     assert constraint_violation(once, cons) <= 1e-12
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 40),
+    n_classes=st.integers(2, 9),
+    fortran=st.booleans(),
+)
+def test_projection_matches_reference_oracle(seed, n, n_classes, fortran):
+    # in-place projection (mean over every row, seed rows written after)
+    # against the copying one, bit for bit; 8 and 9 classes cross numpy's
+    # pairwise-summation block, signed zeros and ties are planted
+    assume(n >= n_classes)
+    gen = np.random.default_rng(seed)
+    cons = random_constraints(gen, n, n_classes)
+    u = gen.normal(size=(n, n_classes)) * 10.0 ** gen.integers(-6, 6, (n, 1))
+    rows = gen.integers(0, n, size=3)
+    u[rows[0]] = -0.0
+    u[rows[1], :2] = [0.0, -0.0]
+    u[rows[2]] = u[rows[2], 0]
+    u[gen.random(u.shape) < 0.1] = cons.epsilon
+    if fortran:
+        u = np.asfortranarray(u)
+    given_u = u.copy()
+    out = project_constraints(u, cons)
+    assert same_bits(out, reference_project_constraints(u, cons))
+    assert out.flags.c_contiguous
+    assert same_bits(u, given_u)  # the input is never written
 
 
 # ------------------------------------------------------------------- state
@@ -243,6 +328,88 @@ def test_inner_loop_flags_non_finite_state(rng):
     assert info.value.iteration >= 1
 
 
+@pytest.mark.parametrize("n_classes", [2, 3, 5, 9])
+@pytest.mark.parametrize("dt", [1.0, 0.3])
+@pytest.mark.parametrize("stop", ["tol", "cap"])
+@pytest.mark.parametrize("seeding", ["one", "most", "all"])
+def test_inner_loop_matches_reference_oracle(n_classes, dt, stop, seeding):
+    # the fused in-place loop must repeat the whole-array loop's arithmetic
+    # exactly; 9 classes cross numpy's pairwise-summation block
+    n = 6 * n_classes + (seeding != "all")
+    per = {"one": 1, "most": 6, "all": 6}[seeding]
+    rng = np.random.default_rng([n_classes, int(10 * dt), int(stop == "tol"), per, n])
+    op, cons, state = random_inner_problem(rng, n, n_classes, per=per)
+    if stop == "tol":
+        config = SolverConfig(dt=dt, inner_tol=1e-3, inner_max=5000)
+    else:
+        config = SolverConfig(dt=dt, inner_tol=1e-300, inner_max=60)
+    fused_out, ref_out = run_both_loops(state, op, cons, config)
+    assert_loops_agree(fused_out, ref_out)
+    iters = fused_out[1]
+    assert (iters < config.inner_max) if stop == "tol" else (iters == config.inner_max)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(3, 40),
+    n_classes=st.sampled_from([2, 3, 5, 9]),
+    dt=st.sampled_from([1.0, 0.3]),
+    inner_max=st.integers(1, 40),
+    inner_tol=st.sampled_from([1e-8, 1e-2]),
+)
+def test_inner_loop_matches_reference_oracle_on_random_graphs(
+    seed, n, n_classes, dt, inner_max, inner_tol
+):
+    assume(n >= n_classes)
+    op, cons, state = random_inner_problem(np.random.default_rng(seed), n, n_classes)
+    config = SolverConfig(dt=dt, inner_tol=inner_tol, inner_max=inner_max)
+    assert_loops_agree(*run_both_loops(state, op, cons, config))
+
+
+def test_inner_loop_leaves_caller_arrays_alone(rng):
+    # the loop swaps its own buffers; none of them may be the caller's u,
+    # u_extrapolated or v, while z is updated in place as documented
+    op, cons, state = random_inner_problem(rng, 15, 3)
+    given_arrays = {name: getattr(state, name) for name in ("u", "u_extrapolated", "v", "z")}
+    before = {name: a.copy() for name, a in given_arrays.items()}
+    out, iters, _ = inner_primal_dual(state, op, cons, SolverConfig(inner_max=5))
+    assert iters == 5
+    for name in ("u", "u_extrapolated", "v"):
+        assert same_bits(given_arrays[name], before[name]), name
+    assert out.z is given_arrays["z"]
+    assert not np.array_equal(out.z, before["z"])
+
+
+@pytest.mark.parametrize("where", ["u", "z", "v"])
+def test_inner_loop_reports_non_finite_at_reference_iteration(rng, where):
+    op, cons, state = random_inner_problem(rng, 12, 2)
+    getattr(state, where)[3, 1] = np.nan
+    config = SolverConfig(inner_max=50)
+    _, _, coeff = _ratio_terms(op, state.v, config.zero_guard)
+    ref = copy_state(state)
+    with pytest.raises(NonFiniteError) as fused_info:
+        _inner_loop(state, op, cons, config, coeff)
+    with pytest.raises(NonFiniteError) as ref_info:
+        reference_inner_loop(ref, op, cons, config, coeff)
+    assert fused_info.value.iteration == ref_info.value.iteration
+    assert same_bits(state.z, ref.z)  # the dual was written back as far as it got
+
+
+def test_inner_loop_overflowing_norm_is_not_non_finite(rng):
+    # at dt = 1e300 the iterates stay finite but their squared norms
+    # overflow; the cheap residual test must fall back to the full check
+    # and carry on like the reference loop
+    op, cons, state = random_inner_problem(rng, 12, 2)
+    with np.errstate(all="ignore"):
+        fused_out, ref_out = run_both_loops(
+            state, op, cons, SolverConfig(dt=1e300, inner_max=10)
+        )
+    assert_loops_agree(fused_out, ref_out)
+    assert np.isfinite(fused_out[0].u).all()
+    assert np.isnan(fused_out[2])  # inf / inf
+
+
 # -------------------------------------------------------------- outer step
 
 
@@ -265,6 +432,20 @@ def test_outer_step_decreases_on_bridged_triangles():
     ) <= 1e-12
     assert record.max_violation >= 0.0
     assert record.wall_ms >= 0.0
+
+
+def test_outer_record_flags_inner_cap(rng):
+    graph = random_connected_graph(rng, 14)
+    cons = make_constraints(14, 2, [[0], [7]], epsilon=0.1)
+    op = NormalizedGradient(graph)
+    state = initialize_state(graph, cons, op)
+    _, capped = outer_step(state, op, cons, SolverConfig(inner_max=3))
+    assert capped.inner_iters == 3 and capped.hit_cap is True
+    state = initialize_state(graph, cons, op)
+    _, settled = outer_step(
+        state, op, cons, SolverConfig(inner_tol=1e-2, inner_max=100000)
+    )
+    assert settled.inner_iters < 100000 and settled.hit_cap is False
 
 
 def test_outer_step_record_ratios_match_carried_state(rng):
@@ -339,10 +520,24 @@ def test_solve_warns_when_first_step_stagnates():
     graph = cliques_graph([(0, 1, 2), (3, 4, 5, 6)], [(2, 3, 0.1)])
     cons = make_constraints(7, 2, [[0], [3]], epsilon=0.1)
     with pytest.warns(NoProgressWarning):
-        _, trace = solve(graph, cons)
+        prediction, trace = solve(graph, cons)
     assert trace.converged
     assert trace.stop_reason == "no_decrease"
     assert trace.records == []
+    assert same_bits(prediction.scores, initialize_state(graph, cons).u)
+
+
+def test_solve_returns_warm_start_when_first_step_is_rolled_back():
+    # a rolled-back first step on a benchmark-sized instance (3 x 400 SBM,
+    # 2% seeds): the run warns, records no step and hands back the warm
+    # start bit for bit
+    graph, truth = synth_sbm((400, 400, 400), 0.03, 0.008, 3)
+    cons, _ = make_partition(truth, 3, 0.02, 0)
+    with pytest.warns(NoProgressWarning):
+        prediction, trace = solve(graph, cons)
+    assert trace.stop_reason == "no_decrease"
+    assert trace.converged and trace.records == []
+    assert same_bits(prediction.scores, initialize_state(graph, cons).u)
 
 
 def test_solve_deterministic(rng):
@@ -519,5 +714,8 @@ def test_trace_json_schema(tmp_path):
     doc = json.loads(path.read_text())
     assert isinstance(doc, list) and doc
     for entry in doc:
-        for key in ("ratios", "inner_iters", "residual", "max_violation", "wall_ms"):
+        for key in (
+            "ratios", "inner_iters", "hit_cap", "residual", "max_violation", "wall_ms"
+        ):
             assert key in entry
+        assert isinstance(entry["hit_cap"], bool)

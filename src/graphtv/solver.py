@@ -257,6 +257,9 @@ class _Projection:
         self.row_mean = np.empty(constraints.n)
 
     def __call__(self, u):
+        # u must be (n, n_classes) of the constraints, which keeps every
+        # index in range; mode="clip" only spares numpy the buffered copy of
+        # `out` that mode="raise" makes
         flat = u.reshape(-1)  # a view: u is C-contiguous
         np.take(flat, self.seed_entries, out=self.block, mode="clip")
         np.take(self.block, self.own_entries, out=self.own_block, mode="clip")
@@ -265,7 +268,8 @@ class _Projection:
         n_classes = u.shape[1]
         if n_classes < 8:
             # mean(axis=1) adds short rows left to right onto +0.0; column
-            # sums do the same without a slow reduction over a short axis
+            # sums do the same bit for bit, and at n = 2000, L = 2 take 12 us
+            # where the reduction over the short axis takes 64 us
             self.row_mean.fill(0.0)
             for k in range(n_classes):
                 self.row_mean += u[:, k]
@@ -395,7 +399,22 @@ def initialize_state(graph, constraints, operator=None):
     return MultiClassState(u=u, z=z, u_extrapolated=u.copy(), v=u.copy())
 
 
+def _check_state_shapes(state, operator, constraints):
+    n, n_classes = constraints.n, constraints.n_classes
+    expected = {
+        "u": (n, n_classes),
+        "u_extrapolated": (n, n_classes),
+        "v": (n, n_classes),
+        "z": (operator.matrix.shape[0], n_classes),
+    }
+    for name, shape in expected.items():
+        got = np.shape(getattr(state, name))
+        if got != shape:
+            raise ShapeMismatchError(f"state.{name} shape {got} does not match {shape}")
+
+
 def _inner_loop(state, operator, constraints, config, coeff):
+    _check_state_shapes(state, operator, constraints)
     fwd = operator.matrix
     adj = operator.adjoint_matrix
     dt = config.dt

@@ -35,7 +35,6 @@ from graphtv.errors import (
     SeedlessComponentWarning,
     ShapeMismatchError,
 )
-from graphtv.datasets import make_partition
 from graphtv.solver import (
     _effective_config,
     _inner_loop,
@@ -328,6 +327,29 @@ def test_inner_loop_flags_non_finite_state(rng):
     assert info.value.iteration >= 1
 
 
+@pytest.mark.parametrize("field", ["u", "u_extrapolated", "v", "z"])
+def test_inner_loop_rejects_state_of_other_class_count(rng, field):
+    # a 2-class state with one 3-class array must not be projected with
+    # the 2-class seed indices
+    op, cons, state = random_inner_problem(rng, 12, 2)
+    value = getattr(state, field)
+    setattr(state, field, np.hstack([value, value[:, :1]]))
+    with pytest.raises(ShapeMismatchError, match=f"state.{field} "):
+        inner_primal_dual(state, op, cons, SolverConfig(inner_max=5))
+
+
+def test_inner_loop_rejects_three_class_state_for_two_class_constraints(rng):
+    op, _, state = random_inner_problem(rng, 12, 3)
+    cons2 = random_constraints(rng, 12, 2)
+    ref = copy_state(state)
+    config = SolverConfig(inner_max=5)
+    _, _, coeff = _ratio_terms(op, state.v, config.zero_guard)
+    with pytest.raises(ShapeMismatchError):
+        inner_primal_dual(state, op, cons2, config)
+    with pytest.raises(ShapeMismatchError):  # the old loop failed the same way
+        reference_inner_loop(ref, op, cons2, config, coeff)
+
+
 @pytest.mark.parametrize("n_classes", [2, 3, 5, 9])
 @pytest.mark.parametrize("dt", [1.0, 0.3])
 @pytest.mark.parametrize("stop", ["tol", "cap"])
@@ -524,19 +546,6 @@ def test_solve_warns_when_first_step_stagnates():
     assert trace.converged
     assert trace.stop_reason == "no_decrease"
     assert trace.records == []
-    assert same_bits(prediction.scores, initialize_state(graph, cons).u)
-
-
-def test_solve_returns_warm_start_when_first_step_is_rolled_back():
-    # a rolled-back first step on a benchmark-sized instance (3 x 400 SBM,
-    # 2% seeds): the run warns, records no step and hands back the warm
-    # start bit for bit
-    graph, truth = synth_sbm((400, 400, 400), 0.03, 0.008, 3)
-    cons, _ = make_partition(truth, 3, 0.02, 0)
-    with pytest.warns(NoProgressWarning):
-        prediction, trace = solve(graph, cons)
-    assert trace.stop_reason == "no_decrease"
-    assert trace.converged and trace.records == []
     assert same_bits(prediction.scores, initialize_state(graph, cons).u)
 
 

@@ -11,7 +11,6 @@ import numpy as np
 
 from graphtv import (
     KernelSpec,
-    SolverConfig,
     baseline_label_spreading,
     build_knn_graph,
     evaluate,
@@ -29,8 +28,6 @@ def main():
     ap.add_argument("--fraction", type=float, default=0.02, help="labeled fraction")
     ap.add_argument("--data-seed", type=int, default=7)
     ap.add_argument("--partition-seed", type=int, default=0)
-    ap.add_argument("--step-rule", default="heuristic",
-                    choices=("heuristic", "safeguarded"))
     args = ap.parse_args()
 
     features, truth = synth_two_moons(args.n, args.noise, args.data_seed)
@@ -44,8 +41,7 @@ def main():
     print(f"seeds: {constraints.n_labeled} labeled "
           f"({args.fraction:.0%}), {partition.eval_indices.size} heldout")
 
-    prediction, trace = solve(graph, constraints,
-                              SolverConfig(step_rule=args.step_rule))
+    prediction, trace = solve(graph, constraints)
     sums = [sum(trace.initial_ratios)] + [r.sum_ratios for r in trace.records]
     print(f"solver: {len(trace.records)} outer steps, stop={trace.stop_reason}, "
           f"sum-of-ratios {sums[0]:.4f} -> {sums[-1]:.4f}")

@@ -217,7 +217,6 @@ _SOLVER_OPTS = [
     _Opt("dt", "param", float, 1.0),
     _Opt("sigma0", "param", float, 1.9),
     _Opt("tau0", "param", float, 1.9),
-    _Opt("step_rule", "param", str, "heuristic", choices=("heuristic", "safeguarded")),
     _Opt("inner_max", "param", int, 2000),
     _Opt("inner_tol", "param", float, 1e-8),
     _Opt("outer_max", "param", int, 100),
@@ -325,7 +324,6 @@ def _solver_config(params):
         inner_tol=float(params["inner_tol"]),
         outer_max=int(params["outer_max"]),
         outer_tol=float(params["outer_tol"]),
-        step_rule=str(params["step_rule"]),
     )
 
 

@@ -48,7 +48,6 @@ class NormalizedGradient:
         )
         self.matrix = sparse.csr_matrix((vals, (rows, cols)), shape=(m, graph.n))
         self.adjoint_matrix = self.matrix.T.tocsr()
-        self._norm_estimate = None
 
     @property
     def shape(self):
@@ -93,20 +92,17 @@ def total_variation(operator, u):
     return np.abs(grad).sum(axis=0)
 
 
-def operator_norm(operator, iters=500, tol=1e-12, seed=0):
+def operator_norm(operator, iters=500, tol=1e-12):
     """Largest singular value of K by power iteration on K^T K.
 
-    Deterministic for a given ``seed``.  The first successful estimate is
-    cached on the operator.  Raises
+    Deterministic: the start vector is drawn from a fixed seed.  Raises
     :class:`~graphtv.errors.NoConvergenceError` (carrying the last estimate)
     if successive eigenvalue estimates have not settled to relative ``tol``
     within ``iters`` iterations.
     """
-    if operator._norm_estimate is not None:
-        return operator._norm_estimate
     fwd = operator.matrix
     adj = operator.adjoint_matrix
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     v = rng.standard_normal(operator.graph.n)
     v /= np.linalg.norm(v)
     estimate = 0.0
@@ -121,7 +117,6 @@ def operator_norm(operator, iters=500, tol=1e-12, seed=0):
         v = w / nw
         new_estimate = np.sqrt(max(lam, 0.0))
         if abs(new_estimate - estimate) <= tol * max(new_estimate, 1e-30):
-            operator._norm_estimate = new_estimate
             return new_estimate
         estimate = new_estimate
     raise NoConvergenceError(

@@ -61,8 +61,6 @@ log = logging.getLogger(__name__)
 #: two class scores closer than this are reported as a tie
 TIE_THRESHOLD = 1e-12
 
-_STEP_RULES = ("heuristic", "safeguarded")
-
 
 @dataclass
 class LabelConstraints:
@@ -135,13 +133,12 @@ class LabelConstraints:
 class SolverConfig:
     """Tunable knobs of the solver; defaults are the calibrated ones.
 
-    ``step_rule='heuristic'`` (default) only checks the loose product
-    bound sigma0*tau0 < 4; ``'safeguarded'`` additionally shrinks
-    ``sigma0``/``tau0`` proportionally whenever sigma0*tau0*dt*||K||^2
-    >= 1, the certified primal-dual product bound, which buys exact inner
-    minimizers at the price of more inner iterations — use it when the
-    per-step decrease certificates matter more than speed.  The inner loop
-    decays its step ratio by 1/sqrt(1 + tau/dt) per iteration.
+    ``sigma0``/``tau0`` are the requested dual/primal steps.  :func:`solve`
+    keeps them when they meet the Chambolle & Pock (2011) bound
+    sigma0*tau0*dt*||K||^2 < 1, with ||K|| estimated by power iteration,
+    and otherwise shrinks both by one factor to 0.999 of the bound, so the
+    inner loop always runs with certified steps.  The inner loop decays its
+    step ratio by 1/sqrt(1 + tau/dt) per iteration.
     """
 
     dt: float = 1.0
@@ -151,7 +148,6 @@ class SolverConfig:
     inner_tol: float = 1e-8
     outer_max: int = 100
     outer_tol: float = 1e-6
-    step_rule: str = "heuristic"
     zero_guard: float = 1e-12
 
     def __post_init__(self):
@@ -165,8 +161,6 @@ class SolverConfig:
             raise ValueError("tolerances must be positive")
         if self.zero_guard <= 0:
             raise ValueError("zero_guard must be positive")
-        if self.step_rule not in _STEP_RULES:
-            raise ValueError(f"step_rule must be one of {_STEP_RULES}")
 
 
 @dataclass
@@ -208,9 +202,12 @@ class OuterRecord:
 @dataclass
 class SolveTrace:
     records: list = field(default_factory=list)
-    converged: bool = False
     initial_ratios: list = field(default_factory=list)
     stop_reason: str = "budget"  # "tol" | "no_decrease" | "budget"
+
+    @property
+    def converged(self):
+        return self.stop_reason != "budget"
 
 
 @dataclass
@@ -534,13 +531,7 @@ def outer_step(state, operator, constraints, config):
 
 
 def _effective_config(config, operator):
-    if config.step_rule == "heuristic":
-        if not config.sigma0 * config.tau0 < 4.0:
-            raise ValueError(
-                "heuristic step rule needs sigma0*tau0 < 4 "
-                f"(got {config.sigma0 * config.tau0:g})"
-            )
-        return config
+    """``config``, with sigma0/tau0 shrunk if they break the step bound."""
     try:
         norm = operator_norm(operator, iters=2000, tol=1e-9)
     except NoConvergenceError as exc:
@@ -548,15 +539,14 @@ def _effective_config(config, operator):
         # last Rayleigh quotient, which approaches ||K|| from below.
         norm = float(exc.last_estimate) * 1.05
         log.info("operator norm estimate did not settle; padding to %.4g", norm)
-    product = config.sigma0 * config.tau0 * config.dt * norm**2
-    if product < 1.0:
+    # the square root of the product, formed factor by factor so that a huge
+    # dt or step does not overflow it
+    root = math.sqrt(config.sigma0) * math.sqrt(config.tau0) * math.sqrt(config.dt)
+    root *= norm
+    if root < 1.0:
         return config
-    scale = np.sqrt(0.999 / product)
-    log.info(
-        "safeguarded step rule: rescaling sigma0/tau0 by %.4g (||K||=%.4g)",
-        scale,
-        norm,
-    )
+    scale = math.sqrt(0.999) / root
+    log.info("rescaling sigma0/tau0 by %.4g (||K||=%.4g)", scale, norm)
     return dataclasses.replace(
         config, sigma0=config.sigma0 * scale, tau0=config.tau0 * scale
     )
@@ -614,7 +604,6 @@ def solve(graph, constraints, config=None):
         )
         if record.sum_ratios > prev_sum:
             state.u = kept
-            trace.converged = True
             trace.stop_reason = "no_decrease"
             if t == 0:
                 warnings.warn(
@@ -625,7 +614,6 @@ def solve(graph, constraints, config=None):
             break
         trace.records.append(record)
         if prev_sum - record.sum_ratios < config.outer_tol:
-            trace.converged = True
             trace.stop_reason = "tol"
             break
         prev_sum = record.sum_ratios

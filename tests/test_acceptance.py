@@ -112,7 +112,7 @@ def test_a2_projection_suite():
 def test_a3_outer_steps_certified_decreasing():
     start = time.perf_counter()
     rng = np.random.default_rng(2024)
-    config = SolverConfig(step_rule="safeguarded", inner_tol=1e-9, inner_max=4000)
+    config = SolverConfig(inner_tol=1e-9, inner_max=4000)
     checked_steps = 0
     for inst in range(20):
         n_classes = 2 if inst % 2 == 0 else 3

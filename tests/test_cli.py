@@ -2,14 +2,14 @@
 
 import json
 import re
-import warnings
 
 import numpy as np
 import pytest
 
+import graphtv.solver
 from graphtv.cli import RunConfig, main
 from graphtv.datasets import load_labels_csv, write_labels_csv
-from graphtv.errors import ParseError
+from graphtv.errors import NonFiniteError, ParseError
 from graphtv.graph import save_graph
 from oracles import triangles_bridge
 
@@ -128,7 +128,6 @@ def test_solve_sidecar_expands_defaults_and_replays_identically(
     rc = RunConfig.load(sidecar)
     assert rc.command == "solve"
     assert rc.parameters["sigma0"] == 1.9  # defaults were expanded
-    assert rc.parameters["step_rule"] == "heuristic"
     assert rc.parameters["classes"] == 2  # inferred value is recorded
     assert sidecar.read_text() == canonical(sidecar.read_text())
 
@@ -142,16 +141,22 @@ def test_solve_sidecar_expands_defaults_and_replays_identically(
     assert rc2.inputs == rc.inputs
 
 
-def test_solve_replays_sidecar_written_with_seed(tmp_path, sbm_files, capsys):
-    # sidecars of earlier versions still carry the removed "seed" parameter;
-    # replay reads only declared options, so the old key is ignored
+@pytest.mark.parametrize(
+    "key, old_value, flag",
+    [("seed", 0, "--seed"), ("step_rule", "heuristic", "--step-rule")],
+)
+def test_solve_replays_sidecar_written_with_removed_option(
+    tmp_path, sbm_files, capsys, key, old_value, flag
+):
+    # sidecars of earlier versions still carry removed parameters; replay
+    # reads only declared options, so the old key is ignored
     graph, truth, seeds = sbm_files
     scores = tmp_path / "scores.csv"
     assert run("solve", "--graph", str(graph), "--labels", str(seeds),
                "--out-scores", str(scores)) == 0
     rc = RunConfig.load(tmp_path / "scores.config.json")
-    assert "seed" not in rc.parameters
-    rc.parameters["seed"] = 0
+    assert key not in rc.parameters
+    rc.parameters[key] = old_value
     old = tmp_path / "old.config.json"
     rc.write(old)
     replay = tmp_path / "replay.csv"
@@ -160,9 +165,9 @@ def test_solve_replays_sidecar_written_with_seed(tmp_path, sbm_files, capsys):
     # the flag itself is gone: argparse rejects it
     with pytest.raises(SystemExit) as info:
         run("solve", "--graph", str(graph), "--labels", str(seeds),
-            "--out-scores", str(scores), "--seed", "1")
+            "--out-scores", str(scores), flag, str(old_value))
     assert info.value.code == 2
-    assert "--seed" in capsys.readouterr().err
+    assert flag in capsys.readouterr().err
 
 
 def test_cli_flags_override_config_values(tmp_path, sbm_files, capsys):
@@ -292,15 +297,18 @@ def test_budget_exhaustion_exits_3_but_writes_outputs(tmp_path, sbm_files, capsy
     assert (tmp_path / "s.config.json").exists()
 
 
-def test_numerical_failure_exits_4(tmp_path, capsys):
+def test_numerical_failure_exits_4(tmp_path, capsys, monkeypatch):
+    # certified steps keep even --dt 1e308 finite, so the failure is injected
+    def diverge(*args):
+        raise NonFiniteError("inner iterate is not finite", iteration=1)
+
+    monkeypatch.setattr(graphtv.solver, "_inner_loop", diverge)
     graph = tmp_path / "g.gxg"
     save_graph(triangles_bridge(), graph)
     seeds = tmp_path / "seeds.csv"
     write_labels_csv(seeds, np.array([0, 3]), np.array([0, 1]))
-    with np.errstate(all="ignore"), warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        code = run("solve", "--graph", str(graph), "--labels", str(seeds),
-                   "--dt", "1e308", "--out-scores", str(tmp_path / "s.csv"))
+    code = run("solve", "--graph", str(graph), "--labels", str(seeds),
+               "--out-scores", str(tmp_path / "s.csv"))
     assert code == 4
     assert "numerical failure" in capsys.readouterr().err
 

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import graphtv.solver
 from graphtv import (
     Graph,
     LabelConstraints,
@@ -43,6 +44,7 @@ from graphtv.solver import (
 )
 from oracles import (
     cliques_graph,
+    dense_gradient,
     dense_harmonic_extension,
     random_connected_graph,
     reference_inner_loop,
@@ -485,23 +487,26 @@ def test_outer_step_record_ratios_match_carried_state(rng):
 # ------------------------------------------------------------- step sizing
 
 
-def test_heuristic_rule_rejects_large_products(rng):
+def test_certified_rule_keeps_small_products(rng):
     graph = random_connected_graph(rng, 6)
     op = NormalizedGradient(graph)
-    with pytest.raises(ValueError, match="sigma0\\*tau0 < 4"):
-        _effective_config(SolverConfig(sigma0=2.0, tau0=2.0), op)
-    kept = _effective_config(SolverConfig(), op)
-    assert kept.sigma0 == 1.9 and kept.tau0 == 1.9
+    config = SolverConfig(sigma0=0.1, tau0=0.2)
+    assert _effective_config(config, op) is config
 
 
-def test_safeguarded_rule_enforces_norm_product(rng):
-    from graphtv import operator_norm
-
+@pytest.mark.parametrize(
+    "dt, step", [(1.0, 1.9), (0.3, 1.9), (1.0, 1e200)],
+    ids=["default", "dt0.3", "huge-steps"],
+)
+def test_certified_rule_enforces_norm_product(rng, dt, step):
     graph = random_connected_graph(rng, 10)
     op = NormalizedGradient(graph)
-    config = _effective_config(SolverConfig(step_rule="safeguarded"), op)
-    norm = operator_norm(op, iters=20000, tol=1e-11)
-    assert config.sigma0 * config.tau0 * config.dt * norm**2 < 1.0
+    config = _effective_config(SolverConfig(dt=dt, sigma0=step, tau0=step), op)
+    norm = np.linalg.svd(dense_gradient(graph), compute_uv=False)[0]
+    assert step * step * dt * norm**2 >= 1.0  # the request needed the rescale
+    assert config.sigma0 * config.tau0 * dt * norm**2 == pytest.approx(
+        0.999, rel=1e-8
+    )
     # the rescale preserves the sigma/tau balance
     assert config.sigma0 == pytest.approx(config.tau0)
 
@@ -605,26 +610,39 @@ def test_solve_weight_scale_invariance(rng):
     assert np.array_equal(pred_a.labels, pred_b.labels)
 
 
-def test_solve_raises_non_finite_with_partial_trace():
-    graph = triangles_bridge()
-    cons = make_constraints(6, 2, [[0], [3]], epsilon=0.1)
-    with pytest.raises(NonFiniteError) as info, np.errstate(all="ignore"), \
-            warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        solve(graph, cons, SolverConfig(dt=1e308))
-    assert info.value.trace is not None
-    assert info.value.trace.initial_ratios  # partial trace is usable
+def test_solve_raises_non_finite_with_partial_trace(monkeypatch):
+    # certified steps keep even dt = 1e308 finite (see below), so the
+    # failure is injected: the second inner loop reports a non-finite iterate
+    calls = []
+
+    def fail_second_call(*args):
+        calls.append(1)
+        if len(calls) == 2:
+            raise NonFiniteError("inner iterate is not finite", iteration=7)
+        return _inner_loop(*args)
+
+    monkeypatch.setattr(graphtv.solver, "_inner_loop", fail_second_call)
+    graph, _ = synth_sbm((6, 6), 0.8, 0.1, 1)
+    cons = make_constraints(12, 2, [[0], [6]], epsilon=0.1)
+    with pytest.raises(NonFiniteError) as info:
+        solve(graph, cons, SolverConfig(outer_tol=0.0))
+    assert info.value.iteration == 7
+    trace = info.value.trace
+    assert trace.initial_ratios  # partial trace is usable
+    assert len(trace.records) == 1 and trace.stop_reason == "budget"
 
 
-def test_solve_extreme_dt_never_records_non_finite():
+@pytest.mark.parametrize("dt", [1e300, 1e308], ids=["1e300", "1e308"])
+def test_solve_extreme_dt_never_records_non_finite(dt):
     # absurd (but finite) dt: steps may blow up internally, yet every
-    # recorded quantity and the returned scores must stay finite
+    # recorded quantity and the returned scores must stay finite; the step
+    # rescale itself must not overflow
     graph, _ = synth_sbm((6, 6), 0.8, 0.1, 1)
     cons = make_constraints(12, 2, [[0], [6]], epsilon=0.1)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         prediction, trace = solve(
-            graph, cons, SolverConfig(dt=1e300, outer_max=3)
+            graph, cons, SolverConfig(dt=dt, outer_max=3)
         )
     assert np.all(np.isfinite(prediction.scores))
     assert all(np.isfinite(r) for r in trace.initial_ratios)

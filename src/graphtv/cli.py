@@ -212,15 +212,19 @@ def _kernel_opts(k_default):
     ]
 
 
+#: SolverConfig fields exposed as flags, with the field defaults
+_SOLVER_FIELDS = {
+    f.name: f.default
+    for f in dataclasses.fields(SolverConfig)
+    if f.name != "zero_guard"
+}
+
 _SOLVER_OPTS = [
     _Opt("epsilon", "param", float, 0.1, help="seed margin"),
-    _Opt("dt", "param", float, 1.0),
-    _Opt("sigma0", "param", float, 1.9),
-    _Opt("tau0", "param", float, 1.9),
-    _Opt("inner_max", "param", int, 2000),
-    _Opt("inner_tol", "param", float, 1e-8),
-    _Opt("outer_max", "param", int, 100),
-    _Opt("outer_tol", "param", float, 1e-6),
+    *(
+        _Opt(name, "param", type(default), default)
+        for name, default in _SOLVER_FIELDS.items()
+    ),
 ]
 
 _COMMANDS = {
@@ -317,13 +321,10 @@ def _resolve(command, args):
 
 def _solver_config(params):
     return SolverConfig(
-        dt=float(params["dt"]),
-        sigma0=float(params["sigma0"]),
-        tau0=float(params["tau0"]),
-        inner_max=int(params["inner_max"]),
-        inner_tol=float(params["inner_tol"]),
-        outer_max=int(params["outer_max"]),
-        outer_tol=float(params["outer_tol"]),
+        **{
+            name: type(default)(params[name])
+            for name, default in _SOLVER_FIELDS.items()
+        }
     )
 
 

@@ -14,7 +14,16 @@ around the current state v and solves the resulting convex surrogate
 
 with c^k the pre-step ratio of class k, by an accelerated primal-dual
 (gradient-ascent on a box-constrained dual edge variable, proximal descent
-on the nodes, extrapolation with a decreasing step ratio).  Each outer step
+on the nodes, extrapolation with a decreasing step ratio; Chambolle & Pock
+2011, Algorithm 2).  Every few iterations the inner loop evaluates the
+primal-dual gap P(u) - D(z), P being the surrogate above, z the dual edge
+variable in the unit box, drive^k = c^k sign(v^k), w = drive - K^T z and
+
+    D(z) = ||u* - v||^2 / (2 dt) - <w, u*>,      u* = P_C(v + dt w),
+
+taken at the better of the last dual iterate and the sigma-weighted
+average of all of them (the last one alone can stall while u converges);
+it stops once the gap is at most inner_tol * |P(u)|.  Each outer step
 then re-centers every class by its median and renormalizes the state to
 unit Frobenius norm, which keeps the iteration away from the trivial zero
 and degree-vector states.  Because u = v is feasible with surrogate value
@@ -24,7 +33,8 @@ zero, the exact minimizer keeps the surrogate nonpositive, i.e.
 
 summed over classes; the per-class slack of the right-hand inequality is
 measured on the raw inner-loop output and recorded in the trace together
-with the re-centered ratios.
+with the re-centered ratios.  An inner solve that stops with gap g meets
+the summed inequality to within g.
 """
 
 import dataclasses
@@ -60,6 +70,9 @@ log = logging.getLogger(__name__)
 
 #: two class scores closer than this are reported as a tie
 TIE_THRESHOLD = 1e-12
+
+#: the inner loop evaluates its duality gap every this many iterations
+GAP_CHECK_EVERY = 10
 
 
 @dataclass
@@ -137,15 +150,22 @@ class SolverConfig:
     keeps them when they meet the Chambolle & Pock (2011) bound
     sigma0*tau0*dt*||K||^2 < 1, with ||K|| estimated by power iteration,
     and otherwise shrinks both by one factor to 0.999 of the bound, so the
-    inner loop always runs with certified steps.  The inner loop decays its
-    step ratio by 1/sqrt(1 + tau/dt) per iteration.
+    inner loop always runs with certified steps.
+
+    The inner loop is CP Algorithm 2 on a surrogate that is mu-strongly
+    convex with mu = 1/dt; its primal step is tau*dt.  It decays the steps
+    by theta = 1/sqrt(1 + 2*gamma*tau*dt) = 1/sqrt(1 + tau) per iteration,
+    i.e. with gamma = mu/2, which meets the algorithm's condition
+    gamma <= mu for every dt.  It stops once its primal-dual gap is at
+    most ``inner_tol * |P(u)|``, P being the surrogate's primal value, or
+    at ``inner_max`` iterations.
     """
 
     dt: float = 1.0
     sigma0: float = 1.9
     tau0: float = 1.9
     inner_max: int = 2000
-    inner_tol: float = 1e-8
+    inner_tol: float = 1e-3
     outer_max: int = 100
     outer_tol: float = 1e-6
     zero_guard: float = 1e-12
@@ -179,10 +199,10 @@ class OuterRecord:
 
     ``ratios`` are the per-class ratios of the stored (re-centered,
     normalized) state; ``ratios_pre`` those of the raw inner-loop output;
-    ``decrease_slack`` is c^k*||u||_1 - TV(u) on the raw output, which the
-    surrogate keeps non-negative up to solver tolerance.  ``hit_cap`` is
-    true when the inner loop ran to ``inner_max`` without meeting
-    ``inner_tol``.
+    ``decrease_slack`` is c^k*||u||_1 - TV(u) on the raw output; its sum
+    is at least ``-gap``.  ``gap`` is the inner loop's final primal-dual
+    gap, or None if it overflowed.  ``hit_cap`` is true when the inner loop
+    ran to ``inner_max`` without meeting the gap test.
     """
 
     ratios: list
@@ -191,7 +211,7 @@ class OuterRecord:
     sum_ratios: float
     inner_iters: int
     hit_cap: bool
-    residual: float
+    gap: float | None
     max_violation: float
     wall_ms: float
 
@@ -410,6 +430,18 @@ def _check_state_shapes(state, operator, constraints):
             raise ShapeMismatchError(f"state.{name} shape {got} does not match {shape}")
 
 
+def _dual_value(w, anchor, dt, project, u_star, tmp):
+    """D = ||u* - v||^2 / (2 dt) - <w, u*> at u* = P_C(v + dt w), in buffers."""
+    np.multiply(w, dt, out=u_star)
+    u_star += anchor
+    project(u_star)
+    np.multiply(w, u_star, out=tmp)
+    cross = tmp.sum()
+    np.subtract(u_star, anchor, out=tmp)
+    np.square(tmp, out=tmp)
+    return tmp.sum() / (2.0 * dt) - cross
+
+
 def _inner_loop(state, operator, constraints, config, coeff):
     _check_state_shapes(state, operator, constraints)
     fwd = operator.matrix
@@ -427,14 +459,23 @@ def _inner_loop(state, operator, constraints, config, coeff):
     u = np.array(state.u, order="C")
     u_prev = np.empty_like(u)
     scratch = np.empty_like(u)
+    u_star = np.empty_like(u)
+    # sigma-weighted sum of K^T z over the iterations: K^T of the ergodic
+    # dual average, whose dual value keeps improving where the last dual
+    # iterate can stall (sigma grows without bound)
+    adj_z_sum = np.zeros_like(u)
+    w_mean = np.empty_like(u)
+    weight = 0.0
     u_tilde = np.array(state.u_extrapolated.T, order="C")
     z = np.array(state.z.T, order="C")
     sigma = config.sigma0
     tau = config.tau0
     iters = 0
-    residual = np.inf
+    gap = math.inf
+    converged = False
     try:
         for it in range(1, config.inner_max + 1):
+            check = it % GAP_CHECK_EVERY == 0 or it == config.inner_max
             # dual ascent on the edges, then projection onto the unit box
             for k, z_k in enumerate(z):
                 grad = fwd @ u_tilde[k]
@@ -442,12 +483,24 @@ def _inner_loop(state, operator, constraints, config, coeff):
                 z_k += grad
             np.maximum(z, -1.0, out=z)
             np.minimum(z, 1.0, out=z)
+            for k, z_k in enumerate(z):
+                scratch[:, k] = adj @ z_k
+            # u_prev is dead until the swap below, so it serves as scratch
+            np.multiply(scratch, sigma, out=u_prev)
+            adj_z_sum += u_prev
+            weight += sigma
+            np.subtract(drive, scratch, out=scratch)  # w = drive - K^T z
+            if check:
+                # the better lower bound of the last and the averaged dual
+                np.divide(adj_z_sum, weight, out=w_mean)
+                np.subtract(drive, w_mean, out=w_mean)
+                dual = max(
+                    _dual_value(scratch, anchor, dt, project, u_star, u_prev),
+                    _dual_value(w_mean, anchor, dt, project, u_star, u_prev),
+                )
             # proximal descent on the nodes: resolvent of the quadratic tether
             # ||u - anchor||^2 / (2 dt) plus the linearized-l1 drive, followed
             # by projection onto the seed set
-            for k, z_k in enumerate(z):
-                scratch[:, k] = adj @ z_k
-            np.subtract(drive, scratch, out=scratch)
             scratch *= tau * dt
             u, u_prev = u_prev, u
             np.add(u_prev, scratch, out=u)
@@ -455,25 +508,37 @@ def _inner_loop(state, operator, constraints, config, coeff):
             u += scratch
             u /= 1.0 + tau
             project(u)
+            theta = 1.0 / math.sqrt(1.0 + tau)
+            tau *= theta
+            sigma /= theta
             np.subtract(u, u_prev, out=scratch)
-            diff = np.linalg.norm(scratch)
-            # a finite change implies a finite iterate; look closer otherwise
-            if not math.isfinite(diff) and not np.isfinite(u).all():
-                raise NonFiniteError("inner iterate is not finite", iteration=it)
-            gamma = 1.0 / np.sqrt(1.0 + tau / dt)
-            tau *= gamma
-            sigma /= gamma
-            scratch *= gamma
+            scratch *= theta
             np.add(u, scratch, out=u_tilde.T)
-            residual = diff / max(np.linalg.norm(u_prev), 1e-30)
             iters = it
-            if residual < config.inner_tol:
+            if not check:
+                continue
+            # primal value P(u) = ||u - v||^2 / (2 dt) - <drive, u> + TV(u)
+            np.subtract(u, anchor, out=scratch)
+            np.square(scratch, out=scratch)
+            tether = scratch.sum()
+            np.multiply(drive, u, out=scratch)
+            linear = scratch.sum()
+            grad_u = fwd @ u
+            tv = np.abs(grad_u, out=grad_u).sum()
+            primal = tether / (2.0 * dt) - linear + tv
+            gap = float(primal - dual)
+            # a finite gap implies a finite iterate; look closer otherwise
+            if not math.isfinite(gap):
+                if not np.isfinite(u).all():
+                    raise NonFiniteError("inner iterate is not finite", iteration=it)
+            elif gap <= config.inner_tol * abs(primal):
+                converged = True
                 break
     finally:
         state.z[...] = z.T
     state.u = u
     state.u_extrapolated = np.ascontiguousarray(u_tilde.T)
-    return state, iters, residual
+    return state, iters, gap, converged
 
 
 def inner_primal_dual(state, operator, constraints, config):
@@ -483,10 +548,12 @@ def inner_primal_dual(state, operator, constraints, config):
     ``state.u_extrapolated`` are the warm-start iterates.  ``state.z`` is
     updated in place; ``state.u`` and ``state.u_extrapolated`` are replaced
     by new arrays, and the arrays passed in are left unchanged.  Returns the
-    state, the iterations used, and the final relative change.
+    state, the iterations used, and the last primal-dual gap evaluated.
+    A non-finite iterate is detected at the next gap evaluation.
     """
     _, _, coeff = _ratio_terms(operator, state.v, config.zero_guard)
-    return _inner_loop(state, operator, constraints, config, coeff)
+    state, iters, gap, _ = _inner_loop(state, operator, constraints, config, coeff)
+    return state, iters, gap
 
 
 def outer_step(state, operator, constraints, config):
@@ -505,7 +572,9 @@ def outer_step(state, operator, constraints, config):
     state.u_extrapolated = state.u
     state.z = np.clip(operator.matrix @ state.v, -1.0, 1.0)
     _, _, coeff = _ratio_terms(operator, state.v, config.zero_guard)
-    state, iters, residual = _inner_loop(state, operator, constraints, config, coeff)
+    state, iters, gap, converged = _inner_loop(
+        state, operator, constraints, config, coeff
+    )
     tv_pre, l1_pre, ratios_pre = _ratio_terms(operator, state.u, config.zero_guard)
     slack = coeff * l1_pre - tv_pre
     shifted = state.u - np.median(state.u, axis=0)
@@ -522,8 +591,8 @@ def outer_step(state, operator, constraints, config):
         decrease_slack=[float(s) for s in slack],
         sum_ratios=float(ratios_carried.sum()),
         inner_iters=iters,
-        hit_cap=not residual < config.inner_tol,  # the only early stop
-        residual=float(residual),
+        hit_cap=not converged,
+        gap=gap if math.isfinite(gap) else None,
         max_violation=float(violation),
         wall_ms=(time.perf_counter() - t0) * 1e3,
     )
@@ -596,11 +665,11 @@ def solve(graph, constraints, config=None):
             exc.trace = trace  # expose the partial trace to callers
             raise
         log.debug(
-            "outer %d: sum_ratios=%.6g inner=%d residual=%.3g",
+            "outer %d: sum_ratios=%.6g inner=%d gap=%s",
             t,
             record.sum_ratios,
             record.inner_iters,
-            record.residual,
+            record.gap,
         )
         if record.sum_ratios > prev_sum:
             state.u = kept
@@ -691,5 +760,5 @@ def write_trace_json(path, trace):
     """Trace file: a JSON array with one record per outer iteration."""
     payload = [record.to_dict() for record in trace.records]
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")

@@ -3,8 +3,9 @@
 These deliberately avoid the library's own code paths: the dense gradient
 matrix is assembled entry-by-entry from the edge list, the AUC oracle
 counts pairs literally, the k-NN oracle stable-sorts a full distance
-matrix, the diffusion oracles solve their linear systems densely, and the
-reference inner loop allocates fresh arrays on every iteration.  Tests
+matrix, the diffusion oracles solve their linear systems densely, the
+duality-gap oracle uses the dense gradient, and the reference inner loop
+allocates fresh arrays on every iteration.  Tests
 compare the fast implementations against these slow-but-obvious routes.
 """
 
@@ -181,13 +182,45 @@ def reference_project_constraints(u, constraints):
     return out
 
 
+def dense_duality_gap(graph, constraints, u, z, anchor, coeff, dt):
+    """Primal value and gap of one surrogate at the pair (u, z), densely.
+
+    P(u) = ||u - v||^2 / (2 dt) - <drive, u> + sum|K u| and
+    D(z) = min over the constraint set of ||x - v||^2 / (2 dt) - <drive - K^T z, x>,
+    with K from :func:`dense_gradient` and drive = coeff * sign(v).
+    """
+    grad = dense_gradient(graph)
+    drive = np.sign(anchor) * coeff
+    primal = (
+        np.sum((u - anchor) ** 2) / (2.0 * dt)
+        - np.sum(drive * u)
+        + np.sum(np.abs(grad @ u))
+    )
+    w = drive - grad.T @ z
+    x = reference_project_constraints(anchor + dt * w, constraints)
+    dual = np.sum((x - anchor) ** 2) / (2.0 * dt) - np.sum(w * x)
+    return float(primal), float(primal - dual)
+
+
 def reference_inner_loop(state, operator, constraints, config, coeff):
     """The accelerated primal-dual loop written with whole-array temporaries.
 
     Every update builds new arrays and the projection is the copying
     :func:`reference_project_constraints`; ``state.z`` is updated in place.
-    Returns ``(state, iters, residual)`` like the solver's loop.
+    Every ``check_every`` iterations and on the last one it checks that the
+    iterate is finite and evaluates the surrogate's primal-dual gap, against
+    the better of the last dual iterate and the sigma-weighted dual average;
+    it stops once that is at most ``inner_tol`` times the primal value's
+    magnitude.  Returns
+    ``(state, iters, gap, converged)`` like the solver's loop.
     """
+
+    def dual_value(w):
+        # the Lagrangian's minimizer over the constraint set, and its value
+        u_star = reference_project_constraints(anchor + dt * w, constraints)
+        return ((u_star - anchor) ** 2).sum() / (2.0 * dt) - (w * u_star).sum()
+
+    check_every = 10
     fwd = operator.matrix
     adj = operator.adjoint_matrix
     dt = config.dt
@@ -199,30 +232,46 @@ def reference_inner_loop(state, operator, constraints, config, coeff):
     sigma = config.sigma0
     tau = config.tau0
     iters = 0
-    residual = np.inf
+    adj_z_sum = np.zeros(u.shape)
+    weight = 0.0
+    gap = math.inf
+    converged = False
     for it in range(1, config.inner_max + 1):
+        check = it % check_every == 0 or it == config.inner_max
         # dual ascent on the edges, then projection onto the unit box
         z += sigma * (fwd @ u_tilde)
         np.clip(z, -1.0, 1.0, out=z)
+        adj_z = adj @ z
+        adj_z_sum = adj_z_sum + sigma * adj_z
+        weight += sigma
+        w = drive - adj_z
+        if check:
+            dual = max(dual_value(w), dual_value(drive - adj_z_sum / weight))
         # proximal descent on the nodes: resolvent of the quadratic tether
         # ||u - anchor||^2 / (2 dt) plus the linearized-l1 drive, followed
         # by projection onto the seed set
         u_prev = u
         step = tau * dt
-        u = (u + step * (drive - adj @ z) + tau * anchor) / (1.0 + tau)
+        u = (u + step * w + tau * anchor) / (1.0 + tau)
         u = reference_project_constraints(u, constraints)
-        if not np.isfinite(u).all():
-            raise NonFiniteError("inner iterate is not finite", iteration=it)
-        gamma = 1.0 / np.sqrt(1.0 + tau / dt)
-        tau *= gamma
-        sigma /= gamma
-        u_tilde = u + gamma * (u - u_prev)
-        diff = np.linalg.norm(u - u_prev)
-        residual = diff / max(np.linalg.norm(u_prev), 1e-30)
+        theta = 1.0 / math.sqrt(1.0 + tau)
+        tau *= theta
+        sigma /= theta
+        u_tilde = u + theta * (u - u_prev)
         iters = it
-        if residual < config.inner_tol:
-            break
+        if check:
+            if not np.isfinite(u).all():
+                raise NonFiniteError("inner iterate is not finite", iteration=it)
+            primal = (
+                ((u - anchor) ** 2).sum() / (2.0 * dt)
+                - (drive * u).sum()
+                + np.abs(fwd @ u).sum()
+            )
+            gap = float(primal - dual)
+            if math.isfinite(gap) and gap <= config.inner_tol * abs(primal):
+                converged = True
+                break
     state.u = u
     state.z = z
     state.u_extrapolated = u_tilde
-    return state, iters, residual
+    return state, iters, gap, converged

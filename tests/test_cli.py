@@ -1,5 +1,6 @@
 """End-to-end CLI runs (in-process), run-config replay, exit codes."""
 
+import dataclasses
 import json
 import re
 
@@ -7,7 +8,8 @@ import numpy as np
 import pytest
 
 import graphtv.solver
-from graphtv.cli import RunConfig, main
+from graphtv import SolverConfig
+from graphtv.cli import _SOLVER_OPTS, RunConfig, main
 from graphtv.datasets import load_labels_csv, write_labels_csv
 from graphtv.errors import NonFiniteError, ParseError
 from graphtv.graph import save_graph
@@ -104,7 +106,7 @@ def test_full_feature_pipeline(tmp_path, capsys):
     assert scores.exists()
     doc = json.loads(trace.read_text())
     assert isinstance(doc, list) and doc  # one record per outer step
-    assert {"ratios", "inner_iters", "residual"} <= set(doc[0])
+    assert {"ratios", "inner_iters", "gap"} <= set(doc[0])
 
     report = tmp_path / "report.json"
     assert run("eval", "--scores", str(scores), "--truth", str(truth),
@@ -332,6 +334,17 @@ def test_argparse_rejects_unknown_flags_and_bad_choices(tmp_path):
         run("build-graph", "--features", "f.csv", "--k", "5",
             "--sigma", "wide", "--out", "g.gxg")
     assert info.value.code == 2
+
+
+def test_solver_flag_defaults_are_solver_config_defaults():
+    # the CLI (and so every benchmark run) must solve with the library's
+    # defaults; a second copy of them drifted once
+    fields = {f.name: f.default for f in dataclasses.fields(SolverConfig)}
+    opts = {opt.dest: opt for opt in _SOLVER_OPTS if opt.dest in fields}
+    assert set(opts) == set(fields) - {"zero_guard"}
+    for name, opt in opts.items():
+        assert opt.default == fields[name], name
+        assert opt.type is type(fields[name]), name
 
 
 def test_version_flag():

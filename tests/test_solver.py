@@ -44,6 +44,7 @@ from graphtv.solver import (
 )
 from oracles import (
     cliques_graph,
+    dense_duality_gap,
     dense_gradient,
     dense_harmonic_extension,
     random_connected_graph,
@@ -110,9 +111,11 @@ def run_both_loops(state, op, cons, config):
 
 
 def assert_loops_agree(fused_out, ref_out):
-    (fused, iters, residual), (ref, ref_iters, ref_residual) = fused_out, ref_out
-    assert iters == ref_iters
-    assert same_bits(residual, ref_residual)
+    (fused, iters, gap, converged), (ref, ref_iters, ref_gap, ref_converged) = (
+        fused_out, ref_out
+    )
+    assert iters == ref_iters and converged == ref_converged
+    assert same_bits(gap, ref_gap)
     for name in ("u", "z", "u_extrapolated", "v"):
         assert same_bits(getattr(fused, name), getattr(ref, name)), name
 
@@ -421,17 +424,85 @@ def test_inner_loop_reports_non_finite_at_reference_iteration(rng, where):
 
 
 def test_inner_loop_overflowing_norm_is_not_non_finite(rng):
-    # at dt = 1e300 the iterates stay finite but their squared norms
-    # overflow; the cheap residual test must fall back to the full check
-    # and carry on like the reference loop
+    # at dt = 1e300 the iterates stay finite but the dual value overflows;
+    # the non-finite gap must fall back to the full check, carry on like
+    # the reference loop, and never pass the stop test
     op, cons, state = random_inner_problem(rng, 12, 2)
     with np.errstate(all="ignore"):
         fused_out, ref_out = run_both_loops(
-            state, op, cons, SolverConfig(dt=1e300, inner_max=10)
+            state, op, cons, SolverConfig(dt=1e300, inner_max=30)
         )
     assert_loops_agree(fused_out, ref_out)
-    assert np.isfinite(fused_out[0].u).all()
-    assert np.isnan(fused_out[2])  # inf / inf
+    fused, iters, gap, converged = fused_out
+    assert np.isfinite(fused.u).all()
+    assert not np.isfinite(gap)
+    assert iters == 30 and not converged
+
+
+def primal_value(op, state, coeff, dt):
+    drive = np.sign(state.v) * coeff
+    return (
+        ((state.u - state.v) ** 2).sum() / (2.0 * dt)
+        - (drive * state.u).sum()
+        + np.abs(op.matrix @ state.u).sum()
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(3, 40),
+    n_classes=st.sampled_from([2, 3, 5]),
+    dt=st.sampled_from([1e-3, 0.3, 1.0, 10.0]),
+    inner_max=st.integers(1, 80),
+)
+def test_inner_gap_is_non_negative_at_every_check(seed, n, n_classes, dt, inner_max):
+    # weak duality: every feasible primal value bounds every dual value
+    # from above, so the gap reported at the last iteration (always a
+    # check) is non-negative up to rounding
+    assume(n >= n_classes)
+    op, cons, state = random_inner_problem(np.random.default_rng(seed), n, n_classes)
+    config = SolverConfig(dt=dt, inner_tol=1e-300, inner_max=inner_max)
+    _, _, coeff = _ratio_terms(op, state.v, config.zero_guard)
+    out, iters, gap, _ = _inner_loop(state, op, cons, config, coeff)
+    assert iters == inner_max
+    assert gap >= -1e-10 * (1.0 + abs(primal_value(op, out, coeff, dt)))
+
+
+@pytest.mark.parametrize("inner_max", [1, 10, 57])
+def test_inner_gap_matches_dense_oracle(rng, inner_max):
+    graph = random_connected_graph(rng, 15)
+    op = NormalizedGradient(graph)
+    cons = random_constraints(rng, 15, 3, per=2)
+    state = initialize_state(graph, cons, op)
+    state.v = project_constraints(state.u + 0.1 * rng.normal(size=state.u.shape), cons)
+    config = SolverConfig(dt=0.7, inner_tol=1e-300, inner_max=inner_max)
+    _, _, coeff = _ratio_terms(op, state.v, config.zero_guard)
+    out, _, gap, _ = _inner_loop(state, op, cons, config, coeff)
+    primal, last_gap = dense_duality_gap(graph, cons, out.u, out.z, out.v, coeff, 0.7)
+    assert primal == pytest.approx(primal_value(op, out, coeff, 0.7), rel=1e-12)
+    if inner_max == 1:
+        # one iterate: the dual average is the last dual iterate
+        assert gap == pytest.approx(last_gap, rel=1e-10, abs=1e-13)
+    else:
+        # the loop takes the better of the last and the averaged dual
+        assert gap <= last_gap + 1e-12
+    assert gap >= -1e-12
+
+
+@pytest.mark.parametrize("dt", [1e-3, 0.1, 0.3])
+def test_inner_loop_ends_on_gap_for_small_dt(dt):
+    # theta = 1/sqrt(1 + tau) keeps CP's gamma <= mu for every dt; the old
+    # 1/sqrt(1 + tau/dt) broke it below dt = 1/2 and hit the cap at 1e-3
+    graph, _ = synth_sbm((12, 12), 0.7, 0.1, 5)
+    cons = make_constraints(24, 2, [[0, 1], [12, 13]], epsilon=0.1)
+    op = NormalizedGradient(graph)
+    config = SolverConfig(dt=dt)
+    state = initialize_state(graph, cons, op)
+    _, record = outer_step(state, op, cons, config)
+    assert not record.hit_cap
+    assert record.inner_iters < config.inner_max
+    assert 0.0 <= record.gap
 
 
 # -------------------------------------------------------------- outer step
@@ -470,6 +541,31 @@ def test_outer_record_flags_inner_cap(rng):
         state, op, cons, SolverConfig(inner_tol=1e-2, inner_max=100000)
     )
     assert settled.inner_iters < 100000 and settled.hit_cap is False
+    # meeting the gap test on the last allowed iteration is not a cap hit
+    state = initialize_state(graph, cons, op)
+    _, exact = outer_step(
+        state, op, cons,
+        SolverConfig(inner_tol=1e-2, inner_max=settled.inner_iters),
+    )
+    assert exact.inner_iters == settled.inner_iters and exact.hit_cap is False
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(6, 30),
+    inner_max=st.sampled_from([3, 40, 2000]),
+)
+def test_summed_decrease_slack_is_at_least_minus_gap(seed, n, inner_max):
+    # the anchor is feasible with surrogate value 0, so P(u) <= gap and the
+    # summed slack, which is at least -P(u), is at least -gap at any iterate
+    rng = np.random.default_rng(seed)
+    graph = random_connected_graph(rng, n)
+    cons = random_constraints(rng, n, 2)
+    op = NormalizedGradient(graph)
+    state = initialize_state(graph, cons, op)
+    _, record = outer_step(state, op, cons, SolverConfig(inner_max=inner_max))
+    assert sum(record.decrease_slack) >= -record.gap - 1e-12
 
 
 def test_outer_step_record_ratios_match_carried_state(rng):
@@ -633,10 +729,10 @@ def test_solve_raises_non_finite_with_partial_trace(monkeypatch):
 
 
 @pytest.mark.parametrize("dt", [1e300, 1e308], ids=["1e300", "1e308"])
-def test_solve_extreme_dt_never_records_non_finite(dt):
+def test_solve_extreme_dt_never_records_non_finite(dt, tmp_path):
     # absurd (but finite) dt: steps may blow up internally, yet every
     # recorded quantity and the returned scores must stay finite; the step
-    # rescale itself must not overflow
+    # rescale itself must not overflow, and the trace must be strict JSON
     graph, _ = synth_sbm((6, 6), 0.8, 0.1, 1)
     cons = make_constraints(12, 2, [[0], [6]], epsilon=0.1)
     with warnings.catch_warnings():
@@ -648,6 +744,18 @@ def test_solve_extreme_dt_never_records_non_finite(dt):
     assert all(np.isfinite(r) for r in trace.initial_ratios)
     for record in trace.records:
         assert all(np.isfinite(record.ratios))
+        if record.gap is None:  # overflowed, so it cannot have stopped the loop
+            assert record.hit_cap
+        else:
+            assert np.isfinite(record.gap)
+    path = tmp_path / "trace.json"
+    write_trace_json(path, trace)
+
+    def reject(constant):
+        raise ValueError(f"non-finite {constant} in trace")
+
+    doc = json.loads(path.read_text(), parse_constant=reject)
+    assert len(doc) == len(trace.records)
 
 
 # ------------------------------------------------------------- warm start
@@ -742,7 +850,7 @@ def test_trace_json_schema(tmp_path):
     assert isinstance(doc, list) and doc
     for entry in doc:
         for key in (
-            "ratios", "inner_iters", "hit_cap", "residual", "max_violation", "wall_ms"
+            "ratios", "inner_iters", "hit_cap", "gap", "max_violation", "wall_ms"
         ):
             assert key in entry
         assert isinstance(entry["hit_cap"], bool)

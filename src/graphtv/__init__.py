@@ -11,7 +11,6 @@ from . import errors
 from .datasets import (
     LabeledDataset,
     Partition,
-    count_components,
     load_features_csv,
     load_labels_csv,
     make_partition,
@@ -47,14 +46,12 @@ from .operators import (
 )
 from .solver import (
     LabelConstraints,
-    MultiClassState,
     OuterRecord,
     Prediction,
     SolveTrace,
     SolverConfig,
     constraint_violation,
     initialize_state,
-    inner_primal_dual,
     outer_step,
     prediction_from_scores,
     project_constraints,
@@ -82,14 +79,12 @@ __all__ = [
     "operator_norm",
     "LabelConstraints",
     "SolverConfig",
-    "MultiClassState",
     "OuterRecord",
     "SolveTrace",
     "Prediction",
     "project_constraints",
     "constraint_violation",
     "initialize_state",
-    "inner_primal_dual",
     "outer_step",
     "ratio",
     "solve",
@@ -101,7 +96,6 @@ __all__ = [
     "Partition",
     "synth_two_moons",
     "synth_sbm",
-    "count_components",
     "make_partition",
     "load_features_csv",
     "write_features_csv",

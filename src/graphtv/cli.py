@@ -212,12 +212,8 @@ def _kernel_opts(k_default):
     ]
 
 
-#: SolverConfig fields exposed as flags, with the field defaults
-_SOLVER_FIELDS = {
-    f.name: f.default
-    for f in dataclasses.fields(SolverConfig)
-    if f.name != "zero_guard"
-}
+#: every SolverConfig field is a flag, with the field default
+_SOLVER_FIELDS = {f.name: f.default for f in dataclasses.fields(SolverConfig)}
 
 _SOLVER_OPTS = [
     _Opt("epsilon", "param", float, 0.1, help="seed margin"),

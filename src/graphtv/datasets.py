@@ -10,7 +10,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.csgraph import connected_components
 
 from .errors import (
     FractionTooSmallError,
@@ -115,11 +114,6 @@ def synth_sbm(sizes, p_in, p_out, seed):
         f"no isolate-free draw in {_SBM_MAX_ATTEMPTS} attempts "
         f"(sizes={sizes}, p_in={p_in}, p_out={p_out})"
     )
-
-
-def count_components(graph):
-    """Number of connected components (diagnostic helper for tests)."""
-    return int(connected_components(graph.csr, directed=False)[0])
 
 
 def make_partition(truth, n_classes, labeled_fraction, seed, epsilon=0.1):

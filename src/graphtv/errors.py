@@ -23,10 +23,6 @@ class DegenerateFeaturesError(GraphTVError):
     """Feature rows unusable for the requested metric (e.g. zero norm with cosine)."""
 
 
-class DimensionMismatchError(GraphTVError):
-    """An array does not have the shape the operator or graph expects."""
-
-
 class NoConvergenceError(GraphTVError):
     """An iterative routine hit its iteration cap before reaching tolerance.
 
@@ -41,7 +37,7 @@ class NoConvergenceError(GraphTVError):
 
 
 class ShapeMismatchError(GraphTVError):
-    """Two inputs that must agree in size do not."""
+    """An input does not have the shape or size it must have."""
 
 
 class EmptyClassError(GraphTVError):
@@ -53,7 +49,7 @@ class EmptyClassError(GraphTVError):
 
 
 class NonFiniteError(GraphTVError):
-    """NaN or Inf appeared in an iterate."""
+    """NaN or Inf appeared in an iterate or in an operator's input."""
 
     def __init__(self, message, iteration=None):
         self.iteration = iteration

@@ -20,9 +20,9 @@ from scipy.spatial.distance import cdist
 
 from .errors import (
     DegenerateFeaturesError,
-    DimensionMismatchError,
     IsolatedNodeError,
     ParseError,
+    ShapeMismatchError,
 )
 
 _GXG_MAGIC = b"GXG1"
@@ -49,10 +49,10 @@ class FeatureMatrix:
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
         if self.values.ndim != 2:
-            raise DimensionMismatchError("features must be a 2-d array")
+            raise ShapeMismatchError("features must be a 2-d array")
         n, d = self.values.shape
         if n < 2 or d < 1:
-            raise DimensionMismatchError(
+            raise ShapeMismatchError(
                 f"need at least 2 rows and 1 column, got shape {(n, d)}"
             )
         if not np.isfinite(self.values).all():
@@ -132,10 +132,10 @@ class Graph:
         """Validate a symmetric weight matrix and derive the edge list."""
         w = sparse.csr_matrix(matrix, dtype=np.float64, copy=True)
         if w.shape[0] != w.shape[1]:
-            raise DimensionMismatchError(f"weight matrix must be square, got {w.shape}")
+            raise ShapeMismatchError(f"weight matrix must be square, got {w.shape}")
         n = w.shape[0]
         if n < 2:
-            raise DimensionMismatchError("a graph needs at least 2 nodes")
+            raise ShapeMismatchError("a graph needs at least 2 nodes")
         w.sum_duplicates()
         w.eliminate_zeros()
         if w.nnz and not np.isfinite(w.data).all():
@@ -172,7 +172,7 @@ class Graph:
         j = np.asarray(edges_j, dtype=np.int64)
         w = np.asarray(weights, dtype=np.float64)
         if not (i.shape == j.shape == w.shape):
-            raise DimensionMismatchError("edge arrays must have equal length")
+            raise ShapeMismatchError("edge arrays must have equal length")
         mat = sparse.coo_matrix(
             (np.concatenate([w, w]), (np.concatenate([i, j]), np.concatenate([j, i]))),
             shape=(n, n),

@@ -19,7 +19,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import cg
 
-from .errors import DimensionMismatchError, NoConvergenceError
+from .errors import NoConvergenceError, NonFiniteError, ShapeMismatchError
 
 
 class NormalizedGradient:
@@ -54,36 +54,25 @@ class NormalizedGradient:
         return self.matrix.shape
 
 
-def _check_node_input(operator, u):
-    u = np.asarray(u, dtype=np.float64)
-    if u.shape[0] != operator.graph.n:
-        raise DimensionMismatchError(
-            f"expected length {operator.graph.n} along axis 0, got {u.shape[0]}"
+def _check_input(x, length):
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape[0] != length:
+        raise ShapeMismatchError(
+            f"expected length {length} along axis 0, got {x.shape[0]}"
         )
-    if not np.isfinite(u).all():
-        raise DimensionMismatchError("input contains NaN or Inf")
-    return u
-
-
-def _check_edge_input(operator, z):
-    z = np.asarray(z, dtype=np.float64)
-    if z.shape[0] != operator.graph.num_edges:
-        raise DimensionMismatchError(
-            f"expected length {operator.graph.num_edges} along axis 0, got {z.shape[0]}"
-        )
-    if not np.isfinite(z).all():
-        raise DimensionMismatchError("input contains NaN or Inf")
-    return z
+    if not np.isfinite(x).all():
+        raise NonFiniteError("input contains NaN or Inf")
+    return x
 
 
 def apply_gradient(operator, u):
     """Edge differences K u of a node function (vector or (n, L) matrix)."""
-    return operator.matrix @ _check_node_input(operator, u)
+    return operator.matrix @ _check_input(u, operator.graph.n)
 
 
 def apply_divergence(operator, z):
     """Adjoint map K^T z of an edge function, satisfying <Ku, z> = <u, K^T z>."""
-    return operator.adjoint_matrix @ _check_edge_input(operator, z)
+    return operator.adjoint_matrix @ _check_input(z, operator.graph.num_edges)
 
 
 def total_variation(operator, u):

@@ -71,6 +71,9 @@ log = logging.getLogger(__name__)
 #: two class scores closer than this are reported as a tie
 TIE_THRESHOLD = 1e-12
 
+#: class ratios divide by max(||u^k||_1, ZERO_GUARD): a zero column has ratio 0
+ZERO_GUARD = 1e-12
+
 #: the inner loop evaluates its duality gap every this many iterations
 GAP_CHECK_EVERY = 10
 
@@ -168,7 +171,6 @@ class SolverConfig:
     inner_tol: float = 1e-3
     outer_max: int = 100
     outer_tol: float = 1e-6
-    zero_guard: float = 1e-12
 
     def __post_init__(self):
         if not (self.dt > 0 and np.isfinite(self.dt)):
@@ -179,18 +181,6 @@ class SolverConfig:
             raise ValueError("iteration caps must be >= 1")
         if self.inner_tol <= 0 or self.outer_tol < 0:
             raise ValueError("tolerances must be positive")
-        if self.zero_guard <= 0:
-            raise ValueError("zero_guard must be positive")
-
-
-@dataclass
-class MultiClassState:
-    """Primal/dual iterates: u, dual edge variable z, extrapolation, snapshot v."""
-
-    u: np.ndarray
-    z: np.ndarray
-    u_extrapolated: np.ndarray
-    v: np.ndarray
 
 
 @dataclass
@@ -338,38 +328,17 @@ def constraint_violation(u, constraints):
     return worst
 
 
-def _ratio_terms(operator, u, zero_guard):
+def _ratio_terms(operator, u):
     tv = np.abs(operator.matrix @ u).sum(axis=0)
     l1 = np.abs(u).sum(axis=0)
-    return tv, l1, tv / np.maximum(l1, zero_guard)
+    return tv, l1, tv / np.maximum(l1, ZERO_GUARD)
 
 
-def ratio(operator, u, zero_guard=1e-12):
-    """TV(u) / max(||u||_1, zero_guard), columnwise for matrix input."""
+def ratio(operator, u):
+    """TV(u) / max(||u||_1, ZERO_GUARD), columnwise for matrix input."""
     u = np.asarray(u, dtype=np.float64)
-    _, _, r = _ratio_terms(operator, u, zero_guard)
+    _, _, r = _ratio_terms(operator, u)
     return float(r) if u.ndim == 1 else r
-
-
-def surrogate_objective(operator, u, anchor, dt=1.0, zero_guard=1e-12):
-    """Value at ``u`` of the convex model minimized by one outer step.
-
-    The model tethers ``u`` to the linearization point ``anchor`` and
-    replaces each class ratio by its linearization there::
-
-        ||u - anchor||^2 / (2 dt)
-            + sum_k [ TV(u^k) - ratio(anchor^k) * <sign(anchor^k), u^k> ]
-
-    By construction the value at ``u = anchor`` is zero, so any feasible
-    minimizer has a nonpositive value.
-    """
-    u = np.asarray(u, dtype=np.float64)
-    anchor = np.asarray(anchor, dtype=np.float64)
-    tv = np.abs(operator.matrix @ u).sum(axis=0)
-    _, _, coeff = _ratio_terms(operator, anchor, zero_guard)
-    linear = (np.sign(anchor) * u).sum(axis=0) * coeff
-    tether = float(((u - anchor) ** 2).sum()) / (2.0 * dt)
-    return tether + float((tv - linear).sum())
 
 
 def seedless_nodes(graph, constraints):
@@ -380,7 +349,7 @@ def seedless_nodes(graph, constraints):
     return ~seeded[component]
 
 
-def initialize_state(graph, constraints, operator=None):
+def initialize_state(graph, constraints):
     """Harmonic extension of the seed margins, normalized and projected.
 
     Ratio descent only moves downhill from where it starts, so it starts
@@ -388,16 +357,14 @@ def initialize_state(graph, constraints, operator=None):
     sit at their margins ``Y_L``, unlabeled rows solve
     ``(I - S_UU) X_U = S_UL (Y_L - rowmean(Y_L))`` with
     ``S = D^-1/2 W D^-1/2`` (zero class-sums included), and nodes of a
-    component without seeds stay zero.  The state is scaled to unit
-    Frobenius norm, without a median shift that could zero a tied block,
-    and projected; the dual variable starts at the clamped gradient of u.
+    component without seeds stay zero.  Returns the ``(n, L)`` score
+    matrix, scaled to unit Frobenius norm (without a median shift that
+    could zero a tied block) and projected onto the constraints.
     """
     if constraints.n != graph.n:
         raise ShapeMismatchError(
             f"constraints built for n={constraints.n}, graph has n={graph.n}"
         )
-    if operator is None:
-        operator = NormalizedGradient(graph)
     u = np.zeros((constraints.n, constraints.n_classes))
     lab = constraints.labeled_nodes
     u[lab] = -constraints.epsilon
@@ -411,23 +378,7 @@ def initialize_state(graph, constraints, operator=None):
     nrm = np.linalg.norm(u)
     if nrm < 1e-14:
         raise DegenerateStateError("initial state is numerically zero")
-    u = project_constraints(u / nrm, constraints)
-    z = np.clip(operator.matrix @ u, -1.0, 1.0)
-    return MultiClassState(u=u, z=z, u_extrapolated=u.copy(), v=u.copy())
-
-
-def _check_state_shapes(state, operator, constraints):
-    n, n_classes = constraints.n, constraints.n_classes
-    expected = {
-        "u": (n, n_classes),
-        "u_extrapolated": (n, n_classes),
-        "v": (n, n_classes),
-        "z": (operator.matrix.shape[0], n_classes),
-    }
-    for name, shape in expected.items():
-        got = np.shape(getattr(state, name))
-        if got != shape:
-            raise ShapeMismatchError(f"state.{name} shape {got} does not match {shape}")
+    return project_constraints(u / nrm, constraints)
 
 
 def _dual_value(w, anchor, dt, project, u_star, tmp):
@@ -442,21 +393,30 @@ def _dual_value(w, anchor, dt, project, u_star, tmp):
     return tmp.sum() / (2.0 * dt) - cross
 
 
-def _inner_loop(state, operator, constraints, config, coeff):
-    _check_state_shapes(state, operator, constraints)
+def _inner_loop(anchor, operator, constraints, config, coeff):
+    """Solve the surrogate linearized at ``anchor``, starting from it.
+
+    The primal iterate and its extrapolation start at ``anchor`` and the
+    dual at the clamped gradient ``clip(K anchor)``.  ``anchor`` is only
+    read.  Returns ``(u, iters, gap, converged)``; a non-finite iterate is
+    detected at the next gap evaluation.
+    """
+    shape = (constraints.n, constraints.n_classes)
+    if np.shape(anchor) != shape:
+        raise ShapeMismatchError(
+            f"anchor shape {np.shape(anchor)} does not match {shape}"
+        )
     fwd = operator.matrix
     adj = operator.adjoint_matrix
     dt = config.dt
-    drive = np.sign(state.v) * coeff  # c^k * sign(v^k), zero where v is zero
-    anchor = state.v
+    drive = np.sign(anchor) * coeff  # c^k * sign(v^k), zero where v is zero
     project = _Projection(constraints)
-    # Buffers owned by the loop: the caller's u and u_extrapolated are only
-    # read.  The dual and the extrapolation are held class-major, so each
-    # class is one contiguous vector for the sparse products; z is written
-    # back into the caller's array at the end.  Every update keeps the
-    # operand order of the whole-array form (reference_inner_loop in
-    # tests/oracles.py), so the results are bit-identical to it.
-    u = np.array(state.u, order="C")
+    # Every buffer is owned by the loop.  The dual and the extrapolation are
+    # held class-major, so each class is one contiguous vector for the
+    # sparse products.  Every update keeps the operand order of the
+    # whole-array form (reference_inner_loop in tests/oracles.py), so the
+    # results are bit-identical to it.
+    u = np.array(anchor, order="C")
     u_prev = np.empty_like(u)
     scratch = np.empty_like(u)
     u_star = np.empty_like(u)
@@ -466,125 +426,101 @@ def _inner_loop(state, operator, constraints, config, coeff):
     adj_z_sum = np.zeros_like(u)
     w_mean = np.empty_like(u)
     weight = 0.0
-    u_tilde = np.array(state.u_extrapolated.T, order="C")
-    z = np.array(state.z.T, order="C")
+    u_tilde = np.array(anchor.T, order="C")
+    z = np.array(np.clip(fwd @ anchor, -1.0, 1.0).T, order="C")
     sigma = config.sigma0
     tau = config.tau0
     iters = 0
     gap = math.inf
     converged = False
-    try:
-        for it in range(1, config.inner_max + 1):
-            check = it % GAP_CHECK_EVERY == 0 or it == config.inner_max
-            # dual ascent on the edges, then projection onto the unit box
-            for k, z_k in enumerate(z):
-                grad = fwd @ u_tilde[k]
-                grad *= sigma
-                z_k += grad
-            np.maximum(z, -1.0, out=z)
-            np.minimum(z, 1.0, out=z)
-            for k, z_k in enumerate(z):
-                scratch[:, k] = adj @ z_k
-            # u_prev is dead until the swap below, so it serves as scratch
-            np.multiply(scratch, sigma, out=u_prev)
-            adj_z_sum += u_prev
-            weight += sigma
-            np.subtract(drive, scratch, out=scratch)  # w = drive - K^T z
-            if check:
-                # the better lower bound of the last and the averaged dual
-                np.divide(adj_z_sum, weight, out=w_mean)
-                np.subtract(drive, w_mean, out=w_mean)
-                dual = max(
-                    _dual_value(scratch, anchor, dt, project, u_star, u_prev),
-                    _dual_value(w_mean, anchor, dt, project, u_star, u_prev),
-                )
-            # proximal descent on the nodes: resolvent of the quadratic tether
-            # ||u - anchor||^2 / (2 dt) plus the linearized-l1 drive, followed
-            # by projection onto the seed set
-            scratch *= tau * dt
-            u, u_prev = u_prev, u
-            np.add(u_prev, scratch, out=u)
-            np.multiply(anchor, tau, out=scratch)
-            u += scratch
-            u /= 1.0 + tau
-            project(u)
-            theta = 1.0 / math.sqrt(1.0 + tau)
-            tau *= theta
-            sigma /= theta
-            np.subtract(u, u_prev, out=scratch)
-            scratch *= theta
-            np.add(u, scratch, out=u_tilde.T)
-            iters = it
-            if not check:
-                continue
-            # primal value P(u) = ||u - v||^2 / (2 dt) - <drive, u> + TV(u)
-            np.subtract(u, anchor, out=scratch)
-            np.square(scratch, out=scratch)
-            tether = scratch.sum()
-            np.multiply(drive, u, out=scratch)
-            linear = scratch.sum()
-            grad_u = fwd @ u
-            tv = np.abs(grad_u, out=grad_u).sum()
-            primal = tether / (2.0 * dt) - linear + tv
-            gap = float(primal - dual)
-            # a finite gap implies a finite iterate; look closer otherwise
-            if not math.isfinite(gap):
-                if not np.isfinite(u).all():
-                    raise NonFiniteError("inner iterate is not finite", iteration=it)
-            elif gap <= config.inner_tol * abs(primal):
-                converged = True
-                break
-    finally:
-        state.z[...] = z.T
-    state.u = u
-    state.u_extrapolated = np.ascontiguousarray(u_tilde.T)
-    return state, iters, gap, converged
+    for it in range(1, config.inner_max + 1):
+        check = it % GAP_CHECK_EVERY == 0 or it == config.inner_max
+        # dual ascent on the edges, then projection onto the unit box
+        for k, z_k in enumerate(z):
+            grad = fwd @ u_tilde[k]
+            grad *= sigma
+            z_k += grad
+        np.maximum(z, -1.0, out=z)
+        np.minimum(z, 1.0, out=z)
+        for k, z_k in enumerate(z):
+            scratch[:, k] = adj @ z_k
+        # u_prev is dead until the swap below, so it serves as scratch
+        np.multiply(scratch, sigma, out=u_prev)
+        adj_z_sum += u_prev
+        weight += sigma
+        np.subtract(drive, scratch, out=scratch)  # w = drive - K^T z
+        if check:
+            # the better lower bound of the last and the averaged dual
+            np.divide(adj_z_sum, weight, out=w_mean)
+            np.subtract(drive, w_mean, out=w_mean)
+            dual = max(
+                _dual_value(scratch, anchor, dt, project, u_star, u_prev),
+                _dual_value(w_mean, anchor, dt, project, u_star, u_prev),
+            )
+        # proximal descent on the nodes: resolvent of the quadratic tether
+        # ||u - anchor||^2 / (2 dt) plus the linearized-l1 drive, followed
+        # by projection onto the seed set
+        scratch *= tau * dt
+        u, u_prev = u_prev, u
+        np.add(u_prev, scratch, out=u)
+        np.multiply(anchor, tau, out=scratch)
+        u += scratch
+        u /= 1.0 + tau
+        project(u)
+        theta = 1.0 / math.sqrt(1.0 + tau)
+        tau *= theta
+        sigma /= theta
+        np.subtract(u, u_prev, out=scratch)
+        scratch *= theta
+        np.add(u, scratch, out=u_tilde.T)
+        iters = it
+        if not check:
+            continue
+        # primal value P(u) = ||u - v||^2 / (2 dt) - <drive, u> + TV(u)
+        np.subtract(u, anchor, out=scratch)
+        np.square(scratch, out=scratch)
+        tether = scratch.sum()
+        np.multiply(drive, u, out=scratch)
+        linear = scratch.sum()
+        grad_u = fwd @ u
+        tv = np.abs(grad_u, out=grad_u).sum()
+        primal = tether / (2.0 * dt) - linear + tv
+        gap = float(primal - dual)
+        # a finite gap implies a finite iterate; look closer otherwise
+        if not math.isfinite(gap):
+            if not np.isfinite(u).all():
+                raise NonFiniteError("inner iterate is not finite", iteration=it)
+        elif gap <= config.inner_tol * abs(primal):
+            converged = True
+            break
+    return u, iters, gap, converged
 
 
-def inner_primal_dual(state, operator, constraints, config):
-    """Run the accelerated primal-dual loop from ``state``.
-
-    ``state.v`` holds the linearization point; ``state.u``/``state.z``/
-    ``state.u_extrapolated`` are the warm-start iterates.  ``state.z`` is
-    updated in place; ``state.u`` and ``state.u_extrapolated`` are replaced
-    by new arrays, and the arrays passed in are left unchanged.  Returns the
-    state, the iterations used, and the last primal-dual gap evaluated.
-    A non-finite iterate is detected at the next gap evaluation.
-    """
-    _, _, coeff = _ratio_terms(operator, state.v, config.zero_guard)
-    state, iters, gap, _ = _inner_loop(state, operator, constraints, config, coeff)
-    return state, iters, gap
-
-
-def outer_step(state, operator, constraints, config):
+def outer_step(u, operator, constraints, config):
     """One ratio-descent step: inner solve, median re-center, renormalize.
 
-    ``state.u`` is expected to satisfy the constraints on entry (every
-    state this module hands out does), which is what makes the recorded
-    ``decrease_slack`` a certificate: the anchor is then feasible for the
-    inner problem with surrogate value exactly zero.  The median shift can
-    push seeds off their margins; that transient is recorded as
-    ``max_violation`` and repaired by a final projection, so the state
-    carried into the next step is feasible again.
+    ``u`` is the current score matrix and the step's linearization point;
+    it is only read.  It is expected to satisfy the constraints (every
+    score matrix this module hands out does), which is what makes the
+    recorded ``decrease_slack`` a certificate: the anchor is then feasible
+    for the inner problem with surrogate value exactly zero.  The median
+    shift can push seeds off their margins; that transient is recorded as
+    ``max_violation`` and repaired by a final projection, so the returned
+    matrix is feasible again.  Returns ``(u_new, record)``.
     """
     t0 = time.perf_counter()
-    state.v = state.u  # the inner loop only reads v and u_extrapolated
-    state.u_extrapolated = state.u
-    state.z = np.clip(operator.matrix @ state.v, -1.0, 1.0)
-    _, _, coeff = _ratio_terms(operator, state.v, config.zero_guard)
-    state, iters, gap, converged = _inner_loop(
-        state, operator, constraints, config, coeff
-    )
-    tv_pre, l1_pre, ratios_pre = _ratio_terms(operator, state.u, config.zero_guard)
+    _, _, coeff = _ratio_terms(operator, u)
+    raw, iters, gap, converged = _inner_loop(u, operator, constraints, config, coeff)
+    tv_pre, l1_pre, ratios_pre = _ratio_terms(operator, raw)
     slack = coeff * l1_pre - tv_pre
-    shifted = state.u - np.median(state.u, axis=0)
+    shifted = raw - np.median(raw, axis=0)
     nrm = np.linalg.norm(shifted)
     if nrm < 1e-14:
         raise DegenerateStateError("state collapsed to zero after median shift")
     shifted /= nrm
     violation = constraint_violation(shifted, constraints)
-    state.u = project_constraints(shifted, constraints)
-    _, _, ratios_carried = _ratio_terms(operator, state.u, config.zero_guard)
+    u_new = project_constraints(shifted, constraints)
+    _, _, ratios_carried = _ratio_terms(operator, u_new)
     record = OuterRecord(
         ratios=[float(r) for r in ratios_carried],
         ratios_pre=[float(r) for r in ratios_pre],
@@ -596,7 +532,7 @@ def outer_step(state, operator, constraints, config):
         max_violation=float(violation),
         wall_ms=(time.perf_counter() - t0) * 1e3,
     )
-    return state, record
+    return u_new, record
 
 
 def _effective_config(config, operator):
@@ -625,13 +561,14 @@ def solve(graph, constraints, config=None):
     """Label every node of ``graph`` from the seeds in ``constraints``.
 
     Starts from the harmonic extension of the seeds (see
-    :func:`initialize_state`), then runs outer ratio-descent steps.  The
-    loop keeps a step only if it does not raise the monitored
-    sum of per-class ratios: the re-centering inside each step is not a
-    descent operation, so the first step that comes back worse marks
-    convergence and is rolled back.  It otherwise stops once the sum moves
-    by less than ``outer_tol``, or at ``outer_max``.  Returns
-    ``(Prediction, SolveTrace)``; ``trace.stop_reason`` says which
+    :func:`initialize_state`), then runs outer ratio-descent steps; the
+    score matrix is the only state carried from one step to the next.  The
+    loop keeps a step only if it does not raise the monitored sum of
+    per-class ratios: the re-centering inside each step is not a descent
+    operation, so the first step that comes back worse marks convergence
+    and is rolled back to the matrix it started from.  It otherwise stops
+    once the sum moves by less than ``outer_tol``, or at ``outer_max``.
+    Returns ``(Prediction, SolveTrace)``; ``trace.stop_reason`` says which
     happened.  Labels are the row argmax of the final scores, ties broken
     toward the smallest class index and flagged.  Nodes of a component
     without seeds are returned tied (label 0) with one
@@ -653,14 +590,13 @@ def solve(graph, constraints, config=None):
         )
     operator = NormalizedGradient(graph)
     config = _effective_config(config, operator)
-    state = initialize_state(graph, constraints, operator=operator)
-    _, _, r0 = _ratio_terms(operator, state.u, config.zero_guard)
+    u = initialize_state(graph, constraints)
+    _, _, r0 = _ratio_terms(operator, u)
     trace = SolveTrace(initial_ratios=[float(r) for r in r0])
     prev_sum = float(r0.sum())
     for t in range(config.outer_max):
-        kept = state.u.copy()
         try:
-            state, record = outer_step(state, operator, constraints, config)
+            u_new, record = outer_step(u, operator, constraints, config)
         except NonFiniteError as exc:
             exc.trace = trace  # expose the partial trace to callers
             raise
@@ -672,7 +608,6 @@ def solve(graph, constraints, config=None):
             record.gap,
         )
         if record.sum_ratios > prev_sum:
-            state.u = kept
             trace.stop_reason = "no_decrease"
             if t == 0:
                 warnings.warn(
@@ -681,14 +616,14 @@ def solve(graph, constraints, config=None):
                     stacklevel=2,
                 )
             break
+        u = u_new
         trace.records.append(record)
         if prev_sum - record.sum_ratios < config.outer_tol:
             trace.stop_reason = "tol"
             break
         prev_sum = record.sum_ratios
-    scores = state.u.copy()
-    scores[seedless] = 0.0
-    return prediction_from_scores(scores), trace
+    u[seedless] = 0.0
+    return prediction_from_scores(u), trace
 
 
 def _fmt(x):

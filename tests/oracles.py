@@ -202,17 +202,41 @@ def dense_duality_gap(graph, constraints, u, z, anchor, coeff, dt):
     return float(primal), float(primal - dual)
 
 
-def reference_inner_loop(state, operator, constraints, config, coeff):
+def surrogate_objective(operator, u, anchor, dt=1.0):
+    """Value at ``u`` of the convex model minimized by one outer step.
+
+    The model tethers ``u`` to the linearization point ``anchor`` and
+    replaces each class ratio by its linearization there::
+
+        ||u - anchor||^2 / (2 dt)
+            + sum_k [ TV(u^k) - ratio(anchor^k) * <sign(anchor^k), u^k> ]
+
+    with ratio = TV / max(||.||_1, 1e-12).  By construction the value at
+    ``u = anchor`` is zero, so any feasible minimizer has a nonpositive value.
+    """
+    u = np.asarray(u, dtype=np.float64)
+    anchor = np.asarray(anchor, dtype=np.float64)
+    tv = np.abs(operator.matrix @ u).sum(axis=0)
+    coeff = np.abs(operator.matrix @ anchor).sum(axis=0) / np.maximum(
+        np.abs(anchor).sum(axis=0), 1e-12
+    )
+    linear = (np.sign(anchor) * u).sum(axis=0) * coeff
+    tether = float(((u - anchor) ** 2).sum()) / (2.0 * dt)
+    return tether + float((tv - linear).sum())
+
+
+def reference_inner_loop(anchor, operator, constraints, config, coeff):
     """The accelerated primal-dual loop written with whole-array temporaries.
 
-    Every update builds new arrays and the projection is the copying
-    :func:`reference_project_constraints`; ``state.z`` is updated in place.
-    Every ``check_every`` iterations and on the last one it checks that the
-    iterate is finite and evaluates the surrogate's primal-dual gap, against
-    the better of the last dual iterate and the sigma-weighted dual average;
-    it stops once that is at most ``inner_tol`` times the primal value's
-    magnitude.  Returns
-    ``(state, iters, gap, converged)`` like the solver's loop.
+    Starts from u = u_tilde = ``anchor`` and z = clip(K anchor); every
+    update builds new arrays and the projection is the copying
+    :func:`reference_project_constraints`.  Every ``check_every``
+    iterations and on the last one it checks that the iterate is finite
+    and evaluates the surrogate's primal-dual gap, against the better of
+    the last dual iterate and the sigma-weighted dual average; it stops
+    once that is at most ``inner_tol`` times the primal value's magnitude.
+    Returns ``(u, iters, gap, converged, z)``: the solver loop's 4-tuple
+    and the last dual iterate.
     """
 
     def dual_value(w):
@@ -224,11 +248,10 @@ def reference_inner_loop(state, operator, constraints, config, coeff):
     fwd = operator.matrix
     adj = operator.adjoint_matrix
     dt = config.dt
-    drive = np.sign(state.v) * coeff  # c^k * sign(v^k), zero where v is zero
-    anchor = state.v
-    u = state.u
-    z = state.z
-    u_tilde = state.u_extrapolated
+    drive = np.sign(anchor) * coeff  # c^k * sign(v^k), zero where v is zero
+    u = anchor
+    z = np.clip(fwd @ anchor, -1.0, 1.0)
+    u_tilde = anchor
     sigma = config.sigma0
     tau = config.tau0
     iters = 0
@@ -239,8 +262,7 @@ def reference_inner_loop(state, operator, constraints, config, coeff):
     for it in range(1, config.inner_max + 1):
         check = it % check_every == 0 or it == config.inner_max
         # dual ascent on the edges, then projection onto the unit box
-        z += sigma * (fwd @ u_tilde)
-        np.clip(z, -1.0, 1.0, out=z)
+        z = np.clip(z + sigma * (fwd @ u_tilde), -1.0, 1.0)
         adj_z = adj @ z
         adj_z_sum = adj_z_sum + sigma * adj_z
         weight += sigma
@@ -271,7 +293,4 @@ def reference_inner_loop(state, operator, constraints, config, coeff):
             if math.isfinite(gap) and gap <= config.inner_tol * abs(primal):
                 converged = True
                 break
-    state.u = u
-    state.z = z
-    state.u_extrapolated = u_tilde
-    return state, iters, gap, converged
+    return u, iters, gap, converged, z

@@ -338,13 +338,14 @@ def test_argparse_rejects_unknown_flags_and_bad_choices(tmp_path):
 
 def test_solver_flag_defaults_are_solver_config_defaults():
     # the CLI (and so every benchmark run) must solve with the library's
-    # defaults; a second copy of them drifted once
+    # defaults; a second copy of them drifted once.  Every config field is a
+    # flag, so no solver option can exist that the CLI cannot set
     fields = {f.name: f.default for f in dataclasses.fields(SolverConfig)}
-    opts = {opt.dest: opt for opt in _SOLVER_OPTS if opt.dest in fields}
-    assert set(opts) == set(fields) - {"zero_guard"}
-    for name, opt in opts.items():
-        assert opt.default == fields[name], name
-        assert opt.type is type(fields[name]), name
+    opts = {opt.dest: opt for opt in _SOLVER_OPTS}
+    assert set(opts) == set(fields) | {"epsilon"}  # epsilon: the seed margin
+    for name, default in fields.items():
+        assert opts[name].default == default, name
+        assert opts[name].type is type(default), name
 
 
 def test_version_flag():

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.sparse.csgraph import connected_components
 
 from graphtv import (
     FeatureMatrix,
-    count_components,
     load_features_csv,
     load_labels_csv,
     make_partition,
@@ -68,11 +68,11 @@ def test_sbm_extremes():
     dense = graph.csr.toarray()
     assert np.all(dense[:3, :3] + np.eye(3) == 1.0)  # within-block complete
     assert np.all(dense[:3, 3:] == 0.0)  # across-block empty
-    assert count_components(graph) == 2
+    assert connected_components(graph.csr, directed=False)[0] == 2
 
     complete, _ = synth_sbm((3, 3), 1.0, 1.0, 0)
     assert complete.num_edges == 15
-    assert count_components(complete) == 1
+    assert connected_components(complete.csr, directed=False)[0] == 1
 
 
 def test_sbm_deterministic_per_seed():

@@ -13,7 +13,7 @@ from graphtv import (
     operator_norm,
     total_variation,
 )
-from graphtv.errors import DimensionMismatchError, NoConvergenceError
+from graphtv.errors import NoConvergenceError, NonFiniteError, ShapeMismatchError
 from graphtv.operators import diffusion_solve, normalized_adjacency
 from oracles import dense_gradient, dense_normalized_adjacency, random_connected_graph
 
@@ -62,10 +62,12 @@ def test_degree_vector_in_nullspace(rng):
 
 def test_dimension_checks():
     op = NormalizedGradient(path_graph())
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(ShapeMismatchError):
         apply_gradient(op, np.zeros(4))
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(ShapeMismatchError):
         apply_divergence(op, np.zeros(3))
+    with pytest.raises(NonFiniteError):
+        apply_gradient(op, np.full(op.graph.n, np.nan))
 
 
 # ------------------------------------------------------------ dense oracle

@@ -286,12 +286,25 @@ def test_inner_loop_flags_non_finite_state(rng):
     assert info.value.iteration >= 1
 
 
-def test_inner_loop_rejects_state_of_other_class_count(rng):
-    # a 3-class anchor must not be projected with the 2-class seed indices
+# The loop builds its whole state from the anchor: u, u_extrapolated and v
+# start as copies of it and z as clip(K anchor).  Each case hands it an
+# anchor of another class layout that would reach the named array.
+MISSHAPEN_ANCHORS = {
+    "u": lambda a: np.hstack([a, a[:, :1]]),  # one class more
+    "u_extrapolated": lambda a: a[:, :1],  # one class fewer
+    "v": lambda a: a[:, 0],  # no class axis; would broadcast against coeff
+    "z": lambda a: a.T,  # classes on the node axis; K a would fail in scipy
+}
+
+
+@pytest.mark.parametrize("field", list(MISSHAPEN_ANCHORS))
+def test_inner_loop_rejects_state_of_other_class_count(rng, field):
+    # a misshapen anchor must not be projected with the 2-class seed indices
     op, cons, anchor = random_inner_problem(rng, 12, 2)
-    wide = np.hstack([anchor, anchor[:, :1]])
+    bad = np.ascontiguousarray(MISSHAPEN_ANCHORS[field](anchor))
+    coeff = np.ones(bad.shape[-1])
     with pytest.raises(ShapeMismatchError, match="anchor shape"):
-        _inner_loop(wide, op, cons, SolverConfig(inner_max=5), np.ones(3))
+        _inner_loop(bad, op, cons, SolverConfig(inner_max=5), coeff)
 
 
 def test_inner_loop_rejects_three_class_state_for_two_class_constraints(rng):
@@ -354,11 +367,24 @@ def test_inner_loop_leaves_caller_arrays_alone(rng):
     assert not np.shares_memory(u, anchor)
 
 
-def test_inner_loop_reports_non_finite_at_reference_iteration(rng):
-    op, cons, anchor = random_inner_problem(rng, 12, 2)
-    anchor[3, 1] = np.nan
+@pytest.mark.parametrize("field", ["u", "v", "z"])
+def test_inner_loop_reports_non_finite_at_reference_iteration(rng, field):
+    # u: NaN at a free node of the anchor; v: NaN at a seed node, whose
+    # row the projection rewrites; z: +inf at a free node, which
+    # clip(K anchor) turns into a finite start dual
+    op, cons, anchor = random_inner_problem(rng, 12, 2, per=2)
+    seeds = np.concatenate(cons.labeled)
+    free = np.setdiff1d(np.arange(12), seeds)
+    if field == "u":
+        anchor[free[0], 1] = np.nan
+    elif field == "v":
+        anchor[seeds[0], 1] = np.nan
+    else:
+        anchor[free[0], 1] = np.inf
+        assert np.isfinite(np.clip(op.matrix @ anchor, -1.0, 1.0)).all()
     config = SolverConfig(inner_max=50)
-    _, _, coeff = _ratio_terms(op, anchor)
+    with np.errstate(all="ignore"):
+        _, _, coeff = _ratio_terms(op, anchor)
     with pytest.raises(NonFiniteError) as fused_info:
         _inner_loop(anchor, op, cons, config, coeff)
     with pytest.raises(NonFiniteError) as ref_info:

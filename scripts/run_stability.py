@@ -7,11 +7,11 @@ as seeds move around — and the (soft) monotone trend over fractions.
 """
 
 import argparse
-import json
 
 from graphtv import (
     KernelSpec,
     LabeledDataset,
+    build_knn_graph,
     stability_experiment,
     synth_two_moons,
     write_report_csv,
@@ -33,12 +33,12 @@ def main():
     args = ap.parse_args()
 
     features, truth = synth_two_moons(args.n, args.noise, args.data_seed)
-    dataset = LabeledDataset(truth=truth, n_classes=2, features=features)
+    graph = build_knn_graph(features, KernelSpec(k=args.k))
+    dataset = LabeledDataset(truth=truth, n_classes=2, graph=graph)
     report = stability_experiment(
         dataset,
         fractions=[float(f) for f in args.fractions.split(",")],
         seeds=[int(s) for s in args.seeds.split(",")],
-        kernel=KernelSpec(k=args.k),
         jobs=args.jobs,
     )
 

@@ -2,10 +2,12 @@
 
 The pipeline is deliberately staged around files — features CSV, graph
 binary, seed CSV, scores CSV — so the expensive graph build is cached on
-disk and the solver can be re-run across many partitions of the same graph.
-Every command writes the fully resolved configuration (defaults expanded)
-as a ``*.config.json`` next to its primary output; re-running the command
-with ``--config <that file>`` reproduces the run byte for byte.
+disk and the solver can be re-run across many partitions of the same graph:
+``solve`` and ``experiment`` both take the graph that ``build-graph`` (or
+``synth sbm``) wrote.  Every command writes the fully resolved configuration
+(defaults expanded) as a ``*.config.json`` next to its primary output;
+re-running the command with ``--config <that file>`` reproduces the run
+byte for byte.
 
 Exit codes: 0 success, 2 usage/validation, 3 non-convergence (outputs are
 still written), 4 numerical failure.  Log verbosity comes from the
@@ -58,6 +60,7 @@ from .solver import (
     write_scores_csv,
     write_trace_json,
 )
+from .tables import json_text, write_json
 
 log = logging.getLogger("graphtv.cli")
 
@@ -103,18 +106,10 @@ class RunConfig:
     version: str = __version__
 
     def to_json(self):
-        doc = {
-            "command": self.command,
-            "version": self.version,
-            "parameters": self.parameters,
-            "inputs": self.inputs,
-            "outputs": self.outputs,
-        }
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        return json_text(dataclasses.asdict(self))
 
     def write(self, path):
-        with open(path, "w") as fh:
-            fh.write(self.to_json())
+        write_json(path, dataclasses.asdict(self))
 
     @classmethod
     def from_json(cls, text):
@@ -147,10 +142,6 @@ class RunConfig:
     def load(cls, path):
         with open(path, "r") as fh:
             return cls.from_json(fh.read())
-
-
-def _sidecar_path(primary):
-    return Path(primary).with_suffix(".config.json")
 
 
 # --------------------------------------------------------------------------
@@ -200,18 +191,6 @@ def _sigma_value(text):
         raise argparse.ArgumentTypeError(f"sigma must be a float or 'auto', got {text!r}")
 
 
-def _kernel_opts(k_default):
-    return [
-        _Opt("k", "param", int, k_default, required=k_default is None,
-             help="neighbours per node"),
-        _Opt("metric", "param", str, "euclidean", choices=("euclidean", "cosine")),
-        _Opt("kernel", "param", str, "gaussian", choices=("gaussian", "binary")),
-        _Opt("sigma", "param", _sigma_value, "auto",
-             help="gaussian bandwidth, or 'auto'"),
-        _Opt("symmetrize", "param", str, "mean", choices=("mean", "max")),
-    ]
-
-
 #: every SolverConfig field is a flag, with the field default
 _SOLVER_FIELDS = {f.name: f.default for f in dataclasses.fields(SolverConfig)}
 
@@ -241,7 +220,12 @@ _COMMANDS = {
     ],
     "build-graph": [
         _Opt("features", "in", str, required=True),
-        *_kernel_opts(None),
+        _Opt("k", "param", int, required=True, help="neighbours per node"),
+        _Opt("metric", "param", str, "euclidean", choices=("euclidean", "cosine")),
+        _Opt("kernel", "param", str, "gaussian", choices=("gaussian", "binary")),
+        _Opt("sigma", "param", _sigma_value, "auto",
+             help="gaussian bandwidth, or 'auto'"),
+        _Opt("symmetrize", "param", str, "mean", choices=("mean", "max")),
         _Opt("out", "out", str, required=True),
     ],
     "solve": [
@@ -260,11 +244,9 @@ _COMMANDS = {
         _Opt("report", "out", str, required=True),
     ],
     "experiment": [
-        _Opt("features", "in", str),
-        _Opt("graph", "in", str),
+        _Opt("graph", "in", str, required=True, help="graph from build-graph"),
         _Opt("truth", "in", str, required=True),
         _Opt("classes", "param", int, help="default: max class in truth + 1"),
-        *_kernel_opts(10),
         _Opt("fractions", "param", _csv_floats, required=True),
         _Opt("seeds", "param", _csv_ints, required=True),
         *_SOLVER_OPTS,
@@ -324,17 +306,6 @@ def _solver_config(params):
     )
 
 
-def _kernel_spec(params):
-    sigma = params["sigma"]
-    return KernelSpec(
-        k=int(params["k"]),
-        metric=str(params["metric"]),
-        kernel=str(params["kernel"]),
-        sigma=None if sigma == "auto" else float(sigma),
-        symmetrization=str(params["symmetrize"]),
-    )
-
-
 # --------------------------------------------------------------------------
 # commands
 
@@ -351,16 +322,22 @@ def cmd_synth(rc):
         )
         save_graph(graph, rc.outputs["out_graph"])
     write_labels_csv(rc.outputs["out_truth"], np.arange(truth.size), truth)
-    rc.write(_sidecar_path(rc.outputs[_PRIMARY_OUT[rc.command]]))
     log.info("synthesized %d nodes", truth.size)
     return EXIT_OK
 
 
 def cmd_build_graph(rc):
     features = load_features_csv(rc.inputs["features"])
-    graph = build_knn_graph(features, _kernel_spec(rc.parameters))
+    p = rc.parameters
+    spec = KernelSpec(
+        k=int(p["k"]),
+        metric=str(p["metric"]),
+        kernel=str(p["kernel"]),
+        sigma=None if p["sigma"] == "auto" else float(p["sigma"]),
+        symmetrization=str(p["symmetrize"]),
+    )
+    graph = build_knn_graph(features, spec)
     save_graph(graph, rc.outputs["out"])
-    rc.write(_sidecar_path(rc.outputs["out"]))
     deg = graph.degrees
     print(
         f"n={graph.n} edges={graph.num_edges} "
@@ -384,7 +361,6 @@ def cmd_solve(rc):
     write_scores_csv(rc.outputs["out_scores"], prediction)
     if rc.outputs["out_trace"] is not None:
         write_trace_json(rc.outputs["out_trace"], trace)
-    rc.write(_sidecar_path(rc.outputs["out_scores"]))
     log.info(
         "solve finished: %d outer steps, converged=%s, stop=%s",
         len(trace.records), trace.converged, trace.stop_reason,
@@ -401,49 +377,31 @@ def cmd_eval(rc):
         seed_nodes, seed_classes, n, n_classes, float(rc.parameters["epsilon"])
     )
     report = evaluate(prediction, truth, constraints)
-    with open(rc.outputs["report"], "w") as fh:
-        json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    rc.write(_sidecar_path(rc.outputs["report"]))
+    write_json(rc.outputs["report"], report.to_dict())
     print(f"accuracy={report.accuracy:.6g} average_auc={report.average_auc:.6g}")
     return EXIT_OK
 
 
 def cmd_experiment(rc):
     p = rc.parameters
-    if (rc.inputs["features"] is None) == (rc.inputs["graph"] is None):
-        raise UsageError("exactly one of --features / --graph is required")
     nodes, classes = load_labels_csv(rc.inputs["truth"])
     truth = truth_from_pairs(nodes, classes, len(nodes))
-    n_classes = p["classes"]
-    if n_classes is None:
-        n_classes = int(truth.max()) + 1
-        p["classes"] = n_classes
-    kernel = None
-    if rc.inputs["features"] is not None:
-        dataset = LabeledDataset(
-            truth=truth, n_classes=int(n_classes),
-            features=load_features_csv(rc.inputs["features"]),
-        )
-        kernel = _kernel_spec(p)
-    else:
-        dataset = LabeledDataset(
-            truth=truth, n_classes=int(n_classes),
-            graph=load_graph(rc.inputs["graph"]),
-        )
+    if p["classes"] is None:
+        p["classes"] = int(truth.max()) + 1
+    dataset = LabeledDataset(
+        truth=truth, n_classes=int(p["classes"]), graph=load_graph(rc.inputs["graph"])
+    )
     report = stability_experiment(
         dataset,
         fractions=[float(f) for f in p["fractions"]],
         seeds=[int(s) for s in p["seeds"]],
         config=_solver_config(p),
-        kernel=kernel,
         epsilon=float(p["epsilon"]),
         jobs=int(p["jobs"]),
     )
     write_report_json(rc.outputs["report"], report)
     if rc.outputs["report_csv"] is not None:
         write_report_csv(rc.outputs["report_csv"], report)
-    rc.write(_sidecar_path(rc.outputs["report"]))
     return EXIT_OK
 
 
@@ -513,7 +471,11 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         rc = _resolve(args.command, args)
-        return _HANDLERS[args.command](rc)
+        code = _HANDLERS[args.command](rc)
+        # after the handler: it records inferred values such as --classes
+        primary = Path(rc.outputs[_PRIMARY_OUT[args.command]])
+        rc.write(primary.with_suffix(".config.json"))
+        return code
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

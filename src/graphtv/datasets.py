@@ -2,10 +2,11 @@
 
 Features CSV: one node per row of comma-separated decimal floats, with an
 optional first header row starting with '#'.  Label/truth CSV: header
-``node,class`` followed by 0-based integer pairs.  Writers emit 17
-significant digits so a write/read round trip is exact to 1e-15.
+``node,class`` followed by 0-based integer pairs.  Both are read and
+written through :mod:`graphtv.tables`.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -14,24 +15,23 @@ import numpy as np
 from .errors import (
     FractionTooSmallError,
     GenerationFailedError,
-    NonFiniteValueError,
     ParseError,
     ShapeMismatchError,
 )
 from .graph import FeatureMatrix, Graph
 from .solver import LabelConstraints
+from .tables import convert_cells, fmt, read_rows, write_table
 
 _SBM_MAX_ATTEMPTS = 100
 
 
 @dataclass
 class LabeledDataset:
-    """Features (optional for graph-native data) plus ground-truth classes."""
+    """A graph plus the ground-truth class of each of its nodes."""
 
     truth: np.ndarray
     n_classes: int
-    features: FeatureMatrix | None = None
-    graph: Graph | None = None
+    graph: Graph
 
     def __post_init__(self):
         self.truth = np.asarray(self.truth, dtype=np.int64)
@@ -39,9 +39,8 @@ class LabeledDataset:
             raise ShapeMismatchError("truth must be a 1-d class array")
         if self.truth.min() < 0 or self.truth.max() >= self.n_classes:
             raise ValueError("truth contains a class id out of range")
-        for other, what in ((self.features, "features"), (self.graph, "graph")):
-            if other is not None and other.n != self.truth.shape[0]:
-                raise ShapeMismatchError(f"{what} row count differs from truth")
+        if self.graph.n != self.truth.shape[0]:
+            raise ShapeMismatchError("graph row count differs from truth")
 
     @property
     def n(self):
@@ -159,41 +158,28 @@ def make_partition(truth, n_classes, labeled_fraction, seed, epsilon=0.1):
     return constraints, partition
 
 
-def _fmt(x):
-    return format(float(x), ".17g")
-
-
 def write_features_csv(path, features):
     values = features.values if isinstance(features, FeatureMatrix) else features
-    lines = ["#" + ",".join(f"x{j}" for j in range(values.shape[1]))]
-    lines += [",".join(_fmt(x) for x in row) for row in values]
-    with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    header = [f"x{j}" for j in range(values.shape[1])]
+    header[0] = "#" + header[0]
+    write_table(path, header, ([fmt(x) for x in row] for row in values.tolist()))
 
 
 def load_features_csv(path):
     """Read a features CSV into a FeatureMatrix.
 
-    Raises :class:`ParseError` (with 1-based line number) on malformed rows,
-    :class:`NonFiniteValueError` on NaN/Inf entries, and
-    :class:`ShapeMismatchError` on ragged rows.
+    Raises :class:`ParseError` (with 1-based line number) on malformed rows
+    and NaN/Inf entries, and :class:`ShapeMismatchError` on ragged rows.
     """
     rows = []
     width = None
     with open(path, "r", newline="") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
+        for lineno, cells in read_rows(fh):
+            if lineno == 1 and cells[0].startswith("#"):
                 continue
-            if lineno == 1 and line.startswith("#"):
-                continue
-            cells = line.split(",")
-            try:
-                vals = [float(c) for c in cells]
-            except ValueError as exc:
-                raise ParseError(str(exc), line=lineno) from exc
-            if any(math.isnan(v) or math.isinf(v) for v in vals):
-                raise NonFiniteValueError("feature is not finite", line=lineno)
+            vals = convert_cells(itertools.repeat(float), cells, lineno)
+            if not all(map(math.isfinite, vals)):
+                raise ParseError("feature is not finite", line=lineno)
             if width is None:
                 width = len(vals)
             elif len(vals) != width:
@@ -207,32 +193,25 @@ def load_features_csv(path):
 
 
 def write_labels_csv(path, nodes, classes):
-    lines = ["node,class"]
-    lines += [f"{int(i)},{int(c)}" for i, c in zip(nodes, classes)]
-    with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    rows = ((str(int(i)), str(int(c))) for i, c in zip(nodes, classes))
+    write_table(path, ["node", "class"], rows)
 
 
 def load_labels_csv(path):
     """Read a ``node,class`` CSV into parallel int arrays."""
     nodes, classes = [], []
     with open(path, "r", newline="") as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0].strip() != "node,class":
-        raise ParseError("expected header 'node,class'", line=1)
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        cells = line.split(",")
-        if len(cells) != 2:
-            raise ParseError("expected two fields", line=lineno)
-        try:
-            nodes.append(int(cells[0]))
-            classes.append(int(cells[1]))
-        except ValueError as exc:
-            raise ParseError(str(exc), line=lineno) from exc
-        if nodes[-1] < 0 or classes[-1] < 0:
-            raise ParseError("indices must be non-negative", line=lineno)
+        rows = read_rows(fh)
+        if next(rows, None) != (1, ["node", "class"]):
+            raise ParseError("expected header 'node,class'", line=1)
+        for lineno, cells in rows:
+            if len(cells) != 2:
+                raise ParseError("expected two fields", line=lineno)
+            node, cls = convert_cells((int, int), cells, lineno)
+            if node < 0 or cls < 0:
+                raise ParseError("indices must be non-negative", line=lineno)
+            nodes.append(node)
+            classes.append(cls)
     if not nodes:
         raise ParseError("no data rows", line=1)
     return np.asarray(nodes, dtype=np.int64), np.asarray(classes, dtype=np.int64)

@@ -69,17 +69,7 @@ class FractionTooSmallError(GraphTVError):
 
 
 class ParseError(GraphTVError):
-    """A file could not be parsed.  ``line`` is 1-based when applicable."""
-
-    def __init__(self, message, line=None):
-        self.line = line
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-
-
-class NonFiniteValueError(GraphTVError):
-    """A parsed file contains NaN or Inf.  ``line`` is 1-based."""
+    """A file is malformed or holds NaN/Inf.  ``line`` is 1-based when applicable."""
 
     def __init__(self, message, line=None):
         self.line = line

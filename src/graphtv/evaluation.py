@@ -4,7 +4,6 @@ Evaluation always excludes the seeded nodes: accuracy and per-class AUC are
 computed over the heldout complement only.
 """
 
-import json
 import logging
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -20,10 +19,10 @@ from .errors import (
     InvalidExperimentError,
     ShapeMismatchError,
 )
-from .graph import build_knn_graph
 from .operators import diffusion_solve, normalized_adjacency
 from .datasets import make_partition
 from .solver import SolverConfig, prediction_from_scores, solve
+from .tables import fmt, write_json, write_table
 
 log = logging.getLogger(__name__)
 
@@ -176,15 +175,15 @@ def stability_experiment(
     fractions,
     seeds,
     config=None,
-    kernel=None,
     epsilon=0.1,
     jobs=1,
 ):
     """Full (fraction x partition-seed) grid of solve-and-evaluate cells.
 
-    The graph is built once (from ``dataset.features`` with ``kernel``) or
-    taken from ``dataset.graph``.  Per-cell solver errors are recorded in
-    the cell and do not abort the grid.  Returns the report as a dict::
+    Every cell solves on the one ``dataset.graph``, so the graph is built
+    once for the whole grid (by the caller, e.g. ``graphtv build-graph``).
+    Per-cell solver errors are recorded in the cell and do not abort the
+    grid.  Returns the report as a dict::
 
         {"cells": [{fraction, seed, accuracy, auc_per_class, auc_mean}...],
          "summary": {str(fraction): {accuracy_mean, accuracy_std,
@@ -201,16 +200,8 @@ def stability_experiment(
         raise InvalidExperimentError("fractions and seeds must be unique")
     if config is None:
         config = SolverConfig()
-    if dataset.graph is not None:
-        graph = dataset.graph
-    else:
-        if dataset.features is None or kernel is None:
-            raise InvalidExperimentError(
-                "dataset has no graph; features and a kernel spec are required"
-            )
-        graph = build_knn_graph(dataset.features, kernel)
     grid = [
-        (graph, dataset.truth, dataset.n_classes, f, s, config, epsilon)
+        (dataset.graph, dataset.truth, dataset.n_classes, f, s, config, epsilon)
         for f in fractions
         for s in seeds
     ]
@@ -248,35 +239,21 @@ def stability_experiment(
 
 
 def write_report_json(path, report):
-    with open(path, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, report)
 
 
 def write_report_csv(path, report):
     """Flat mirror of the cells: fraction,seed,accuracy,auc_mean,auc_0,..."""
-    width = 0
-    for cell in report["cells"]:
-        if "auc_per_class" in cell:
-            width = max(width, len(cell["auc_per_class"]))
+    cells = report["cells"]
+    width = max((len(c.get("auc_per_class", ())) for c in cells), default=0)
 
-    def fmt(x):
-        return "" if x is None else format(float(x), ".17g")
+    def row(cell):
+        values = [cell.get("accuracy"), cell.get("auc_mean")]
+        values += cell.get("auc_per_class", [])  # an error cell has none
+        values += [None] * (2 + width - len(values))
+        head = [fmt(cell["fraction"]), str(cell["seed"])]
+        return head + ["" if x is None else fmt(x) for x in values]
 
-    lines = [
-        ",".join(
-            ["fraction", "seed", "accuracy", "auc_mean"]
-            + [f"auc_{k}" for k in range(width)]
-        )
-    ]
-    for cell in report["cells"]:
-        row = [format(float(cell["fraction"]), ".17g"), str(cell["seed"])]
-        if "error" in cell:
-            row += [""] * (2 + width)
-        else:
-            row += [fmt(cell["accuracy"]), fmt(cell["auc_mean"])]
-            row += [fmt(a) for a in cell["auc_per_class"]]
-            row += [""] * (width - len(cell["auc_per_class"]))
-        lines.append(",".join(row))
-    with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    header = ["fraction", "seed", "accuracy", "auc_mean"]
+    header += [f"auc_{k}" for k in range(width)]
+    write_table(path, header, map(row, cells))

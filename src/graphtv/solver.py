@@ -38,7 +38,6 @@ the summed inequality to within g.
 """
 
 import dataclasses
-import json
 import logging
 import math
 import time
@@ -54,7 +53,6 @@ from .errors import (
     NoConvergenceError,
     NoProgressWarning,
     NonFiniteError,
-    NonFiniteValueError,
     ParseError,
     SeedlessComponentWarning,
     ShapeMismatchError,
@@ -65,6 +63,7 @@ from .operators import (
     normalized_adjacency,
     operator_norm,
 )
+from .tables import convert_cells, fmt, read_rows, write_json, write_table
 
 log = logging.getLogger(__name__)
 
@@ -564,13 +563,15 @@ def solve(graph, constraints, config=None):
     :func:`initialize_state`), then runs outer ratio-descent steps; the
     score matrix is the only state carried from one step to the next.  The
     loop keeps a step only if it does not raise the monitored sum of
-    per-class ratios: the re-centering inside each step is not a descent
-    operation, so the first step that comes back worse marks convergence
-    and is rolled back to the matrix it started from.  It otherwise stops
-    once the sum moves by less than ``outer_tol``, or at ``outer_max``.
-    Returns ``(Prediction, SolveTrace)``; ``trace.stop_reason`` says which
-    happened.  Labels are the row argmax of the final scores, ties broken
-    toward the smallest class index and flagged.  Nodes of a component
+    per-class ratios and its inner gap is finite: the re-centering inside
+    each step is not a descent operation, and an overflowed gap certifies
+    nothing, so the first step that comes back worse or uncertified marks
+    convergence and is rolled back to the matrix it started from.  It
+    otherwise stops once the sum moves by less than ``outer_tol``, or at
+    ``outer_max``.  Returns ``(Prediction, SolveTrace)``;
+    ``trace.stop_reason`` says which happened.  Labels are the row argmax
+    of the final scores, ties broken toward the smallest class index and
+    flagged.  Nodes of a component
     without seeds are returned tied (label 0) with one
     :class:`~graphtv.errors.SeedlessComponentWarning`.
     """
@@ -607,7 +608,7 @@ def solve(graph, constraints, config=None):
             record.inner_iters,
             record.gap,
         )
-        if record.sum_ratios > prev_sum:
+        if record.gap is None or record.sum_ratios > prev_sum:
             trace.stop_reason = "no_decrease"
             if t == 0:
                 warnings.warn(
@@ -626,62 +627,46 @@ def solve(graph, constraints, config=None):
     return prediction_from_scores(u), trace
 
 
-def _fmt(x):
-    return format(float(x), ".17g")
-
-
 def write_scores_csv(path, prediction):
     """Scores table: node,score_0,...,score_{L-1},label,tie (17 sig. digits)."""
-    n, n_classes = prediction.scores.shape
-    header = ",".join(
-        ["node"] + [f"score_{k}" for k in range(n_classes)] + ["label", "tie"]
+    n_classes = prediction.scores.shape[1]
+    header = ["node", *(f"score_{k}" for k in range(n_classes)), "label", "tie"]
+    columns = (prediction.scores, prediction.labels, prediction.tie_flag)
+    rows = (
+        [str(i), *[fmt(x) for x in scores], str(label), str(int(tie))]
+        for i, (scores, label, tie) in enumerate(zip(*(c.tolist() for c in columns)))
     )
-    lines = [header]
-    for i in range(n):
-        cells = [str(i)]
-        cells += [_fmt(x) for x in prediction.scores[i]]
-        cells.append(str(int(prediction.labels[i])))
-        cells.append(str(int(prediction.tie_flag[i])))
-        lines.append(",".join(cells))
-    with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_table(path, header, rows)
 
 
 def read_scores_csv(path):
     """Parse a scores table back into a Prediction."""
-    with open(path, "r", newline="") as fh:
-        rows = fh.read().splitlines()
-    if not rows:
-        raise ParseError("empty scores file", line=1)
-    head = rows[0].split(",")
-    if len(head) < 4 or head[0] != "node" or head[-2:] != ["label", "tie"]:
-        raise ParseError("malformed scores header", line=1)
-    n_classes = len(head) - 3
-    if head[1:-2] != [f"score_{k}" for k in range(n_classes)]:
-        raise ParseError("malformed scores header", line=1)
     scores, labels, ties = [], [], []
-    for lineno, row in enumerate(rows[1:], start=2):
-        if not row.strip():
-            continue
-        cells = row.split(",")
-        if len(cells) != len(head):
-            raise ParseError(f"expected {len(head)} fields", line=lineno)
-        try:
-            node = int(cells[0])
-            vals = [float(c) for c in cells[1:-2]]
-            label = int(cells[-2])
-            tie = int(cells[-1])
-        except ValueError as exc:
-            raise ParseError(str(exc), line=lineno) from exc
-        if node != len(scores):
-            raise ParseError(f"expected node {len(scores)}, got {node}", line=lineno)
-        if not all(np.isfinite(vals)):
-            raise NonFiniteValueError("score is not finite", line=lineno)
-        if not 0 <= label < n_classes:
-            raise ParseError(f"label {label} out of range", line=lineno)
-        scores.append(vals)
-        labels.append(label)
-        ties.append(bool(tie))
+    with open(path, "r", newline="") as fh:
+        rows = read_rows(fh)
+        lineno, head = next(rows, (1, None))
+        if head is None:
+            raise ParseError("empty scores file", line=1)
+        n_classes = len(head) - 3
+        expected = ["node", *(f"score_{k}" for k in range(n_classes)), "label", "tie"]
+        if lineno != 1 or n_classes < 1 or head != expected:
+            raise ParseError("malformed scores header", line=1)
+        converters = [int, *[float] * n_classes, int, int]
+        for lineno, cells in rows:
+            if len(cells) != len(head):
+                raise ParseError(f"expected {len(head)} fields", line=lineno)
+            node, *vals, label, tie = convert_cells(converters, cells, lineno)
+            if node != len(scores):
+                raise ParseError(
+                    f"expected node {len(scores)}, got {node}", line=lineno
+                )
+            if not all(map(math.isfinite, vals)):
+                raise ParseError("score is not finite", line=lineno)
+            if not 0 <= label < n_classes:
+                raise ParseError(f"label {label} out of range", line=lineno)
+            scores.append(vals)
+            labels.append(label)
+            ties.append(bool(tie))
     if not scores:
         raise ParseError("scores file has no data rows", line=2)
     return Prediction(
@@ -693,7 +678,4 @@ def read_scores_csv(path):
 
 def write_trace_json(path, trace):
     """Trace file: a JSON array with one record per outer iteration."""
-    payload = [record.to_dict() for record in trace.records]
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+    write_json(path, [record.to_dict() for record in trace.records], allow_nan=False)

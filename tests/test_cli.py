@@ -203,15 +203,66 @@ def test_experiment_graph_route(tmp_path, sbm_files):
     assert (tmp_path / "rep.config.json").exists()
 
 
-def test_experiment_requires_exactly_one_source(tmp_path, sbm_files, capsys):
+def test_experiment_requires_graph(tmp_path, sbm_files, capsys):
     graph, truth, _ = sbm_files
     feats = tmp_path / "f.csv"
     feats.write_text("0.0,0.0\n1.0,1.0\n")
     base = ["experiment", "--truth", str(truth), "--fractions", "0.1",
             "--seeds", "0", "--report", str(tmp_path / "r.json")]
     assert run(*base) == 2
-    assert "exactly one of --features / --graph" in capsys.readouterr().err
-    assert run(*base, "--graph", str(graph), "--features", str(feats)) == 2
+    assert "--graph is required" in capsys.readouterr().err
+    assert not (tmp_path / "r.config.json").exists()  # a failed run writes none
+    # the graph comes from build-graph: the features route and its kernel
+    # flags are gone, and argparse rejects them
+    for extra in (["--features", str(feats)], ["--k", "5"], ["--sigma", "auto"]):
+        with pytest.raises(SystemExit) as info:
+            run(*base, "--graph", str(graph), *extra)
+        assert info.value.code == 2
+        assert extra[0] in capsys.readouterr().err
+
+
+_REMOVED_EXPERIMENT_PARAMETERS = {
+    "k": 10, "metric": "euclidean", "kernel": "gaussian", "sigma": "auto",
+    "symmetrize": "mean",
+}
+
+
+def test_experiment_replays_sidecar_of_graph_route(tmp_path, sbm_files):
+    # sidecars of earlier versions carry the removed features input and
+    # kernel parameters; a --graph run's sidecar still replays exactly
+    graph, truth, _ = sbm_files
+    report = tmp_path / "rep.json"
+    assert run("experiment", "--graph", str(graph), "--truth", str(truth),
+               "--fractions", "0.1,0.2", "--seeds", "0",
+               "--report", str(report)) == 0
+    rc = RunConfig.load(tmp_path / "rep.config.json")
+    assert "features" not in rc.inputs
+    assert not set(_REMOVED_EXPERIMENT_PARAMETERS) & set(rc.parameters)
+    rc.inputs["features"] = None
+    rc.parameters.update(_REMOVED_EXPERIMENT_PARAMETERS)
+    old = tmp_path / "old.config.json"
+    rc.write(old)
+    replay = tmp_path / "replay.json"
+    assert run("experiment", "--config", str(old), "--report", str(replay)) == 0
+    assert replay.read_bytes() == report.read_bytes()
+    again = RunConfig.load(tmp_path / "replay.config.json")
+    assert again.parameters == RunConfig.load(tmp_path / "rep.config.json").parameters
+
+
+def test_experiment_sidecar_of_features_route_exits_2(tmp_path, sbm_files, capsys):
+    _, truth, _ = sbm_files
+    old = tmp_path / "old.config.json"
+    RunConfig(
+        command="experiment",
+        parameters={"fractions": [0.1], "seeds": [0],
+                    **_REMOVED_EXPERIMENT_PARAMETERS},
+        inputs={"features": str(tmp_path / "f.csv"), "graph": None,
+                "truth": str(truth)},
+        outputs={"report": str(tmp_path / "rep.json"), "report_csv": None},
+    ).write(old)
+    assert run("experiment", "--config", str(old)) == 2
+    assert "--graph is required" in capsys.readouterr().err
+    assert not (tmp_path / "rep.json").exists()
 
 
 # --------------------------------------------------------------- exit codes

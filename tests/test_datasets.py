@@ -20,7 +20,6 @@ from graphtv import (
 from graphtv.errors import (
     FractionTooSmallError,
     GenerationFailedError,
-    NonFiniteValueError,
     ParseError,
     ShapeMismatchError,
 )
@@ -197,7 +196,7 @@ def test_features_csv_errors_carry_line_numbers(tmp_path):
 
     nan = tmp_path / "nan.csv"
     nan.write_text("1.0,2.0\n3.0,NaN\n")
-    with pytest.raises(NonFiniteValueError) as info:
+    with pytest.raises(ParseError, match="not finite") as info:
         load_features_csv(nan)
     assert info.value.line == 2
 
@@ -218,6 +217,12 @@ def test_labels_roundtrip_and_validation(tmp_path):
     noheader.write_text("0,1\n")
     with pytest.raises(ParseError) as info:
         load_labels_csv(noheader)
+    assert info.value.line == 1
+
+    blank = tmp_path / "blank.csv"
+    blank.write_text("\nnode,class\n0,1\n")
+    with pytest.raises(ParseError) as info:
+        load_labels_csv(blank)
     assert info.value.line == 1
 
     badrow = tmp_path / "badrow.csv"

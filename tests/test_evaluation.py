@@ -30,6 +30,7 @@ from graphtv.errors import (
     DegenerateClassError,
     DegenerateClassWarning,
     InvalidExperimentError,
+    ShapeMismatchError,
 )
 from oracles import (
     cliques_graph,
@@ -251,9 +252,9 @@ def test_stability_validation():
         stability_experiment(dataset, [0.1], [])
     with pytest.raises(InvalidExperimentError):
         stability_experiment(dataset, [0.1, 0.1], [1])
-    bare = LabeledDataset(truth=truth, n_classes=2)
-    with pytest.raises(InvalidExperimentError, match="kernel"):
-        stability_experiment(bare, [0.1], [1])
+    smaller, _ = synth_sbm((5, 6), 0.8, 0.1, 0)
+    with pytest.raises(ShapeMismatchError, match="graph"):
+        LabeledDataset(truth=truth, n_classes=2, graph=smaller)
 
 
 def test_stability_captures_cell_errors_and_continues():

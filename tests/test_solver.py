@@ -31,6 +31,7 @@ from graphtv.errors import (
     EmptyClassError,
     NonFiniteError,
     NoProgressWarning,
+    ParseError,
     SeedlessComponentWarning,
     ShapeMismatchError,
 )
@@ -709,7 +710,8 @@ def test_solve_raises_non_finite_with_partial_trace(monkeypatch):
 def test_solve_extreme_dt_never_records_non_finite(dt, tmp_path):
     # absurd (but finite) dt: steps may blow up internally, yet every
     # recorded quantity and the returned scores must stay finite; the step
-    # rescale itself must not overflow, and the trace must be strict JSON
+    # rescale itself must not overflow, and the trace must be strict JSON.
+    # A step whose gap overflowed certifies nothing, so it is never kept.
     graph, _ = synth_sbm((6, 6), 0.8, 0.1, 1)
     cons = make_constraints(12, 2, [[0], [6]], epsilon=0.1)
     with warnings.catch_warnings():
@@ -721,10 +723,7 @@ def test_solve_extreme_dt_never_records_non_finite(dt, tmp_path):
     assert all(np.isfinite(r) for r in trace.initial_ratios)
     for record in trace.records:
         assert all(np.isfinite(record.ratios))
-        if record.gap is None:  # overflowed, so it cannot have stopped the loop
-            assert record.hit_cap
-        else:
-            assert np.isfinite(record.gap)
+        assert record.gap is not None and np.isfinite(record.gap)
     path = tmp_path / "trace.json"
     write_trace_json(path, trace)
 
@@ -812,6 +811,35 @@ def test_scores_csv_roundtrip(tmp_path, rng):
     assert np.array_equal(back.scores, prediction.scores)
     assert np.array_equal(back.labels, prediction.labels)
     assert np.array_equal(back.tie_flag, prediction.tie_flag)
+
+
+_SCORES_HEAD = "node,score_0,score_1,label,tie\n"
+_SCORES_ROW0 = "0,0.5,-0.5,0,0\n"
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("", 1),
+        ("node,score_1,score_0,label,tie\n" + _SCORES_ROW0, 1),
+        (_SCORES_HEAD, 2),
+        (_SCORES_HEAD + "0,0.5,-0.5,0\n", 2),
+        (_SCORES_HEAD + _SCORES_ROW0 + "x,0.5,-0.5,0,0\n", 3),
+        (_SCORES_HEAD + _SCORES_ROW0 + "\n2,0.5,-0.5,0,0\n", 4),
+        (_SCORES_HEAD + _SCORES_ROW0 + "1,nan,-0.5,0,0\n", 3),
+        (_SCORES_HEAD + "0,0.5,-0.5,2,0\n", 2),
+    ],
+    ids=[
+        "empty", "bad-header", "header-only", "field-count", "non-int-node",
+        "node-order", "nan-score", "label-range",
+    ],
+)
+def test_read_scores_csv_errors_carry_line_numbers(tmp_path, text, line):
+    path = tmp_path / "scores.csv"
+    path.write_text(text)
+    with pytest.raises(ParseError) as info:
+        read_scores_csv(path)
+    assert info.value.line == line
 
 
 def test_trace_json_schema(tmp_path):

@@ -55,7 +55,6 @@ from .solver import (
     outer_step,
     prediction_from_scores,
     project_constraints,
-    ratio,
     read_scores_csv,
     solve,
     write_scores_csv,
@@ -86,7 +85,6 @@ __all__ = [
     "constraint_violation",
     "initialize_state",
     "outer_step",
-    "ratio",
     "solve",
     "prediction_from_scores",
     "write_scores_csv",

@@ -4,10 +4,14 @@ The pipeline is deliberately staged around files — features CSV, graph
 binary, seed CSV, scores CSV — so the expensive graph build is cached on
 disk and the solver can be re-run across many partitions of the same graph:
 ``solve`` and ``experiment`` both take the graph that ``build-graph`` (or
-``synth sbm``) wrote.  Every command writes the fully resolved configuration
-(defaults expanded) as a ``*.config.json`` next to its primary output;
-re-running the command with ``--config <that file>`` reproduces the run
-byte for byte.
+``synth sbm``) wrote.  The class count is the largest class id + 1 of the
+seed file (``solve``) or the truth file (``experiment``).
+
+Each command is declared once, in ``_COMMANDS``: handler, help and flags.
+It writes its fully resolved configuration (defaults expanded) as a
+``*.config.json`` next to its first output file; re-running the command
+with ``--config <that file>`` reproduces the run byte for byte.  Config
+keys the command does not declare, such as removed options, are ignored.
 
 Exit codes: 0 success, 2 usage/validation, 3 non-convergence (outputs are
 still written), 4 numerical failure.  Log verbosity comes from the
@@ -18,6 +22,7 @@ logs go to stderr, data to stdout and files.
 from __future__ import annotations
 
 import argparse
+import collections
 import dataclasses
 import json
 import logging
@@ -51,6 +56,7 @@ from .evaluation import (
     write_report_csv,
     write_report_json,
 )
+from .graph import _KERNELS, _METRICS, _SYMMETRIZATIONS
 from .graph import KernelSpec, build_knn_graph, load_graph, save_graph
 from .solver import (
     LabelConstraints,
@@ -145,7 +151,7 @@ class RunConfig:
 
 
 # --------------------------------------------------------------------------
-# option tables
+# options
 #
 # Every flag is declared once, with its role (parameter vs input/output
 # path), type, and default.  argparse itself keeps all defaults at None so
@@ -195,106 +201,12 @@ def _sigma_value(text):
 _SOLVER_FIELDS = {f.name: f.default for f in dataclasses.fields(SolverConfig)}
 
 _SOLVER_OPTS = [
-    _Opt("epsilon", "param", float, 0.1, help="seed margin"),
+    _Opt("epsilon", "param", float, LabelConstraints.epsilon, help="seed margin"),
     *(
         _Opt(name, "param", type(default), default)
         for name, default in _SOLVER_FIELDS.items()
     ),
 ]
-
-_COMMANDS = {
-    "synth two-moons": [
-        _Opt("n", "param", int, 500),
-        _Opt("noise", "param", float, 0.1),
-        _Opt("seed", "param", int, 0),
-        _Opt("out_features", "out", str, required=True),
-        _Opt("out_truth", "out", str, required=True),
-    ],
-    "synth sbm": [
-        _Opt("sizes", "param", _csv_ints, required=True, help="e.g. 20,20"),
-        _Opt("p_in", "param", float, required=True),
-        _Opt("p_out", "param", float, required=True),
-        _Opt("seed", "param", int, 0),
-        _Opt("out_graph", "out", str, required=True),
-        _Opt("out_truth", "out", str, required=True),
-    ],
-    "build-graph": [
-        _Opt("features", "in", str, required=True),
-        _Opt("k", "param", int, required=True, help="neighbours per node"),
-        _Opt("metric", "param", str, "euclidean", choices=("euclidean", "cosine")),
-        _Opt("kernel", "param", str, "gaussian", choices=("gaussian", "binary")),
-        _Opt("sigma", "param", _sigma_value, "auto",
-             help="gaussian bandwidth, or 'auto'"),
-        _Opt("symmetrize", "param", str, "mean", choices=("mean", "max")),
-        _Opt("out", "out", str, required=True),
-    ],
-    "solve": [
-        _Opt("graph", "in", str, required=True),
-        _Opt("labels", "in", str, required=True, help="seed CSV (node,class)"),
-        _Opt("classes", "param", int, help="default: max class in labels + 1"),
-        *_SOLVER_OPTS,
-        _Opt("out_scores", "out", str, required=True),
-        _Opt("out_trace", "out", str),
-    ],
-    "eval": [
-        _Opt("scores", "in", str, required=True),
-        _Opt("truth", "in", str, required=True, help="full truth CSV (node,class)"),
-        _Opt("labels", "in", str, required=True, help="seed CSV; excluded from metrics"),
-        _Opt("epsilon", "param", float, 0.1),
-        _Opt("report", "out", str, required=True),
-    ],
-    "experiment": [
-        _Opt("graph", "in", str, required=True, help="graph from build-graph"),
-        _Opt("truth", "in", str, required=True),
-        _Opt("classes", "param", int, help="default: max class in truth + 1"),
-        _Opt("fractions", "param", _csv_floats, required=True),
-        _Opt("seeds", "param", _csv_ints, required=True),
-        *_SOLVER_OPTS,
-        _Opt("jobs", "param", int, 1),
-        _Opt("report", "out", str, required=True),
-        _Opt("report_csv", "out", str),
-    ],
-}
-
-# primary output per command: the resolved config lands beside this file
-_PRIMARY_OUT = {
-    "synth two-moons": "out_features",
-    "synth sbm": "out_graph",
-    "build-graph": "out",
-    "solve": "out_scores",
-    "eval": "report",
-    "experiment": "report",
-}
-
-
-def _resolve(command, args):
-    """Merge CLI flags over --config values over declared defaults."""
-    loaded = None
-    if getattr(args, "config", None) is not None:
-        loaded = RunConfig.load(args.config)
-        if loaded.command != command:
-            raise UsageError(
-                f"--config is for '{loaded.command}', not '{command}'"
-            )
-    sections = {"param": {}, "in": {}, "out": {}}
-    for opt in _COMMANDS[command]:
-        value = getattr(args, opt.dest)
-        if value is None and loaded is not None:
-            for sect in (loaded.parameters, loaded.inputs, loaded.outputs):
-                if opt.dest in sect and sect[opt.dest] is not None:
-                    value = sect[opt.dest]
-                    break
-        if value is None:
-            value = opt.default
-        if value is None and opt.required:
-            raise UsageError(f"{opt.flag} is required")
-        sections[opt.kind][opt.dest] = value
-    return RunConfig(
-        command=command,
-        parameters=sections["param"],
-        inputs=sections["in"],
-        outputs=sections["out"],
-    )
 
 
 def _solver_config(params):
@@ -350,12 +262,10 @@ def cmd_build_graph(rc):
 def cmd_solve(rc):
     graph = load_graph(rc.inputs["graph"])
     nodes, classes = load_labels_csv(rc.inputs["labels"])
-    n_classes = rc.parameters["classes"]
-    if n_classes is None:
-        n_classes = int(max(classes)) + 1 if len(classes) else 0
-        rc.parameters["classes"] = n_classes
+    # every class needs a seed, so the seed file fixes the class count
     constraints = LabelConstraints.from_pairs(
-        nodes, classes, graph.n, int(n_classes), float(rc.parameters["epsilon"])
+        nodes, classes, graph.n, int(classes.max()) + 1,
+        float(rc.parameters["epsilon"]),
     )
     prediction, trace = solve(graph, constraints, _solver_config(rc.parameters))
     write_scores_csv(rc.outputs["out_scores"], prediction)
@@ -372,12 +282,11 @@ def cmd_eval(rc):
     prediction = read_scores_csv(rc.inputs["scores"])
     n, n_classes = prediction.scores.shape
     truth = truth_from_pairs(*load_labels_csv(rc.inputs["truth"]), n)
-    seed_nodes, seed_classes = load_labels_csv(rc.inputs["labels"])
     constraints = LabelConstraints.from_pairs(
-        seed_nodes, seed_classes, n, n_classes, float(rc.parameters["epsilon"])
+        *load_labels_csv(rc.inputs["labels"]), n, n_classes
     )
     report = evaluate(prediction, truth, constraints)
-    write_json(rc.outputs["report"], report.to_dict())
+    write_json(rc.outputs["report"], dataclasses.asdict(report))
     print(f"accuracy={report.accuracy:.6g} average_auc={report.average_auc:.6g}")
     return EXIT_OK
 
@@ -386,11 +295,8 @@ def cmd_experiment(rc):
     p = rc.parameters
     nodes, classes = load_labels_csv(rc.inputs["truth"])
     truth = truth_from_pairs(nodes, classes, len(nodes))
-    if p["classes"] is None:
-        p["classes"] = int(truth.max()) + 1
-    dataset = LabeledDataset(
-        truth=truth, n_classes=int(p["classes"]), graph=load_graph(rc.inputs["graph"])
-    )
+    graph = load_graph(rc.inputs["graph"])
+    dataset = LabeledDataset(truth=truth, n_classes=int(truth.max()) + 1, graph=graph)
     report = stability_experiment(
         dataset,
         fractions=[float(f) for f in p["fractions"]],
@@ -405,14 +311,90 @@ def cmd_experiment(rc):
     return EXIT_OK
 
 
-_HANDLERS = {
-    "synth two-moons": cmd_synth,
-    "synth sbm": cmd_synth,
-    "build-graph": cmd_build_graph,
-    "solve": cmd_solve,
-    "eval": cmd_eval,
-    "experiment": cmd_experiment,
+_Command = collections.namedtuple("_Command", "handler help opts")
+
+#: every command, once: "synth <kind>" names go under the synth group.  The
+#: run config lands beside the command's first output file.
+_COMMANDS = {
+    "synth two-moons": _Command(cmd_synth, "two interleaved half-circles", [
+        _Opt("n", "param", int, 500),
+        _Opt("noise", "param", float, 0.1),
+        _Opt("seed", "param", int, 0),
+        _Opt("out_features", "out", str, required=True),
+        _Opt("out_truth", "out", str, required=True),
+    ]),
+    "synth sbm": _Command(cmd_synth, "stochastic block model graph", [
+        _Opt("sizes", "param", _csv_ints, required=True, help="e.g. 20,20"),
+        _Opt("p_in", "param", float, required=True),
+        _Opt("p_out", "param", float, required=True),
+        _Opt("seed", "param", int, 0),
+        _Opt("out_graph", "out", str, required=True),
+        _Opt("out_truth", "out", str, required=True),
+    ]),
+    "build-graph": _Command(cmd_build_graph, "k-NN graph from a features CSV", [
+        _Opt("features", "in", str, required=True),
+        _Opt("k", "param", int, required=True, help="neighbours per node"),
+        _Opt("metric", "param", str, "euclidean", choices=_METRICS),
+        _Opt("kernel", "param", str, "gaussian", choices=_KERNELS),
+        _Opt("sigma", "param", _sigma_value, "auto",
+             help="gaussian bandwidth, or 'auto'"),
+        _Opt("symmetrize", "param", str, "mean", choices=_SYMMETRIZATIONS),
+        _Opt("out", "out", str, required=True),
+    ]),
+    "solve": _Command(cmd_solve, "label a graph from seed nodes", [
+        _Opt("graph", "in", str, required=True),
+        _Opt("labels", "in", str, required=True, help="seed CSV; sets the class count"),
+        *_SOLVER_OPTS,
+        _Opt("out_scores", "out", str, required=True),
+        _Opt("out_trace", "out", str),
+    ]),
+    "eval": _Command(cmd_eval, "heldout accuracy and AUC of a scores file", [
+        _Opt("scores", "in", str, required=True),
+        _Opt("truth", "in", str, required=True, help="full truth CSV (node,class)"),
+        _Opt("labels", "in", str, required=True, help="seed CSV; excluded from metrics"),
+        _Opt("report", "out", str, required=True),
+    ]),
+    "experiment": _Command(cmd_experiment, "fraction x seed stability grid", [
+        _Opt("graph", "in", str, required=True, help="graph from build-graph"),
+        _Opt("truth", "in", str, required=True, help="truth CSV; sets the class count"),
+        _Opt("fractions", "param", _csv_floats, required=True),
+        _Opt("seeds", "param", _csv_ints, required=True),
+        *_SOLVER_OPTS,
+        _Opt("jobs", "param", int, 1),
+        _Opt("report", "out", str, required=True),
+        _Opt("report_csv", "out", str),
+    ]),
 }
+
+
+def _resolve(command, args):
+    """Merge CLI flags over --config values over declared defaults."""
+    loaded = None
+    if getattr(args, "config", None) is not None:
+        loaded = RunConfig.load(args.config)
+        if loaded.command != command:
+            raise UsageError(
+                f"--config is for '{loaded.command}', not '{command}'"
+            )
+    sections = {"param": {}, "in": {}, "out": {}}
+    for opt in _COMMANDS[command].opts:
+        value = getattr(args, opt.dest)
+        if value is None and loaded is not None:
+            for sect in (loaded.parameters, loaded.inputs, loaded.outputs):
+                if opt.dest in sect and sect[opt.dest] is not None:
+                    value = sect[opt.dest]
+                    break
+        if value is None:
+            value = opt.default
+        if value is None and opt.required:
+            raise UsageError(f"{opt.flag} is required")
+        sections[opt.kind][opt.dest] = value
+    return RunConfig(
+        command=command,
+        parameters=sections["param"],
+        inputs=sections["in"],
+        outputs=sections["out"],
+    )
 
 
 # --------------------------------------------------------------------------
@@ -424,7 +406,7 @@ def _attach(parser, command):
         "--config", default=None, metavar="JSON",
         help="resolved run-config file to replay; explicit flags override it",
     )
-    for opt in _COMMANDS[command]:
+    for opt in _COMMANDS[command].opts:
         kwargs = {"default": None, "help": opt.help or None, "metavar": opt.dest.upper()}
         if opt.choices is not None:
             kwargs["choices"] = opt.choices
@@ -442,16 +424,11 @@ def build_parser():
     )
     parser.add_argument("--version", action="version", version=f"graphtv {__version__}")
     sub = parser.add_subparsers(dest="_top", required=True)
-
     synth = sub.add_parser("synth", help="generate a benchmark dataset")
-    gen = synth.add_subparsers(dest="_gen", required=True)
-    _attach(gen.add_parser("two-moons", help="two interleaved half-circles"), "synth two-moons")
-    _attach(gen.add_parser("sbm", help="stochastic block model graph"), "synth sbm")
-
-    _attach(sub.add_parser("build-graph", help="k-NN graph from a features CSV"), "build-graph")
-    _attach(sub.add_parser("solve", help="label a graph from seed nodes"), "solve")
-    _attach(sub.add_parser("eval", help="heldout accuracy and AUC of a scores file"), "eval")
-    _attach(sub.add_parser("experiment", help="fraction x seed stability grid"), "experiment")
+    groups = {"": sub, "synth": synth.add_subparsers(dest="_gen", required=True)}
+    for name, command in _COMMANDS.items():
+        group, _, leaf = name.rpartition(" ")
+        _attach(groups[group].add_parser(leaf, help=command.help), name)
     return parser
 
 
@@ -471,10 +448,11 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         rc = _resolve(args.command, args)
-        code = _HANDLERS[args.command](rc)
-        # after the handler: it records inferred values such as --classes
-        primary = Path(rc.outputs[_PRIMARY_OUT[args.command]])
-        rc.write(primary.with_suffix(".config.json"))
+        command = _COMMANDS[args.command]
+        code = command.handler(rc)
+        # after the handler: a run that raised writes no config
+        first_out = next(o.dest for o in command.opts if o.kind == "out")
+        rc.write(Path(rc.outputs[first_out]).with_suffix(".config.json"))
         return code
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -42,18 +42,11 @@ class LabeledDataset:
         if self.graph.n != self.truth.shape[0]:
             raise ShapeMismatchError("graph row count differs from truth")
 
-    @property
-    def n(self):
-        return self.truth.shape[0]
-
 
 @dataclass
 class Partition:
-    """A labeled/heldout split: which nodes are seeds, which are evaluated."""
+    """The heldout side of a split; the seeds live in its LabelConstraints."""
 
-    labeled_fraction: float
-    seed: int
-    labeled: list
     eval_indices: np.ndarray
     degenerate: bool = False
 
@@ -148,14 +141,7 @@ def make_partition(truth, n_classes, labeled_fraction, seed, epsilon=0.1):
         n=n, n_classes=n_classes, labeled=labeled, epsilon=epsilon
     )
     eval_indices = constraints.unlabeled_nodes
-    partition = Partition(
-        labeled_fraction=labeled_fraction,
-        seed=seed,
-        labeled=labeled,
-        eval_indices=eval_indices,
-        degenerate=eval_indices.size == 0,
-    )
-    return constraints, partition
+    return constraints, Partition(eval_indices, degenerate=eval_indices.size == 0)
 
 
 def write_features_csv(path, features):

@@ -37,15 +37,6 @@ class EvalReport:
     n_eval: int
     partition: dict
 
-    def to_dict(self):
-        return {
-            "per_class_auc": self.per_class_auc,
-            "average_auc": self.average_auc,
-            "accuracy": self.accuracy,
-            "n_eval": self.n_eval,
-            "partition": self.partition,
-        }
-
 
 def roc_auc(scores, positives):
     """Probability that a random positive outranks a random negative.
@@ -85,6 +76,8 @@ def evaluate(prediction, truth, constraints):
     truth = np.asarray(truth, dtype=np.int64)
     if truth.shape[0] != constraints.n:
         raise ShapeMismatchError("truth length does not match constraints")
+    if truth.min() < 0 or truth.max() >= constraints.n_classes:
+        raise ValueError("truth contains a class id out of range")
     if prediction.scores.shape != (constraints.n, constraints.n_classes):
         raise ShapeMismatchError("prediction shape does not match constraints")
     held = constraints.unlabeled_nodes
@@ -148,10 +141,16 @@ def baseline_label_spreading(graph, constraints, alpha=0.99):
     return prediction_from_scores(f)
 
 
-def _run_cell(graph, truth, n_classes, fraction, part_seed, config, epsilon):
-    constraints, _ = make_partition(truth, n_classes, fraction, part_seed, epsilon)
-    prediction, _ = solve(graph, constraints, config)
-    report = evaluate(prediction, truth, constraints)
+def _cell_guarded(args):
+    """Solve and evaluate one grid cell; a solver error becomes an error cell."""
+    graph, truth, n_classes, fraction, part_seed, config, epsilon = args
+    try:
+        constraints, _ = make_partition(truth, n_classes, fraction, part_seed, epsilon)
+        prediction, _ = solve(graph, constraints, config)
+        report = evaluate(prediction, truth, constraints)
+    except GraphTVError as exc:
+        log.warning("cell fraction=%s seed=%s failed: %s", fraction, part_seed, exc)
+        return {"fraction": fraction, "seed": part_seed, "error": str(exc)}
     return {
         "fraction": fraction,
         "seed": part_seed,
@@ -159,15 +158,6 @@ def _run_cell(graph, truth, n_classes, fraction, part_seed, config, epsilon):
         "auc_per_class": report.per_class_auc,
         "auc_mean": report.average_auc,
     }
-
-
-def _cell_guarded(args):
-    graph, truth, n_classes, fraction, part_seed, config, epsilon = args
-    try:
-        return _run_cell(graph, truth, n_classes, fraction, part_seed, config, epsilon)
-    except GraphTVError as exc:
-        log.warning("cell fraction=%s seed=%s failed: %s", fraction, part_seed, exc)
-        return {"fraction": fraction, "seed": part_seed, "error": str(exc)}
 
 
 def stability_experiment(

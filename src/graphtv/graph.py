@@ -12,6 +12,7 @@ Distance ties go to the lower node index.
 """
 
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,10 +62,6 @@ class FeatureMatrix:
     @property
     def n(self):
         return self.values.shape[0]
-
-    @property
-    def dim(self):
-        return self.values.shape[1]
 
 
 @dataclass(frozen=True)
@@ -164,20 +161,6 @@ class Graph:
     @classmethod
     def from_dense(cls, matrix):
         return cls.from_csr(sparse.csr_matrix(np.asarray(matrix, dtype=np.float64)))
-
-    @classmethod
-    def from_edges(cls, n, edges_i, edges_j, weights):
-        """Build from one direction of each undirected edge."""
-        i = np.asarray(edges_i, dtype=np.int64)
-        j = np.asarray(edges_j, dtype=np.int64)
-        w = np.asarray(weights, dtype=np.float64)
-        if not (i.shape == j.shape == w.shape):
-            raise ShapeMismatchError("edge arrays must have equal length")
-        mat = sparse.coo_matrix(
-            (np.concatenate([w, w]), (np.concatenate([i, j]), np.concatenate([j, i]))),
-            shape=(n, n),
-        )
-        return cls.from_csr(mat.tocsr())
 
 
 def _row_blocks(n):
@@ -309,13 +292,6 @@ def build_knn_graph(features, spec):
         ) from exc
 
 
-def _read_exact(handle, count, what):
-    buf = handle.read(count)
-    if len(buf) != count:
-        raise ParseError(f"truncated graph file while reading {what}")
-    return buf
-
-
 def save_graph(graph, path):
     """Write a graph in the GXG1 binary layout (all fields little-endian).
 
@@ -333,23 +309,30 @@ def save_graph(graph, path):
 
 
 def load_graph(path):
-    """Read a GXG1 file and validate every graph invariant."""
+    """Read a GXG1 file and validate every graph invariant.
+
+    The file size must be exactly the one the header's n and nnz imply, so
+    a truncated file, trailing bytes and a corrupt header all raise
+    :class:`ParseError` before any section is read.
+    """
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _GXG_MAGIC:
-            raise ParseError(f"bad magic {magic!r}, expected {_GXG_MAGIC!r}")
-        n, nnz = np.frombuffer(_read_exact(fh, 16, "header"), dtype="<u8")
-        n, nnz = int(n), int(nnz)
-        indptr = np.frombuffer(
-            _read_exact(fh, 8 * (n + 1), "row pointers"), dtype="<u8"
-        ).astype(np.int64)
-        indices = np.frombuffer(
-            _read_exact(fh, 8 * nnz, "column indices"), dtype="<u8"
-        ).astype(np.int64)
-        data = np.frombuffer(_read_exact(fh, 8 * nnz, "weights"), dtype="<f8")
-        degrees = np.frombuffer(_read_exact(fh, 8 * n, "degrees"), dtype="<f8")
-        if fh.read(1):
-            raise ParseError("trailing bytes after graph payload")
+        head = fh.read(20)
+        if head[:4] != _GXG_MAGIC:
+            raise ParseError(f"bad magic {head[:4]!r}, expected {_GXG_MAGIC!r}")
+        if len(head) != 20:
+            raise ParseError("truncated graph file while reading header")
+        n, nnz = (int(x) for x in np.frombuffer(head, dtype="<u8", offset=4))
+        expected = 20 + 8 * (n + 1) + 16 * nnz + 8 * n
+        size = os.fstat(fh.fileno()).st_size
+        if size != expected:
+            raise ParseError(
+                f"graph file has {size} bytes, but its header (n={n}, "
+                f"nnz={nnz}) implies {expected}"
+            )
+        indptr = np.frombuffer(fh.read(8 * (n + 1)), dtype="<u8").astype(np.int64)
+        indices = np.frombuffer(fh.read(8 * nnz), dtype="<u8").astype(np.int64)
+        data = np.frombuffer(fh.read(8 * nnz), dtype="<f8")
+        degrees = np.frombuffer(fh.read(8 * n), dtype="<f8")
     if indptr[0] != 0 or indptr[-1] != nnz or np.any(np.diff(indptr) < 0):
         raise ParseError("row pointers are not a valid monotone index")
     if nnz and (indices.min() < 0 or indices.max() >= n):

@@ -49,10 +49,6 @@ class NormalizedGradient:
         self.matrix = sparse.csr_matrix((vals, (rows, cols)), shape=(m, graph.n))
         self.adjoint_matrix = self.matrix.T.tocsr()
 
-    @property
-    def shape(self):
-        return self.matrix.shape
-
 
 def _check_input(x, length):
     x = np.asarray(x, dtype=np.float64)

@@ -204,9 +204,6 @@ class OuterRecord:
     max_violation: float
     wall_ms: float
 
-    def to_dict(self):
-        return dataclasses.asdict(self)
-
 
 @dataclass
 class SolveTrace:
@@ -328,16 +325,10 @@ def constraint_violation(u, constraints):
 
 
 def _ratio_terms(operator, u):
+    """Columnwise TV(u), ||u||_1 and TV(u) / max(||u||_1, ZERO_GUARD)."""
     tv = np.abs(operator.matrix @ u).sum(axis=0)
     l1 = np.abs(u).sum(axis=0)
     return tv, l1, tv / np.maximum(l1, ZERO_GUARD)
-
-
-def ratio(operator, u):
-    """TV(u) / max(||u||_1, ZERO_GUARD), columnwise for matrix input."""
-    u = np.asarray(u, dtype=np.float64)
-    _, _, r = _ratio_terms(operator, u)
-    return float(r) if u.ndim == 1 else r
 
 
 def seedless_nodes(graph, constraints):
@@ -678,4 +669,4 @@ def read_scores_csv(path):
 
 def write_trace_json(path, trace):
     """Trace file: a JSON array with one record per outer iteration."""
-    write_json(path, [record.to_dict() for record in trace.records], allow_nan=False)
+    write_json(path, [dataclasses.asdict(record) for record in trace.records], allow_nan=False)

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 import graphtv.solver
-from graphtv import SolverConfig
-from graphtv.cli import _SOLVER_OPTS, RunConfig, main
+from graphtv import LabelConstraints, SolverConfig
+from graphtv.cli import _COMMANDS, _SOLVER_OPTS, RunConfig, main
 from graphtv.datasets import load_labels_csv, write_labels_csv
 from graphtv.errors import NonFiniteError, ParseError
 from graphtv.graph import save_graph
@@ -130,7 +130,7 @@ def test_solve_sidecar_expands_defaults_and_replays_identically(
     rc = RunConfig.load(sidecar)
     assert rc.command == "solve"
     assert rc.parameters["sigma0"] == 1.9  # defaults were expanded
-    assert rc.parameters["classes"] == 2  # inferred value is recorded
+    assert "classes" not in rc.parameters  # the seed file fixes the count
     assert sidecar.read_text() == canonical(sidecar.read_text())
 
     replay = tmp_path / "replay.csv"
@@ -145,7 +145,11 @@ def test_solve_sidecar_expands_defaults_and_replays_identically(
 
 @pytest.mark.parametrize(
     "key, old_value, flag",
-    [("seed", 0, "--seed"), ("step_rule", "heuristic", "--step-rule")],
+    [
+        ("seed", 0, "--seed"),
+        ("step_rule", "heuristic", "--step-rule"),
+        ("classes", 2, "--classes"),
+    ],
 )
 def test_solve_replays_sidecar_written_with_removed_option(
     tmp_path, sbm_files, capsys, key, old_value, flag
@@ -265,6 +269,82 @@ def test_experiment_sidecar_of_features_route_exits_2(tmp_path, sbm_files, capsy
     assert not (tmp_path / "rep.json").exists()
 
 
+@pytest.mark.parametrize(
+    "command, key, old_value",
+    [("experiment", "classes", 2), ("eval", "epsilon", 0.7)],
+)
+def test_replays_sidecar_written_with_removed_option(
+    tmp_path, sbm_files, capsys, command, key, old_value
+):
+    # experiment's class count comes from the truth file, and eval never
+    # reads the seed margin: old sidecars that carry either still replay
+    graph, truth, seeds = sbm_files
+    if command == "experiment":
+        argv = ["experiment", "--graph", str(graph), "--truth", str(truth),
+                "--fractions", "0.1,0.2", "--seeds", "0"]
+    else:
+        scores = tmp_path / "scores.csv"
+        assert run("solve", "--graph", str(graph), "--labels", str(seeds),
+                   "--out-scores", str(scores)) == 0
+        argv = ["eval", "--scores", str(scores), "--truth", str(truth),
+                "--labels", str(seeds)]
+    report = tmp_path / "rep.json"
+    assert run(*argv, "--report", str(report)) == 0
+    rc = RunConfig.load(tmp_path / "rep.config.json")
+    assert key not in rc.parameters
+    rc.parameters[key] = old_value
+    old = tmp_path / "old.config.json"
+    rc.write(old)
+    replay = tmp_path / "replay.json"
+    assert run(command, "--config", str(old), "--report", str(replay)) == 0
+    assert replay.read_bytes() == report.read_bytes()
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as info:
+        run(*argv, "--report", str(report), "--" + key, str(old_value))
+    assert info.value.code == 2
+    assert "--" + key in capsys.readouterr().err
+
+
+# the value of each required flag that names neither a file nor a choice
+_REQUIRED_PARAMETERS = {
+    "sizes": "6,6", "p_in": "0.9", "p_out": "0.2", "k": "3",
+    "fractions": "0.2", "seeds": "0",
+}
+
+
+@pytest.mark.parametrize("command", list(_COMMANDS))
+def test_run_config_lands_beside_first_output(tmp_path, sbm_files, command):
+    graph, truth, seeds = sbm_files
+    inputs = {"graph": graph, "truth": truth, "labels": seeds,
+              "features": tmp_path / "f.csv", "scores": tmp_path / "s.csv"}
+    assert run("synth", "two-moons", "--n", "20", "--out-features",
+               str(inputs["features"]), "--out-truth", str(tmp_path / "t.csv")) == 0
+    assert run("solve", "--graph", str(graph), "--labels", str(seeds),
+               "--out-scores", str(inputs["scores"])) == 0
+    argv, outs = command.split(), []
+    for opt in _COMMANDS[command].opts:
+        if opt.kind == "in":
+            argv += [opt.flag, str(inputs[opt.dest])]
+        elif opt.kind == "out":
+            outs.append(opt.dest)
+            argv += [opt.flag, str(tmp_path / f"{opt.dest}.out")]
+        elif opt.dest in _REQUIRED_PARAMETERS:
+            argv += [opt.flag, _REQUIRED_PARAMETERS[opt.dest]]
+    assert run(*argv) == 0
+    for out in outs:
+        assert (tmp_path / f"{out}.out").exists()
+        assert (tmp_path / f"{out}.config.json").exists() == (out == outs[0])
+    assert RunConfig.load(tmp_path / f"{outs[0]}.config.json").command == command
+
+
+@pytest.mark.parametrize("command", list(_COMMANDS))
+def test_help_exits_0_for_every_command(command, capsys):
+    with pytest.raises(SystemExit) as info:
+        run(*command.split(), "--help")
+    assert info.value.code == 0
+    assert "--config" in capsys.readouterr().out
+
+
 # --------------------------------------------------------------- exit codes
 
 
@@ -280,10 +360,12 @@ def test_usage_errors_exit_2(tmp_path, sbm_files, capsys):
                "--out", str(tmp_path / "g.gxg")) == 2
     assert "k must be < n" in capsys.readouterr().err
 
-    # a declared class with no seed rows
-    assert run("solve", "--graph", str(graph), "--labels", str(seeds),
-               "--classes", "3", "--out-scores", str(tmp_path / "s.csv")) == 2
-    assert "class 2 has no seeds" in capsys.readouterr().err
+    # a class below the largest seed class with no seed rows
+    gap = tmp_path / "gap.csv"
+    write_labels_csv(gap, np.array([0, 5, 12, 17]), np.array([0, 0, 2, 2]))
+    assert run("solve", "--graph", str(graph), "--labels", str(gap),
+               "--out-scores", str(tmp_path / "s.csv")) == 2
+    assert "class 1 has no seeds" in capsys.readouterr().err
 
     # missing required flag
     assert run("solve", "--graph", str(graph), "--labels", str(seeds)) == 2
@@ -298,6 +380,30 @@ def test_usage_errors_exit_2(tmp_path, sbm_files, capsys):
                "1.5", "--seed", "0", "--out-graph", str(tmp_path / "g2.gxg"),
                "--out-truth", str(tmp_path / "t2.csv")) == 2
     assert "p_out" in capsys.readouterr().err
+
+
+def test_corrupt_graph_header_exits_2(tmp_path, sbm_files, capsys):
+    _, _, seeds = sbm_files
+    bad = tmp_path / "bad.gxg"
+    bad.write_bytes(b"GXG1" + np.array([2**62, 0], dtype="<u8").tobytes())
+    assert run("solve", "--graph", str(bad), "--labels", str(seeds),
+               "--out-scores", str(tmp_path / "s.csv")) == 2
+    assert "implies" in capsys.readouterr().err
+    assert not (tmp_path / "s.csv").exists()
+
+
+def test_eval_truth_class_beyond_scores_exits_2(tmp_path, sbm_files, capsys):
+    graph, truth, seeds = sbm_files
+    scores = tmp_path / "s.csv"
+    assert run("solve", "--graph", str(graph), "--labels", str(seeds),
+               "--out-scores", str(scores)) == 0
+    nodes, classes = load_labels_csv(truth)
+    three = tmp_path / "truth3.csv"
+    write_labels_csv(three, nodes, np.where(nodes == 23, 2, classes))
+    assert run("eval", "--scores", str(scores), "--truth", str(three),
+               "--labels", str(seeds), "--report", str(tmp_path / "r.json")) == 2
+    assert "truth contains a class id out of range" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
 
 
 def test_isolated_node_build_exits_2_and_explains(tmp_path, capsys):
@@ -394,6 +500,8 @@ def test_solver_flag_defaults_are_solver_config_defaults():
     fields = {f.name: f.default for f in dataclasses.fields(SolverConfig)}
     opts = {opt.dest: opt for opt in _SOLVER_OPTS}
     assert set(opts) == set(fields) | {"epsilon"}  # epsilon: the seed margin
+    margin = {f.name: f.default for f in dataclasses.fields(LabelConstraints)}
+    assert opts["epsilon"].default == margin["epsilon"]
     for name, default in fields.items():
         assert opts[name].default == default, name
         assert opts[name].type is type(default), name

@@ -169,6 +169,17 @@ def test_evaluate_degenerate_class_excluded_with_warning(rng):
     assert report.average_auc == pytest.approx(np.mean(valid), abs=1e-12)
 
 
+@pytest.mark.parametrize("stray", [2, -1])
+def test_evaluate_rejects_truth_class_out_of_range(stray):
+    # a truth class the scores do not cover would count as wrong and as a
+    # negative in every AUC
+    truth = np.array([0, 0, 0, 1, 1, stray])
+    cons = make_constraints(6, 2, [[0], [3]])
+    scores = np.zeros((6, 2))
+    with pytest.raises(ValueError, match="truth contains a class id out of range"):
+        evaluate(prediction_from_scores(scores), truth, cons)
+
+
 # ---------------------------------------------------------------- baseline
 
 

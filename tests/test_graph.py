@@ -304,12 +304,6 @@ def test_edge_list_matches_csr(rng):
         assert np.allclose(graph.degrees, dense.sum(axis=1), rtol=1e-12, atol=0)
 
 
-def test_from_edges_roundtrip():
-    graph = Graph.from_edges(4, [0, 1, 2], [1, 2, 3], [1.0, 2.0, 0.5])
-    assert graph.num_edges == 3
-    assert graph.degrees == pytest.approx([1.0, 3.0, 2.5, 0.5])
-
-
 # ----------------------------------------------------------- binary format
 
 
@@ -351,3 +345,21 @@ def test_graph_file_truncation_detected(tmp_path, rng):
     (tmp_path / "trunc.gxg").write_bytes(path.read_bytes()[:-9])
     with pytest.raises(ParseError):
         load_graph(tmp_path / "trunc.gxg")
+    (tmp_path / "head.gxg").write_bytes(path.read_bytes()[:12])
+    with pytest.raises(ParseError, match="header"):
+        load_graph(tmp_path / "head.gxg")
+
+
+def test_graph_file_size_must_match_header(tmp_path, rng):
+    graph = random_connected_graph(rng, 8)
+    path = tmp_path / "g.gxg"
+    save_graph(graph, path)
+    (tmp_path / "long.gxg").write_bytes(path.read_bytes() + b"\0")
+    with pytest.raises(ParseError, match="implies"):
+        load_graph(tmp_path / "long.gxg")
+    # sizes that overflow any index type fail the same check, before a
+    # section is read
+    huge = tmp_path / "huge.gxg"
+    huge.write_bytes(b"GXG1" + np.array([2**62, 0], dtype="<u8").tobytes())
+    with pytest.raises(ParseError, match="n=4611686018427387904"):
+        load_graph(huge)

@@ -20,7 +20,6 @@ from graphtv import (
     outer_step,
     prediction_from_scores,
     project_constraints,
-    ratio,
     read_scores_csv,
     solve,
     synth_sbm,
@@ -488,7 +487,7 @@ def test_outer_step_decreases_on_bridged_triangles():
     op = NormalizedGradient(graph)
     config = SolverConfig()
     u = initialize_state(graph, cons)
-    before = sum(ratio(op, u[:, k]) for k in range(2))
+    before = _ratio_terms(op, u)[2].sum()
     u, record = outer_step(u, op, cons, config)
     assert record.sum_ratios <= before + 1e-9
     # per-class pre-shift certificate
@@ -553,7 +552,7 @@ def test_outer_step_record_ratios_match_carried_state(rng):
     cons = make_constraints(14, 2, [[0], [7]], epsilon=0.1)
     op = NormalizedGradient(graph)
     u, record = outer_step(initialize_state(graph, cons), op, cons, SolverConfig())
-    again = [ratio(op, u[:, k]) for k in range(2)]
+    again = _ratio_terms(op, u)[2]
     assert record.ratios == pytest.approx(again, rel=1e-12)
     assert record.sum_ratios == pytest.approx(sum(again), rel=1e-12)
 
@@ -781,12 +780,14 @@ def test_warm_start_beats_random_init_on_weak_bridges():
 def test_ratio_pinned_values():
     graph = Graph.from_dense(np.array([[0.0, 1.0], [1.0, 0.0]]))
     op = NormalizedGradient(graph)
-    assert ratio(op, np.array([1.0, -1.0])) == pytest.approx(1.0)
-    assert ratio(op, graph.degrees) == pytest.approx(0.0, abs=1e-12)
     u = np.array([0.3, -0.8])
-    assert ratio(op, 3.0 * u) == pytest.approx(ratio(op, u), rel=1e-12)
-    # zero vector hits the guard instead of dividing by zero
-    assert ratio(op, np.zeros(2)) == 0.0
+    columns = np.column_stack([[1.0, -1.0], graph.degrees, u, 3.0 * u, np.zeros(2)])
+    _, _, r = _ratio_terms(op, columns)
+    assert r[0] == pytest.approx(1.0)
+    assert r[1] == pytest.approx(0.0, abs=1e-12)  # the degree vector
+    assert r[3] == pytest.approx(r[2], rel=1e-12)  # scale invariance
+    # a zero column hits the guard instead of dividing by zero
+    assert r[4] == 0.0
 
 
 def test_prediction_ties_break_to_smallest_index():

@@ -13,10 +13,11 @@ It writes its fully resolved configuration (defaults expanded) as a
 with ``--config <that file>`` reproduces the run byte for byte.  Config
 keys the command does not declare, such as removed options, are ignored.
 
-Exit codes: 0 success, 2 usage/validation, 3 non-convergence (outputs are
-still written), 4 numerical failure.  Log verbosity comes from the
-``GRAPHX_LOG`` environment variable (error|warn|info|debug, default warn);
-logs go to stderr, data to stdout and files.
+Exit codes: 0 success, 2 usage/validation, 3 non-convergence or an
+``experiment`` whose every cell failed (outputs are still written), 4
+numerical failure.  Log verbosity comes from the ``GRAPHX_LOG``
+environment variable (error|warn|info|debug, default warn); logs go to
+stderr, data to stdout and files.
 """
 
 from __future__ import annotations
@@ -308,6 +309,9 @@ def cmd_experiment(rc):
     write_report_json(rc.outputs["report"], report)
     if rc.outputs["report_csv"] is not None:
         write_report_csv(rc.outputs["report_csv"], report)
+    if all("error" in cell for cell in report["cells"]):
+        print("error: every cell of the grid failed", file=sys.stderr)
+        return EXIT_NO_CONVERGENCE
     return EXIT_OK
 
 

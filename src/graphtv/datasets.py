@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from .errors import (
     FractionTooSmallError,
@@ -79,10 +80,14 @@ def synth_sbm(sizes, p_in, p_out, seed):
     """Stochastic block model with unit edge weights.
 
     Within-block pairs connect with probability ``p_in``, cross-block pairs
-    with ``p_out``.  Draws are resampled (same generator stream) until no
-    node is isolated, up to 100 attempts, then
-    :class:`~graphtv.errors.GenerationFailedError` is raised.  Returns
-    ``(Graph, truth)`` with block ids as truth.
+    with ``p_out``.  An attempt takes one uniform double per pair i < j in
+    row-major order of the upper triangle (row i: columns i + 1 .. n - 1,
+    its own block's first), the order of a single n(n - 1)/2 draw, so each
+    seed keeps the graph it has always given.  Rows go one at a time
+    straight into the CSR: O(n^2) time, O(n + m) memory for m edges.
+    Draws are resampled (same generator stream) until no node is isolated,
+    up to 100 attempts, then :class:`~graphtv.errors.GenerationFailedError`
+    is raised.  Returns ``(Graph, truth)`` with block ids as truth.
     """
     sizes = [int(s) for s in sizes]
     if len(sizes) < 2 or min(sizes) < 2:
@@ -92,16 +97,19 @@ def synth_sbm(sizes, p_in, p_out, seed):
             raise ValueError(f"{name} must lie in [0, 1]")
     n = sum(sizes)
     truth = np.repeat(np.arange(len(sizes), dtype=np.int64), sizes)
-    prob = np.where(truth[:, None] == truth[None, :], p_in, p_out)
     rng = np.random.default_rng(seed)
-    iu, ju = np.triu_indices(n, k=1)
     for _ in range(_SBM_MAX_ATTEMPTS):
-        keep = rng.random(iu.size) < prob[iu, ju]
-        adj = np.zeros((n, n))
-        adj[iu[keep], ju[keep]] = 1.0
-        adj += adj.T
-        if adj.sum(axis=1).min() > 0:
-            return Graph.from_dense(adj), truth
+        cols = []
+        for i in range(n):
+            prob = np.where(truth[i + 1 :] == truth[i], p_in, p_out)
+            cols.append(i + 1 + np.flatnonzero(rng.random(n - 1 - i) < prob))
+        indices = np.concatenate(cols)
+        indptr = np.concatenate([[0], np.cumsum([c.size for c in cols])])
+        if (np.diff(indptr) + np.bincount(indices, minlength=n)).min() > 0:
+            upper = sparse.csr_matrix(
+                (np.ones(indices.size), indices, indptr), shape=(n, n)
+            )
+            return Graph.from_csr(upper + upper.T), truth
     raise GenerationFailedError(
         f"no isolate-free draw in {_SBM_MAX_ATTEMPTS} attempts "
         f"(sizes={sizes}, p_in={p_in}, p_out={p_out})"

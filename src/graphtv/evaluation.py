@@ -180,7 +180,8 @@ def stability_experiment(
                                      auc_mean, auc_std, n_cells}}}
 
     A non-monotone mean-accuracy trend across increasing fractions is
-    logged as a warning but never raised.
+    logged as a warning but never raised.  ``jobs > 1`` solves the cells in
+    a pool of at most ``min(jobs, cells)`` worker processes.
     """
     fractions = list(fractions)
     seeds = list(seeds)
@@ -188,6 +189,8 @@ def stability_experiment(
         raise InvalidExperimentError("need at least one fraction and one seed")
     if len(set(fractions)) != len(fractions) or len(set(seeds)) != len(seeds):
         raise InvalidExperimentError("fractions and seeds must be unique")
+    if jobs < 1:
+        raise InvalidExperimentError(f"jobs must be >= 1, got {jobs}")
     if config is None:
         config = SolverConfig()
     grid = [
@@ -196,7 +199,7 @@ def stability_experiment(
         for s in seeds
     ]
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(grid))) as pool:
             cells = list(pool.map(_cell_guarded, grid))
     else:
         cells = [_cell_guarded(args) for args in grid]
@@ -214,7 +217,7 @@ def stability_experiment(
                 "auc_std": float(auc.std()),
                 "n_cells": len(ok),
             }
-            means.append(acc.mean())
+            means.append(float(acc.mean()))
         else:
             summary[str(f)] = {"n_cells": 0}
             means.append(float("nan"))

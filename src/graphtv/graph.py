@@ -13,7 +13,7 @@ Distance ties go to the lower node index.
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
@@ -103,30 +103,23 @@ class Graph:
     n : int
         Number of nodes.
     csr : scipy.sparse.csr_matrix
-        Symmetric non-negative weight matrix with zero diagonal.
+        Symmetric non-negative weight matrix with zero diagonal and sorted
+        column indices; each undirected edge is stored once per direction.
     degrees : ndarray, shape (n,)
         Row sums of ``csr``; strictly positive.
-    edges_i, edges_j : ndarray of int64
-        Canonical undirected edge endpoints with ``edges_i < edges_j``,
-        sorted lexicographically.
-    edge_weights : ndarray of float64
-        Weight per canonical edge, matching ``csr``.
     """
 
     n: int
     csr: sparse.csr_matrix
     degrees: np.ndarray
-    edges_i: np.ndarray = field(repr=False)
-    edges_j: np.ndarray = field(repr=False)
-    edge_weights: np.ndarray = field(repr=False)
 
     @property
     def num_edges(self):
-        return self.edges_i.shape[0]
+        return self.csr.nnz // 2
 
     @classmethod
     def from_csr(cls, matrix):
-        """Validate a symmetric weight matrix and derive the edge list."""
+        """Validate a symmetric weight matrix and derive its degrees."""
         w = sparse.csr_matrix(matrix, dtype=np.float64, copy=True)
         if w.shape[0] != w.shape[1]:
             raise ShapeMismatchError(f"weight matrix must be square, got {w.shape}")
@@ -147,20 +140,7 @@ class Graph:
         zero = np.flatnonzero(degrees <= 0.0)
         if zero.size:
             raise IsolatedNodeError(zero[0])
-        upper = sparse.triu(w, k=1).tocoo()
-        order = np.lexsort((upper.col, upper.row))
-        return cls(
-            n=n,
-            csr=w,
-            degrees=degrees,
-            edges_i=upper.row[order].astype(np.int64),
-            edges_j=upper.col[order].astype(np.int64),
-            edge_weights=upper.data[order].astype(np.float64),
-        )
-
-    @classmethod
-    def from_dense(cls, matrix):
-        return cls.from_csr(sparse.csr_matrix(np.asarray(matrix, dtype=np.float64)))
+        return cls(n=n, csr=w, degrees=degrees)
 
 
 def _row_blocks(n):

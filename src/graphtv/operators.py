@@ -36,15 +36,14 @@ class NormalizedGradient:
 
     def __init__(self, graph):
         self.graph = graph
-        m = graph.num_edges
+        # canonical edges i < j, in row-major order of the upper triangle
+        upper = sparse.triu(graph.csr, k=1).tocoo()
+        m = upper.nnz
         rows = np.concatenate([np.arange(m), np.arange(m)])
-        cols = np.concatenate([graph.edges_i, graph.edges_j])
+        cols = np.concatenate([upper.row, upper.col])
         inv_deg = 1.0 / graph.degrees
         vals = np.concatenate(
-            [
-                graph.edge_weights * inv_deg[graph.edges_i],
-                -graph.edge_weights * inv_deg[graph.edges_j],
-            ]
+            [upper.data * inv_deg[upper.row], -upper.data * inv_deg[upper.col]]
         )
         self.matrix = sparse.csr_matrix((vals, (rows, cols)), shape=(m, graph.n))
         self.adjoint_matrix = self.matrix.T.tocsr()

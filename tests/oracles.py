@@ -1,7 +1,8 @@
 """Independent oracles and small graph builders shared across test modules.
 
 These deliberately avoid the library's own code paths: the dense gradient
-matrix is assembled entry-by-entry from the edge list, the AUC oracle
+matrix is assembled entry-by-entry from the dense weight matrix, the SBM
+oracle draws every pair at once into an n x n adjacency, the AUC oracle
 counts pairs literally, the k-NN oracle stable-sorts a full distance
 matrix, the diffusion oracles solve their linear systems densely, the
 duality-gap oracle uses the dense gradient, and the reference inner loop
@@ -19,15 +20,46 @@ from graphtv import Graph
 from graphtv.errors import NonFiniteError, ShapeMismatchError
 
 
+def from_dense(matrix):
+    """Graph of a dense symmetric weight matrix."""
+    return Graph.from_csr(sparse.csr_matrix(np.asarray(matrix, dtype=np.float64)))
+
+
 def dense_gradient(graph):
-    """|E| x n dense matrix with row e = w_ij*(e_i/d_i - e_j/d_j), i<j."""
-    mat = np.zeros((graph.num_edges, graph.n))
-    for e, (i, j, w) in enumerate(
-        zip(graph.edges_i, graph.edges_j, graph.edge_weights)
-    ):
-        mat[e, i] = w / graph.degrees[i]
-        mat[e, j] = -w / graph.degrees[j]
+    """|E| x n dense matrix with row e = w_ij*(e_i/d_i - e_j/d_j), i<j.
+
+    Edges are the nonzeros of the upper triangle, in row-major order.
+    """
+    w = graph.csr.toarray()
+    rows, cols = np.nonzero(np.triu(w, k=1))
+    mat = np.zeros((rows.size, graph.n))
+    for e, (i, j) in enumerate(zip(rows, cols)):
+        mat[e, i] = w[i, j] / graph.degrees[i]
+        mat[e, j] = -w[i, j] / graph.degrees[j]
     return mat
+
+
+def dense_sbm(sizes, p_in, p_out, seed, max_attempts=100):
+    """Stochastic block model from one n(n-1)/2 draw per attempt.
+
+    Builds the n x n probability matrix and adjacency and draws every
+    upper-triangle pair at once; resamples from the same stream until no
+    node is isolated.  Returns ``(Graph, truth)``, or ``None`` when every
+    attempt leaves an isolated node.
+    """
+    n = sum(sizes)
+    truth = np.repeat(np.arange(len(sizes), dtype=np.int64), sizes)
+    prob = np.where(truth[:, None] == truth[None, :], p_in, p_out)
+    rng = np.random.default_rng(seed)
+    iu, ju = np.triu_indices(n, k=1)
+    for _ in range(max_attempts):
+        keep = rng.random(iu.size) < prob[iu, ju]
+        adj = np.zeros((n, n))
+        adj[iu[keep], ju[keep]] = 1.0
+        adj += adj.T
+        if adj.sum(axis=1).min() > 0:
+            return from_dense(adj), truth
+    return None
 
 
 def pairwise_auc(scores, positives):
@@ -60,7 +92,7 @@ def random_connected_graph(rng, n, extra=2.0):
         if i != j:
             weight = float(rng.uniform(0.1, 2.0))
             w[i, j] = w[j, i] = weight
-    return Graph.from_dense(w)
+    return from_dense(w)
 
 
 def triangles_bridge(w_bridge=0.1):
@@ -69,7 +101,7 @@ def triangles_bridge(w_bridge=0.1):
     for a, b in [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)]:
         w[a, b] = w[b, a] = 1.0
     w[2, 3] = w[3, 2] = w_bridge
-    return Graph.from_dense(w)
+    return from_dense(w)
 
 
 def cliques_graph(blocks, bridges=()):
@@ -83,7 +115,7 @@ def cliques_graph(blocks, bridges=()):
                     w[a, b] = 1.0
     for i, j, weight in bridges:
         w[i, j] = w[j, i] = weight
-    return Graph.from_dense(w)
+    return from_dense(w)
 
 
 def dense_distances(values, metric):

@@ -456,6 +456,34 @@ def test_budget_exhaustion_exits_3_but_writes_outputs(tmp_path, sbm_files, capsy
     assert (tmp_path / "s.config.json").exists()
 
 
+def test_experiment_with_every_cell_failed_exits_3(tmp_path, capsys):
+    graph, truth = tmp_path / "g.gxg", tmp_path / "truth.csv"
+    assert run("synth", "sbm", "--sizes", "6,6,6", "--p-in", "0.8", "--p-out",
+               "0.1", "--seed", "0", "--out-graph", str(graph),
+               "--out-truth", str(truth)) == 0
+    # classes {0, 2}: class 1 has no members, so no cell can be seeded
+    nodes, classes = load_labels_csv(truth)
+    write_labels_csv(truth, nodes, np.where(classes == 1, 0, classes))
+    report = tmp_path / "rep.json"
+    assert run("experiment", "--graph", str(graph), "--truth", str(truth),
+               "--fractions", "0.5", "--seeds", "0,1",
+               "--report", str(report)) == 3
+    assert "every cell of the grid failed" in capsys.readouterr().err
+    doc = json.loads(report.read_text())
+    assert all("class 1 has no members" in c["error"] for c in doc["cells"])
+    assert doc["summary"] == {"0.5": {"n_cells": 0}}
+    assert (tmp_path / "rep.config.json").exists()
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_experiment_jobs_below_one_exits_2(tmp_path, sbm_files, capsys, jobs):
+    graph, truth, _ = sbm_files
+    assert run("experiment", "--graph", str(graph), "--truth", str(truth),
+               "--fractions", "0.2", "--seeds", "0", "--jobs", jobs,
+               "--report", str(tmp_path / "r.json")) == 2
+    assert "jobs must be >= 1" in capsys.readouterr().err
+
+
 def test_numerical_failure_exits_4(tmp_path, capsys, monkeypatch):
     # certified steps keep even --dt 1e308 finite, so the failure is injected
     def diverge(*args):

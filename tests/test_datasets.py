@@ -1,5 +1,7 @@
 """Generators, partitioning, and CSV ingestion."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -23,6 +25,7 @@ from graphtv.errors import (
     ParseError,
     ShapeMismatchError,
 )
+from oracles import dense_sbm
 
 
 # ------------------------------------------------------------------- moons
@@ -94,6 +97,43 @@ def test_sbm_validation_names_parameter():
 def test_sbm_gives_up_when_isolated_nodes_persist():
     with pytest.raises(GenerationFailedError):
         synth_sbm((2, 2), 0.01, 0.0, 3)
+
+
+@pytest.mark.parametrize(
+    "sizes, p_in, p_out, seed",
+    [
+        ((20, 20), 0.5, 0.02, 7),
+        ((2, 2), 0.3, 0.1, 1),  # the 11th attempt is the first isolate-free one
+        ((3, 3), 1.0, 0.0, 0),
+        ((3, 3), 1.0, 1.0, 0),
+        ((4, 5), 0.0, 1.0, 2),
+        ((7, 3, 12), 0.6, 0.05, 4),
+    ],
+)
+def test_sbm_matches_dense_oracle_exactly(sizes, p_in, p_out, seed):
+    graph, truth = synth_sbm(sizes, p_in, p_out, seed)
+    oracle, oracle_truth = dense_sbm(sizes, p_in, p_out, seed)
+    assert np.array_equal(graph.csr.indptr, oracle.csr.indptr)
+    assert np.array_equal(graph.csr.indices, oracle.csr.indices)
+    assert np.array_equal(graph.csr.data, oracle.csr.data)
+    assert np.array_equal(graph.degrees, oracle.degrees)
+    assert np.array_equal(truth, oracle_truth)
+
+
+def test_sbm_resampled_draw_continues_the_stream():
+    assert dense_sbm((2, 2), 0.3, 0.1, 1, max_attempts=10) is None
+    assert dense_sbm((2, 2), 0.3, 0.1, 1, max_attempts=11) is not None
+
+
+def test_sbm_memory_stays_below_one_dense_matrix():
+    n = 4000
+    tracemalloc.start()
+    try:
+        synth_sbm((1500, 1500, 1000), 0.05, 0.005, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * 8
 
 
 # --------------------------------------------------------------- partition

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import graphtv.evaluation
 from graphtv import (
     KernelSpec,
     LabelConstraints,
@@ -286,6 +287,52 @@ def test_stability_parallel_jobs_match_serial():
     serial = stability_experiment(dataset, [0.1, 0.2], [0, 1], jobs=1)
     parallel = stability_experiment(dataset, [0.1, 0.2], [0, 1], jobs=2)
     assert serial == parallel
+
+
+@pytest.mark.parametrize("jobs", [0, -1])
+def test_stability_rejects_jobs_below_one(jobs):
+    graph, truth = synth_sbm((6, 6), 0.8, 0.1, 0)
+    dataset = LabeledDataset(truth=truth, n_classes=2, graph=graph)
+    with pytest.raises(InvalidExperimentError, match="jobs"):
+        stability_experiment(dataset, [0.2], [0], jobs=jobs)
+
+
+def test_stability_pool_has_at_most_one_worker_per_cell(monkeypatch):
+    started = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(graphtv.evaluation, "ProcessPoolExecutor", SerialPool)
+    graph, truth = synth_sbm((10, 10), 0.7, 0.05, 6)
+    dataset = LabeledDataset(truth=truth, n_classes=2, graph=graph)
+    pooled = stability_experiment(dataset, [0.1, 0.2], [0, 1, 2], jobs=64)
+    assert started == [6]
+    assert pooled == stability_experiment(dataset, [0.1, 0.2], [0, 1, 2])
+    stability_experiment(dataset, [0.1, 0.2], [0, 1, 2], jobs=4)
+    assert started == [6, 4]
+
+
+def test_non_monotone_warning_prints_plain_floats(caplog):
+    features, truth = synth_two_moons(300, 0.1, 1)
+    graph = build_knn_graph(features, KernelSpec(k=10))
+    dataset = LabeledDataset(truth=truth, n_classes=2, graph=graph)
+    with caplog.at_level("WARNING", logger="graphtv.evaluation"):
+        report = stability_experiment(dataset, [0.02, 0.1], [0, 1, 2])
+    [record] = [r for r in caplog.records if "not monotone" in r.getMessage()]
+    means = {f: report["summary"][f]["accuracy_mean"] for f in ("0.02", "0.1")}
+    assert record.getMessage().endswith(repr(means))
+    assert "np.float64" not in record.getMessage()
 
 
 def test_report_writers(tmp_path):

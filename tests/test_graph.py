@@ -13,7 +13,6 @@ from scipy.spatial.distance import cdist
 import graphtv.graph as graph_module
 from graphtv import (
     FeatureMatrix,
-    Graph,
     KernelSpec,
     build_knn_graph,
     load_graph,
@@ -25,7 +24,12 @@ from graphtv.errors import (
     IsolatedNodeError,
     ParseError,
 )
-from oracles import dense_distances, dense_knn_graph, random_connected_graph
+from oracles import (
+    dense_distances,
+    dense_knn_graph,
+    from_dense,
+    random_connected_graph,
+)
 
 
 # ---------------------------------------------------------------- KernelSpec
@@ -47,6 +51,12 @@ def test_kernel_spec_rejects_bad_values():
 # ------------------------------------------------------------------- builds
 
 
+def edge_weights(graph):
+    """{(i, j): w} over the undirected edges i < j of a graph."""
+    w = graph.csr.toarray()
+    return {(int(i), int(j)): w[i, j] for i, j in zip(*np.nonzero(np.triu(w, k=1)))}
+
+
 def test_collinear_points_binary_max():
     # 1-D points {0, 1, 10}, k=1: 0<->1 mutually nearest, node 2's nearest
     # neighbour is 1, so max-symmetrization keeps both edges at weight 1.
@@ -54,16 +64,14 @@ def test_collinear_points_binary_max():
     graph = build_knn_graph(
         feats, KernelSpec(k=1, kernel="binary", symmetrization="max")
     )
-    edges = set(zip(graph.edges_i.tolist(), graph.edges_j.tolist()))
-    assert edges == {(0, 1), (1, 2)}
-    assert np.all(graph.edge_weights == 1.0)
+    assert edge_weights(graph) == {(0, 1): 1.0, (1, 2): 1.0}
 
 
 def test_identical_points_gaussian_weight_one():
     feats = FeatureMatrix(np.array([[2.0, 3.0], [2.0, 3.0]]))
     graph = build_knn_graph(feats, KernelSpec(k=1, sigma=1.0))
     assert graph.num_edges == 1
-    assert graph.edge_weights[0] == pytest.approx(1.0, abs=0.0)
+    assert edge_weights(graph) == {(0, 1): 1.0}
 
 
 def test_mean_symmetrization_halves_one_sided_edges():
@@ -73,11 +81,7 @@ def test_mean_symmetrization_halves_one_sided_edges():
     graph = build_knn_graph(
         feats, KernelSpec(k=1, kernel="binary", symmetrization="mean")
     )
-    weights = {
-        (int(i), int(j)): w
-        for i, j, w in zip(graph.edges_i, graph.edges_j, graph.edge_weights)
-    }
-    assert weights == {(0, 1): 1.0, (1, 2): 0.5}
+    assert edge_weights(graph) == {(0, 1): 1.0, (1, 2): 0.5}
 
 
 def test_two_moons_graph_structural_audit():
@@ -86,10 +90,7 @@ def test_two_moons_graph_structural_audit():
     assert graph.n == 500
     assert np.all(graph.degrees > 0)
     # symmetrized union keeps at least the k out-neighbours of every node
-    incident = np.zeros(500, dtype=int)
-    np.add.at(incident, graph.edges_i, 1)
-    np.add.at(incident, graph.edges_j, 1)
-    assert incident.min() >= 10
+    assert np.diff(graph.csr.indptr).min() >= 10
     coo = graph.csr.tocoo()
     assert not np.any(coo.row == coo.col)  # no self-loops
 
@@ -107,7 +108,7 @@ def test_gaussian_auto_sigma_matches_hand_rule():
     built_manual = build_knn_graph(
         FeatureMatrix(values), KernelSpec(k=k, sigma=float(sigma))
     )
-    assert np.array_equal(built_auto.edge_weights, built_manual.edge_weights)
+    assert np.array_equal(built_auto.csr.data, built_manual.csr.data)
 
 
 def test_cosine_metric_runs_and_rejects_zero_rows():
@@ -153,7 +154,6 @@ def assert_same_graph(built, oracle):
     assert np.array_equal(built.csr.indptr, oracle.csr.indptr)
     assert np.array_equal(built.csr.indices, oracle.csr.indices)
     assert np.array_equal(built.csr.data, oracle.csr.data)
-    assert np.array_equal(built.edge_weights, oracle.edge_weights)
 
 
 SPECS = list(
@@ -276,31 +276,29 @@ def test_build_memory_stays_below_one_dense_matrix(metric):
 
 def test_from_dense_validates():
     with pytest.raises(ValueError, match="symmetric"):
-        Graph.from_dense(np.array([[0.0, 1.0], [0.5, 0.0]]))
+        from_dense(np.array([[0.0, 1.0], [0.5, 0.0]]))
     with pytest.raises(IsolatedNodeError, match=r"^node 0 is isolated \(zero degree\)$"):
-        Graph.from_dense(np.zeros((2, 2)))
+        from_dense(np.zeros((2, 2)))
     with pytest.raises(ValueError):
-        Graph.from_dense(np.array([[0.0, -1.0], [-1.0, 0.0]]))
+        from_dense(np.array([[0.0, -1.0], [-1.0, 0.0]]))
     with pytest.raises(ValueError):
-        Graph.from_dense(np.array([[0.0, np.nan], [np.nan, 0.0]]))
+        from_dense(np.array([[0.0, np.nan], [np.nan, 0.0]]))
 
 
 def test_self_loops_are_rejected():
     w = np.array([[2.0, 1.0], [1.0, 2.0]])
     with pytest.raises(ValueError, match="self-loop"):
-        Graph.from_dense(w)
+        from_dense(w)
 
 
-def test_edge_list_matches_csr(rng):
+def test_csr_is_symmetric_and_counts_edges_once(rng):
     for _ in range(20):
         graph = random_connected_graph(rng, int(rng.integers(3, 30)))
         dense = graph.csr.toarray()
         assert np.array_equal(dense, dense.T)
-        rebuilt = np.zeros_like(dense)
-        for i, j, w in zip(graph.edges_i, graph.edges_j, graph.edge_weights):
-            assert i < j
-            rebuilt[i, j] = rebuilt[j, i] = w
-        assert np.array_equal(rebuilt, dense)
+        assert not dense.diagonal().any()
+        assert graph.num_edges == len(edge_weights(graph))
+        assert graph.csr.has_sorted_indices
         assert np.allclose(graph.degrees, dense.sum(axis=1), rtol=1e-12, atol=0)
 
 

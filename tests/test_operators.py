@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphtv import (
-    Graph,
     NormalizedGradient,
     apply_divergence,
     apply_gradient,
@@ -15,16 +14,21 @@ from graphtv import (
 )
 from graphtv.errors import NoConvergenceError, NonFiniteError, ShapeMismatchError
 from graphtv.operators import diffusion_solve, normalized_adjacency
-from oracles import dense_gradient, dense_normalized_adjacency, random_connected_graph
+from oracles import (
+    dense_gradient,
+    dense_normalized_adjacency,
+    from_dense,
+    random_connected_graph,
+)
 
 
 def two_node_graph():
-    return Graph.from_dense(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    return from_dense(np.array([[0.0, 1.0], [1.0, 0.0]]))
 
 
 def path_graph():
     # path 0-1-2, unit weights, degrees (1, 2, 1)
-    return Graph.from_dense(
+    return from_dense(
         np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
     )
 

@@ -40,6 +40,7 @@ from oracles import (
     dense_duality_gap,
     dense_gradient,
     dense_harmonic_extension,
+    from_dense,
     random_connected_graph,
     reference_inner_loop,
     reference_project_constraints,
@@ -195,7 +196,7 @@ def test_projection_matches_reference_oracle(seed, n, n_classes, fortran):
 
 
 def test_initialize_state_two_seeds_pinned():
-    graph = Graph.from_dense(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    graph = from_dense(np.array([[0.0, 1.0], [1.0, 0.0]]))
     cons = make_constraints(2, 2, [[0], [1]], epsilon=0.1)
     u = initialize_state(graph, cons)
     # margins 0.1, medians zero, Frobenius norm 0.2 -> entries +-0.5
@@ -220,7 +221,7 @@ def test_initialize_state_matches_dense_harmonic_oracle(rng, n_classes):
 
 
 def test_initialize_state_validates():
-    graph = Graph.from_dense(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    graph = from_dense(np.array([[0.0, 1.0], [1.0, 0.0]]))
     with pytest.raises(ShapeMismatchError):
         initialize_state(graph, make_constraints(3, 2, [[0], [1]]))
     with pytest.raises(EmptyClassError, match="class 1 has no seeds"):
@@ -778,7 +779,7 @@ def test_warm_start_beats_random_init_on_weak_bridges():
 
 
 def test_ratio_pinned_values():
-    graph = Graph.from_dense(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    graph = from_dense(np.array([[0.0, 1.0], [1.0, 0.0]]))
     op = NormalizedGradient(graph)
     u = np.array([0.3, -0.8])
     columns = np.column_stack([[1.0, -1.0], graph.degrees, u, 3.0 * u, np.zeros(2)])

@@ -46,13 +46,16 @@ def main():
     print(f"solver: {len(trace.records)} outer steps, stop={trace.stop_reason}, "
           f"sum-of-ratios {sums[0]:.4f} -> {sums[-1]:.4f}")
 
+    def show(x):  # evaluate gives None where a metric is undefined
+        return "nan" if x is None else f"{x:.4f}"
+
     report = evaluate(prediction, truth, constraints)
-    print(f"graphtv:   accuracy={report.accuracy:.4f} "
-          f"mean AUC={report.average_auc:.4f}")
+    print(f"graphtv:   accuracy={show(report.accuracy)} "
+          f"mean AUC={show(report.average_auc)}")
 
     base = evaluate(baseline_label_spreading(graph, constraints), truth, constraints)
-    print(f"spreading: accuracy={base.accuracy:.4f} "
-          f"mean AUC={base.average_auc:.4f}")
+    print(f"spreading: accuracy={show(base.accuracy)} "
+          f"mean AUC={show(base.average_auc)}")
 
 
 if __name__ == "__main__":

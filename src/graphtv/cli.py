@@ -288,7 +288,10 @@ def cmd_eval(rc):
     )
     report = evaluate(prediction, truth, constraints)
     write_json(rc.outputs["report"], dataclasses.asdict(report))
-    print(f"accuracy={report.accuracy:.6g} average_auc={report.average_auc:.6g}")
+    # an undefined metric is null in the report and nan on the console
+    acc, auc = ("nan" if x is None else f"{x:.6g}"
+                for x in (report.accuracy, report.average_auc))
+    print(f"accuracy={acc} average_auc={auc}")
     return EXIT_OK
 
 

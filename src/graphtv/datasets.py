@@ -60,8 +60,8 @@ def synth_two_moons(n, noise, seed):
     """
     if n < 4 or n % 2:
         raise ValueError("n must be an even integer >= 4")
-    if noise < 0:
-        raise ValueError("noise must be >= 0")
+    if not 0 <= noise < math.inf:  # NaN fails too
+        raise ValueError("noise must be a finite real >= 0")
     half = n // 2
     t = np.linspace(0.0, np.pi, half)
     xy = np.empty((n, 2))

@@ -26,12 +26,10 @@ class DegenerateFeaturesError(GraphTVError):
 class NoConvergenceError(GraphTVError):
     """An iterative routine hit its iteration cap before reaching tolerance.
 
-    Carries the last estimate (scalar routines) or iterate (vector routines)
-    so callers can inspect how far the run got.
+    Carries the last iterate so callers can inspect how far the run got.
     """
 
-    def __init__(self, message, last_estimate=None, last_iterate=None):
-        self.last_estimate = last_estimate
+    def __init__(self, message, last_iterate=None):
         self.last_iterate = last_iterate
         super().__init__(message)
 

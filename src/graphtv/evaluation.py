@@ -29,11 +29,11 @@ log = logging.getLogger(__name__)
 
 @dataclass
 class EvalReport:
-    """Heldout metrics; degenerate classes carry ``None`` instead of an AUC."""
+    """Heldout metrics; ``None`` marks an undefined value (see :func:`evaluate`)."""
 
     per_class_auc: list
-    average_auc: float
-    accuracy: float
+    average_auc: float | None
+    accuracy: float | None
     n_eval: int
     partition: dict
 
@@ -71,7 +71,8 @@ def evaluate(prediction, truth, constraints):
 
     Classes without both positives and negatives among the heldout nodes are
     reported as ``None`` and excluded from the average (with a
-    :class:`DegenerateClassWarning`).
+    :class:`DegenerateClassWarning`); the average is ``None`` when no class
+    is left, and so is the accuracy when every node is a seed.
     """
     truth = np.asarray(truth, dtype=np.int64)
     if truth.shape[0] != constraints.n:
@@ -93,8 +94,8 @@ def evaluate(prediction, truth, constraints):
         )
         return EvalReport(
             per_class_auc=[None] * constraints.n_classes,
-            average_auc=float("nan"),
-            accuracy=float("nan"),
+            average_auc=None,
+            accuracy=None,
             n_eval=0,
             partition=descriptor,
         )
@@ -112,7 +113,7 @@ def evaluate(prediction, truth, constraints):
             )
             per_class.append(None)
     valid = [a for a in per_class if a is not None]
-    average = float(np.mean(valid)) if valid else float("nan")
+    average = float(np.mean(valid)) if valid else None
     return EvalReport(
         per_class_auc=per_class,
         average_auc=average,
@@ -179,6 +180,10 @@ def stability_experiment(
          "summary": {str(fraction): {accuracy_mean, accuracy_std,
                                      auc_mean, auc_std, n_cells}}}
 
+    A cell with no heldout node has a ``None`` accuracy (see
+    :func:`evaluate`); the summary's means skip ``None`` values, and
+    ``n_cells`` counts the cells that have an accuracy.
+
     A non-monotone mean-accuracy trend across increasing fractions is
     logged as a warning but never raised.  ``jobs > 1`` solves the cells in
     a pool of at most ``min(jobs, cells)`` worker processes.
@@ -206,16 +211,19 @@ def stability_experiment(
     summary = {}
     means = []
     for f in fractions:
-        ok = [c for c in cells if c["fraction"] == f and "error" not in c]
-        if ok:
-            acc = np.array([c["accuracy"] for c in ok])
-            auc = np.array([c["auc_mean"] for c in ok])
+        # an error cell has no accuracy key, an unscored one a None value
+        scored = [
+            c for c in cells if c["fraction"] == f and c.get("accuracy") is not None
+        ]
+        if scored:
+            acc = np.array([c["accuracy"] for c in scored])
+            auc = np.array([c["auc_mean"] for c in scored if c["auc_mean"] is not None])
             summary[str(f)] = {
                 "accuracy_mean": float(acc.mean()),
                 "accuracy_std": float(acc.std()),
-                "auc_mean": float(auc.mean()),
-                "auc_std": float(auc.std()),
-                "n_cells": len(ok),
+                "auc_mean": float(auc.mean()) if auc.size else None,
+                "auc_std": float(auc.std()) if auc.size else None,
+                "n_cells": len(scored),
             }
             means.append(float(acc.mean()))
         else:

@@ -50,7 +50,6 @@ from scipy.sparse.csgraph import connected_components
 from .errors import (
     DegenerateStateError,
     EmptyClassError,
-    NoConvergenceError,
     NoProgressWarning,
     NonFiniteError,
     ParseError,
@@ -148,14 +147,12 @@ class LabelConstraints:
 class SolverConfig:
     """Tunable knobs of the solver; defaults are the calibrated ones.
 
-    ``sigma0``/``tau0`` are the requested dual/primal steps.  :func:`solve`
-    keeps them when they meet the Chambolle & Pock (2011) bound
-    sigma0*tau0*dt*||K||^2 < 1, with ||K|| estimated by power iteration,
-    and otherwise shrinks both by one factor to 0.999 of the bound, so the
-    inner loop always runs with certified steps.
-
     The inner loop is CP Algorithm 2 on a surrogate that is mu-strongly
-    convex with mu = 1/dt; its primal step is tau*dt.  It decays the steps
+    convex with mu = 1/dt; its primal step is tau*dt.  It starts from the
+    dual and primal steps sigma = tau = sqrt(0.999 / dt) / B, where
+    B = :func:`~graphtv.operators.operator_norm` is a closed-form upper
+    bound on ||K||, so the Chambolle & Pock (2011) condition
+    sigma*tau*dt*||K||^2 <= 0.999 < 1 holds for every dt.  It decays the steps
     by theta = 1/sqrt(1 + 2*gamma*tau*dt) = 1/sqrt(1 + tau) per iteration,
     i.e. with gamma = mu/2, which meets the algorithm's condition
     gamma <= mu for every dt.  It stops once its primal-dual gap is at
@@ -164,8 +161,6 @@ class SolverConfig:
     """
 
     dt: float = 1.0
-    sigma0: float = 1.9
-    tau0: float = 1.9
     inner_max: int = 2000
     inner_tol: float = 1e-3
     outer_max: int = 100
@@ -174,11 +169,9 @@ class SolverConfig:
     def __post_init__(self):
         if not (self.dt > 0 and np.isfinite(self.dt)):
             raise ValueError("dt must be a positive finite real")
-        if self.sigma0 <= 0 or self.tau0 <= 0:
-            raise ValueError("sigma0 and tau0 must be positive")
         if self.inner_max < 1 or self.outer_max < 1:
             raise ValueError("iteration caps must be >= 1")
-        if self.inner_tol <= 0 or self.outer_tol < 0:
+        if not (self.inner_tol > 0 and self.outer_tol >= 0):  # NaN fails too
             raise ValueError("tolerances must be positive")
 
 
@@ -383,6 +376,16 @@ def _dual_value(w, anchor, dt, project, u_star, tmp):
     return tmp.sum() / (2.0 * dt) - cross
 
 
+def _certified_step(operator, dt):
+    """The inner loop's first dual and primal step, sigma = tau.
+
+    sqrt(0.999) / (sqrt(dt) * B) with B = operator_norm(operator) >= ||K||,
+    so sigma * tau * dt * ||K||^2 <= 0.999.  Formed factor by factor, so
+    that neither a huge nor a tiny dt overflows it.
+    """
+    return math.sqrt(0.999) / math.sqrt(dt) / operator_norm(operator)
+
+
 def _inner_loop(anchor, operator, constraints, config, coeff):
     """Solve the surrogate linearized at ``anchor``, starting from it.
 
@@ -418,8 +421,7 @@ def _inner_loop(anchor, operator, constraints, config, coeff):
     weight = 0.0
     u_tilde = np.array(anchor.T, order="C")
     z = np.array(np.clip(fwd @ anchor, -1.0, 1.0).T, order="C")
-    sigma = config.sigma0
-    tau = config.tau0
+    sigma = tau = _certified_step(operator, dt)
     iters = 0
     gap = math.inf
     converged = False
@@ -525,28 +527,6 @@ def outer_step(u, operator, constraints, config):
     return u_new, record
 
 
-def _effective_config(config, operator):
-    """``config``, with sigma0/tau0 shrunk if they break the step bound."""
-    try:
-        norm = operator_norm(operator, iters=2000, tol=1e-9)
-    except NoConvergenceError as exc:
-        # A loose eigenvalue estimate is fine for a step bound; pad the
-        # last Rayleigh quotient, which approaches ||K|| from below.
-        norm = float(exc.last_estimate) * 1.05
-        log.info("operator norm estimate did not settle; padding to %.4g", norm)
-    # the square root of the product, formed factor by factor so that a huge
-    # dt or step does not overflow it
-    root = math.sqrt(config.sigma0) * math.sqrt(config.tau0) * math.sqrt(config.dt)
-    root *= norm
-    if root < 1.0:
-        return config
-    scale = math.sqrt(0.999) / root
-    log.info("rescaling sigma0/tau0 by %.4g (||K||=%.4g)", scale, norm)
-    return dataclasses.replace(
-        config, sigma0=config.sigma0 * scale, tau0=config.tau0 * scale
-    )
-
-
 def solve(graph, constraints, config=None):
     """Label every node of ``graph`` from the seeds in ``constraints``.
 
@@ -564,7 +544,9 @@ def solve(graph, constraints, config=None):
     of the final scores, ties broken toward the smallest class index and
     flagged.  Nodes of a component
     without seeds are returned tied (label 0) with one
-    :class:`~graphtv.errors.SeedlessComponentWarning`.
+    :class:`~graphtv.errors.SeedlessComponentWarning`.  Every inner loop
+    starts from the certified steps of :class:`SolverConfig`, and nothing
+    on the way draws a random number.
     """
     if config is None:
         config = SolverConfig()
@@ -581,7 +563,6 @@ def solve(graph, constraints, config=None):
             stacklevel=2,
         )
     operator = NormalizedGradient(graph)
-    config = _effective_config(config, operator)
     u = initialize_state(graph, constraints)
     _, _, r0 = _ratio_terms(operator, u)
     trace = SolveTrace(initial_ratios=[float(r) for r in r0])
@@ -655,6 +636,8 @@ def read_scores_csv(path):
                 raise ParseError("score is not finite", line=lineno)
             if not 0 <= label < n_classes:
                 raise ParseError(f"label {label} out of range", line=lineno)
+            if tie not in (0, 1):
+                raise ParseError(f"tie flag {tie} is not 0 or 1", line=lineno)
             scores.append(vals)
             labels.append(label)
             ties.append(bool(tie))
@@ -669,4 +652,4 @@ def read_scores_csv(path):
 
 def write_trace_json(path, trace):
     """Trace file: a JSON array with one record per outer iteration."""
-    write_json(path, [dataclasses.asdict(record) for record in trace.records], allow_nan=False)
+    write_json(path, [dataclasses.asdict(record) for record in trace.records])

@@ -4,7 +4,8 @@ Every table and JSON file the package reads or writes goes through here.
 Tables are comma-separated lines, numbers written with 17 significant
 digits so a float64 survives a write/read round trip exactly.  JSON is
 canonical (sorted keys, indent 2, trailing newline), so identical
-content gives identical bytes.
+content gives identical bytes, and strict: a missing value is ``null``,
+never ``NaN``.
 """
 
 import json
@@ -49,12 +50,13 @@ def convert_cells(converters, cells, lineno):
         raise ParseError(str(exc), line=lineno) from exc
 
 
-def json_text(doc, allow_nan=True):
-    """Canonical JSON text of ``doc``; ``allow_nan=False`` refuses NaN/Inf."""
-    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=allow_nan) + "\n"
+def json_text(doc):
+    """Canonical JSON text of ``doc``; NaN and Inf raise ValueError."""
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
-def write_json(path, doc, allow_nan=True):
-    """Write :func:`json_text` of ``doc`` to ``path``."""
+def write_json(path, doc):
+    """Write :func:`json_text` of ``doc`` to ``path``, untouched if that raises."""
+    text = json_text(doc)
     with open(path, "w") as fh:
-        fh.write(json_text(doc, allow_nan))
+        fh.write(text)

@@ -18,6 +18,7 @@ from scipy.spatial.distance import cdist
 
 from graphtv import Graph
 from graphtv.errors import NonFiniteError, ShapeMismatchError
+from graphtv.solver import _certified_step
 
 
 def from_dense(matrix):
@@ -260,8 +261,8 @@ def surrogate_objective(operator, u, anchor, dt=1.0):
 def reference_inner_loop(anchor, operator, constraints, config, coeff):
     """The accelerated primal-dual loop written with whole-array temporaries.
 
-    Starts from u = u_tilde = ``anchor`` and z = clip(K anchor); every
-    update builds new arrays and the projection is the copying
+    Starts from u = u_tilde = ``anchor``, z = clip(K anchor) and the
+    solver's own certified steps; every update builds new arrays and the projection is the copying
     :func:`reference_project_constraints`.  Every ``check_every``
     iterations and on the last one it checks that the iterate is finite
     and evaluates the surrogate's primal-dual gap, against the better of
@@ -284,8 +285,7 @@ def reference_inner_loop(anchor, operator, constraints, config, coeff):
     u = anchor
     z = np.clip(fwd @ anchor, -1.0, 1.0)
     u_tilde = anchor
-    sigma = config.sigma0
-    tau = config.tau0
+    sigma = tau = _certified_step(operator, dt)
     iters = 0
     adj_z_sum = np.zeros(u.shape)
     weight = 0.0

@@ -11,7 +11,7 @@ import graphtv.solver
 from graphtv import LabelConstraints, SolverConfig
 from graphtv.cli import _COMMANDS, _SOLVER_OPTS, RunConfig, main
 from graphtv.datasets import load_labels_csv, write_labels_csv
-from graphtv.errors import NonFiniteError, ParseError
+from graphtv.errors import DegenerateClassWarning, NonFiniteError, ParseError
 from graphtv.graph import save_graph
 from oracles import triangles_bridge
 
@@ -129,7 +129,7 @@ def test_solve_sidecar_expands_defaults_and_replays_identically(
     sidecar = tmp_path / "scores.config.json"
     rc = RunConfig.load(sidecar)
     assert rc.command == "solve"
-    assert rc.parameters["sigma0"] == 1.9  # defaults were expanded
+    assert rc.parameters["inner_max"] == 2000  # defaults were expanded
     assert "classes" not in rc.parameters  # the seed file fixes the count
     assert sidecar.read_text() == canonical(sidecar.read_text())
 
@@ -149,6 +149,8 @@ def test_solve_sidecar_expands_defaults_and_replays_identically(
         ("seed", 0, "--seed"),
         ("step_rule", "heuristic", "--step-rule"),
         ("classes", 2, "--classes"),
+        ("sigma0", 1.9, "--sigma0"),
+        ("tau0", 1.9, "--tau0"),
     ],
 )
 def test_solve_replays_sidecar_written_with_removed_option(
@@ -271,13 +273,19 @@ def test_experiment_sidecar_of_features_route_exits_2(tmp_path, sbm_files, capsy
 
 @pytest.mark.parametrize(
     "command, key, old_value",
-    [("experiment", "classes", 2), ("eval", "epsilon", 0.7)],
+    [
+        ("experiment", "classes", 2),
+        ("eval", "epsilon", 0.7),
+        ("experiment", "sigma0", 1.9),
+        ("experiment", "tau0", 1.9),
+    ],
 )
 def test_replays_sidecar_written_with_removed_option(
     tmp_path, sbm_files, capsys, command, key, old_value
 ):
-    # experiment's class count comes from the truth file, and eval never
-    # reads the seed margin: old sidecars that carry either still replay
+    # experiment's class count comes from the truth file, eval never reads
+    # the seed margin, and the inner loop's first steps follow from dt and
+    # the graph: old sidecars that carry any of these still replay
     graph, truth, seeds = sbm_files
     if command == "experiment":
         argv = ["experiment", "--graph", str(graph), "--truth", str(truth),
@@ -381,6 +389,16 @@ def test_usage_errors_exit_2(tmp_path, sbm_files, capsys):
                "--out-truth", str(tmp_path / "t2.csv")) == 2
     assert "p_out" in capsys.readouterr().err
 
+    # NaN slips through a check written as `value < bound`
+    assert run("synth", "two-moons", "--n", "20", "--noise", "nan",
+               "--out-features", str(tmp_path / "f2.csv"),
+               "--out-truth", str(tmp_path / "t3.csv")) == 2
+    assert "noise" in capsys.readouterr().err
+    for flag in ("--inner-tol", "--outer-tol"):
+        assert run("solve", "--graph", str(graph), "--labels", str(seeds),
+                   "--out-scores", str(tmp_path / "s.csv"), flag, "nan") == 2
+        assert "tolerances" in capsys.readouterr().err
+
 
 def test_corrupt_graph_header_exits_2(tmp_path, sbm_files, capsys):
     _, _, seeds = sbm_files
@@ -473,6 +491,39 @@ def test_experiment_with_every_cell_failed_exits_3(tmp_path, capsys):
     assert all("class 1 has no members" in c["error"] for c in doc["cells"])
     assert doc["summary"] == {"0.5": {"n_cells": 0}}
     assert (tmp_path / "rep.config.json").exists()
+
+
+def test_fully_seeded_reports_are_strict_json(tmp_path, capsys):
+    # a fully seeded cell or eval has no heldout node: its accuracy and
+    # average AUC are undefined, written as null and skipped by the means
+    graph, truth = tmp_path / "g.gxg", tmp_path / "truth.csv"
+    assert run("synth", "sbm", "--sizes", "20,20", "--p-in", "0.5", "--p-out",
+               "0.05", "--out-graph", str(graph), "--out-truth", str(truth)) == 0
+    report = tmp_path / "rep.json"
+    with pytest.warns(DegenerateClassWarning, match="every node is seeded"):
+        assert run("experiment", "--graph", str(graph), "--truth", str(truth),
+                   "--fractions", "1.0,0.1", "--seeds", "0",
+                   "--report", str(report)) == 0
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    doc = json.loads(report.read_text(), parse_constant=reject)
+    full = next(c for c in doc["cells"] if c["fraction"] == 1.0)
+    assert full["accuracy"] is None and full["auc_mean"] is None
+    assert doc["summary"]["1.0"] == {"n_cells": 0}
+    assert doc["summary"]["0.1"]["n_cells"] == 1
+
+    scores, eval_report = tmp_path / "s.csv", tmp_path / "eval.json"
+    assert run("solve", "--graph", str(graph), "--labels", str(truth),
+               "--out-scores", str(scores)) == 0
+    capsys.readouterr()
+    with pytest.warns(DegenerateClassWarning, match="every node is seeded"):
+        assert run("eval", "--scores", str(scores), "--truth", str(truth),
+                   "--labels", str(truth), "--report", str(eval_report)) == 0
+    assert capsys.readouterr().out == "accuracy=nan average_auc=nan\n"
+    doc = json.loads(eval_report.read_text(), parse_constant=reject)
+    assert doc["accuracy"] is None and doc["average_auc"] is None
 
 
 @pytest.mark.parametrize("jobs", ["0", "-2"])

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import warnings
 
 import numpy as np
@@ -34,7 +35,8 @@ from graphtv.errors import (
     SeedlessComponentWarning,
     ShapeMismatchError,
 )
-from graphtv.solver import _effective_config, _inner_loop, _ratio_terms
+from graphtv.operators import operator_norm
+from graphtv.solver import _certified_step, _inner_loop, _ratio_terms
 from oracles import (
     cliques_graph,
     dense_duality_gap,
@@ -561,28 +563,35 @@ def test_outer_step_record_ratios_match_carried_state(rng):
 # ------------------------------------------------------------- step sizing
 
 
-def test_certified_rule_keeps_small_products(rng):
-    graph = random_connected_graph(rng, 6)
-    op = NormalizedGradient(graph)
-    config = SolverConfig(sigma0=0.1, tau0=0.2)
-    assert _effective_config(config, op) is config
-
-
 @pytest.mark.parametrize(
-    "dt, step", [(1.0, 1.9), (0.3, 1.9), (1.0, 1e200)],
-    ids=["default", "dt0.3", "huge-steps"],
+    "dt", [1.0, 0.3, 1e-300, 1e308], ids=["default", "dt0.3", "tiny-dt", "huge-dt"]
 )
-def test_certified_rule_enforces_norm_product(rng, dt, step):
+def test_certified_rule_enforces_norm_product(rng, dt):
     graph = random_connected_graph(rng, 10)
     op = NormalizedGradient(graph)
-    config = _effective_config(SolverConfig(dt=dt, sigma0=step, tau0=step), op)
-    norm = np.linalg.svd(dense_gradient(graph), compute_uv=False)[0]
-    assert step * step * dt * norm**2 >= 1.0  # the request needed the rescale
-    assert config.sigma0 * config.tau0 * dt * norm**2 == pytest.approx(
-        0.999, rel=1e-8
-    )
-    # the rescale preserves the sigma/tau balance
-    assert config.sigma0 == pytest.approx(config.tau0)
+    sigma = tau = _certified_step(op, dt)
+    assert math.isfinite(sigma) and sigma > 0
+    # sigma * tau * dt * norm^2, one factor sqrt(dt) * norm per step so that
+    # neither extreme dt under- or overflows the check itself
+    def product(norm):
+        return (sigma * math.sqrt(dt) * norm) * (tau * math.sqrt(dt) * norm)
+
+    assert product(operator_norm(op)) == pytest.approx(0.999, rel=1e-12)
+    svd = np.linalg.svd(dense_gradient(graph), compute_uv=False)[0]
+    assert product(svd) <= 0.999
+
+
+def test_solve_draws_no_random_numbers(monkeypatch):
+    # the steps come from arithmetic on K, not from a seeded estimate
+    def no_rng(*args, **kwargs):
+        raise AssertionError("solve drew from numpy.random")
+
+    graph, _ = synth_sbm((8, 8), 0.8, 0.1, 1)
+    cons = make_constraints(16, 2, [[0], [8]], epsilon=0.1)
+    monkeypatch.setattr(np.random, "default_rng", no_rng)
+    prediction, trace = solve(graph, cons)
+    assert trace.records
+    assert np.array_equal(prediction.labels, [0] * 8 + [1] * 8)
 
 
 # ------------------------------------------------------------------- solve
@@ -830,10 +839,11 @@ _SCORES_ROW0 = "0,0.5,-0.5,0,0\n"
         (_SCORES_HEAD + _SCORES_ROW0 + "\n2,0.5,-0.5,0,0\n", 4),
         (_SCORES_HEAD + _SCORES_ROW0 + "1,nan,-0.5,0,0\n", 3),
         (_SCORES_HEAD + "0,0.5,-0.5,2,0\n", 2),
+        (_SCORES_HEAD + _SCORES_ROW0 + "1,0.5,-0.5,0,7\n", 3),
     ],
     ids=[
         "empty", "bad-header", "header-only", "field-count", "non-int-node",
-        "node-order", "nan-score", "label-range",
+        "node-order", "nan-score", "label-range", "tie-range",
     ],
 )
 def test_read_scores_csv_errors_carry_line_numbers(tmp_path, text, line):

@@ -272,9 +272,14 @@ def cmd_solve(rc):
     write_scores_csv(rc.outputs["out_scores"], prediction)
     if rc.outputs["out_trace"] is not None:
         write_trace_json(rc.outputs["out_trace"], trace)
+    steps = list(trace.records)
+    if trace.rejected_step is not None:
+        steps.append(trace.rejected_step)
     log.info(
-        "solve finished: %d outer steps, converged=%s, stop=%s",
+        "solve finished: %d outer steps, converged=%s, stop=%s, "
+        "%d inner iterations and %d inner cap hits (rolled-back step included)",
         len(trace.records), trace.converged, trace.stop_reason,
+        sum(r.inner_iters for r in steps), sum(r.hit_cap for r in steps),
     )
     return EXIT_OK if trace.converged else EXIT_NO_CONVERGENCE
 

@@ -23,11 +23,15 @@ variable in the unit box, drive^k = c^k sign(v^k), w = drive - K^T z and
 
 taken at the better of the last dual iterate and the sigma-weighted
 average of all of them (the last one alone can stall while u converges);
-it stops once the gap is at most inner_tol * |P(u)|.  Each outer step
-then re-centers every class by its median and renormalizes the state to
-unit Frobenius norm, which keeps the iteration away from the trivial zero
-and degree-vector states.  Because u = v is feasible with surrogate value
-zero, the exact minimizer keeps the surrogate nonpositive, i.e.
+it stops once the gap is at most inner_tol * |P(u)|.  The first outer step
+starts its dual at clip(K v); every later one starts from the last dual of
+the step before, since consecutive surrogates differ little and the loop
+converges from any dual in the unit box, so the gap still certifies it.
+Each outer step then re-centers every class by its median and renormalizes
+the state to unit Frobenius norm, which keeps the iteration away from the
+trivial zero and degree-vector states.  Because u = v is feasible with
+surrogate value zero, the exact minimizer keeps the surrogate nonpositive,
+i.e.
 
     TV(u_new^k) <= c^k <sign(v^k), u_new^k>  <=  c^k * ||u_new^k||_1
 
@@ -200,9 +204,17 @@ class OuterRecord:
 
 @dataclass
 class SolveTrace:
+    """Records of the kept outer steps, and of the rolled-back one if any.
+
+    ``rejected_step`` is the :class:`OuterRecord` of the step that was
+    rolled back (``stop_reason == "no_decrease"``), else None; it is kept in
+    memory only and is not written by :func:`write_trace_json`.
+    """
+
     records: list = field(default_factory=list)
     initial_ratios: list = field(default_factory=list)
     stop_reason: str = "budget"  # "tol" | "no_decrease" | "budget"
+    rejected_step: OuterRecord | None = None
 
     @property
     def converged(self):
@@ -386,18 +398,27 @@ def _certified_step(operator, dt):
     return math.sqrt(0.999) / math.sqrt(dt) / operator_norm(operator)
 
 
-def _inner_loop(anchor, operator, constraints, config, coeff):
+def _inner_loop(anchor, operator, constraints, config, coeff, dual=None):
     """Solve the surrogate linearized at ``anchor``, starting from it.
 
-    The primal iterate and its extrapolation start at ``anchor`` and the
-    dual at the clamped gradient ``clip(K anchor)``.  ``anchor`` is only
-    read.  Returns ``(u, iters, gap, converged)``; a non-finite iterate is
-    detected at the next gap evaluation.
+    The primal iterate and its extrapolation start at ``anchor``.  The dual
+    starts at a copy of ``dual``, an ``(m, L)`` edge variable in the unit
+    box such as the last dual of a previous loop, or at the clamped
+    gradient ``clip(K anchor)`` when it is None.  ``anchor`` and ``dual``
+    are only read, and the steps restart at :func:`_certified_step` either
+    way.  Returns ``(u, iters, gap, converged, z)`` with ``z`` the last
+    dual iterate; a non-finite iterate is detected at the next gap
+    evaluation.
     """
     shape = (constraints.n, constraints.n_classes)
     if np.shape(anchor) != shape:
         raise ShapeMismatchError(
             f"anchor shape {np.shape(anchor)} does not match {shape}"
+        )
+    dual_shape = (operator.matrix.shape[0], constraints.n_classes)
+    if dual is not None and np.shape(dual) != dual_shape:
+        raise ShapeMismatchError(
+            f"dual shape {np.shape(dual)} does not match {dual_shape}"
         )
     fwd = operator.matrix
     adj = operator.adjoint_matrix
@@ -420,7 +441,9 @@ def _inner_loop(anchor, operator, constraints, config, coeff):
     w_mean = np.empty_like(u)
     weight = 0.0
     u_tilde = np.array(anchor.T, order="C")
-    z = np.array(np.clip(fwd @ anchor, -1.0, 1.0).T, order="C")
+    if dual is None:
+        dual = np.clip(fwd @ anchor, -1.0, 1.0)
+    z = np.array(dual.T, order="C")
     sigma = tau = _certified_step(operator, dt)
     iters = 0
     gap = math.inf
@@ -485,10 +508,10 @@ def _inner_loop(anchor, operator, constraints, config, coeff):
         elif gap <= config.inner_tol * abs(primal):
             converged = True
             break
-    return u, iters, gap, converged
+    return u, iters, gap, converged, z.T
 
 
-def outer_step(u, operator, constraints, config):
+def outer_step(u, operator, constraints, config, *, dual=None):
     """One ratio-descent step: inner solve, median re-center, renormalize.
 
     ``u`` is the current score matrix and the step's linearization point;
@@ -498,11 +521,15 @@ def outer_step(u, operator, constraints, config):
     for the inner problem with surrogate value exactly zero.  The median
     shift can push seeds off their margins; that transient is recorded as
     ``max_violation`` and repaired by a final projection, so the returned
-    matrix is feasible again.  Returns ``(u_new, record)``.
+    matrix is feasible again.  The inner loop starts its dual from
+    ``dual`` (see :func:`_inner_loop`), from ``clip(K u)`` when it is None.
+    Returns ``(u_new, record, z)``, ``z`` being the inner loop's last dual.
     """
     t0 = time.perf_counter()
     _, _, coeff = _ratio_terms(operator, u)
-    raw, iters, gap, converged = _inner_loop(u, operator, constraints, config, coeff)
+    raw, iters, gap, converged, z = _inner_loop(
+        u, operator, constraints, config, coeff, dual
+    )
     tv_pre, l1_pre, ratios_pre = _ratio_terms(operator, raw)
     slack = coeff * l1_pre - tv_pre
     shifted = raw - np.median(raw, axis=0)
@@ -524,7 +551,7 @@ def outer_step(u, operator, constraints, config):
         max_violation=float(violation),
         wall_ms=(time.perf_counter() - t0) * 1e3,
     )
-    return u_new, record
+    return u_new, record, z
 
 
 def solve(graph, constraints, config=None):
@@ -545,8 +572,10 @@ def solve(graph, constraints, config=None):
     flagged.  Nodes of a component
     without seeds are returned tied (label 0) with one
     :class:`~graphtv.errors.SeedlessComponentWarning`.  Every inner loop
-    starts from the certified steps of :class:`SolverConfig`, and nothing
-    on the way draws a random number.
+    starts from the certified steps of :class:`SolverConfig`; the first
+    one starts its dual cold at ``clip(K u)`` and every later one from the
+    last dual of the step before it.  Nothing on the way draws a random
+    number.
     """
     if config is None:
         config = SolverConfig()
@@ -567,9 +596,10 @@ def solve(graph, constraints, config=None):
     _, _, r0 = _ratio_terms(operator, u)
     trace = SolveTrace(initial_ratios=[float(r) for r in r0])
     prev_sum = float(r0.sum())
+    dual = None
     for t in range(config.outer_max):
         try:
-            u_new, record = outer_step(u, operator, constraints, config)
+            u_new, record, z = outer_step(u, operator, constraints, config, dual=dual)
         except NonFiniteError as exc:
             exc.trace = trace  # expose the partial trace to callers
             raise
@@ -582,6 +612,7 @@ def solve(graph, constraints, config=None):
         )
         if record.gap is None or record.sum_ratios > prev_sum:
             trace.stop_reason = "no_decrease"
+            trace.rejected_step = record
             if t == 0:
                 warnings.warn(
                     "ratio descent stagnated on its first outer step",
@@ -589,7 +620,7 @@ def solve(graph, constraints, config=None):
                     stacklevel=2,
                 )
             break
-        u = u_new
+        u, dual = u_new, z
         trace.records.append(record)
         if prev_sum - record.sum_ratios < config.outer_tol:
             trace.stop_reason = "tol"

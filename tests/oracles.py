@@ -258,18 +258,19 @@ def surrogate_objective(operator, u, anchor, dt=1.0):
     return tether + float((tv - linear).sum())
 
 
-def reference_inner_loop(anchor, operator, constraints, config, coeff):
+def reference_inner_loop(anchor, operator, constraints, config, coeff, dual=None):
     """The accelerated primal-dual loop written with whole-array temporaries.
 
-    Starts from u = u_tilde = ``anchor``, z = clip(K anchor) and the
-    solver's own certified steps; every update builds new arrays and the projection is the copying
+    Starts from u = u_tilde = ``anchor``, z = ``dual`` (clip(K anchor) when
+    it is None) and the solver's own certified steps; every update builds
+    new arrays and the projection is the copying
     :func:`reference_project_constraints`.  Every ``check_every``
     iterations and on the last one it checks that the iterate is finite
     and evaluates the surrogate's primal-dual gap, against the better of
     the last dual iterate and the sigma-weighted dual average; it stops
     once that is at most ``inner_tol`` times the primal value's magnitude.
-    Returns ``(u, iters, gap, converged, z)``: the solver loop's 4-tuple
-    and the last dual iterate.
+    Returns ``(u, iters, gap, converged, z)`` like the solver loop, z being
+    the last dual iterate.
     """
 
     def dual_value(w):
@@ -283,7 +284,7 @@ def reference_inner_loop(anchor, operator, constraints, config, coeff):
     dt = config.dt
     drive = np.sign(anchor) * coeff  # c^k * sign(v^k), zero where v is zero
     u = anchor
-    z = np.clip(fwd @ anchor, -1.0, 1.0)
+    z = np.clip(fwd @ anchor, -1.0, 1.0) if dual is None else dual
     u_tilde = anchor
     sigma = tau = _certified_step(operator, dt)
     iters = 0

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import logging
 import re
 
 import numpy as np
@@ -537,7 +538,7 @@ def test_experiment_jobs_below_one_exits_2(tmp_path, sbm_files, capsys, jobs):
 
 def test_numerical_failure_exits_4(tmp_path, capsys, monkeypatch):
     # certified steps keep even --dt 1e308 finite, so the failure is injected
-    def diverge(*args):
+    def diverge(anchor, operator, constraints, config, coeff, dual=None):
         raise NonFiniteError("inner iterate is not finite", iteration=1)
 
     monkeypatch.setattr(graphtv.solver, "_inner_loop", diverge)
@@ -549,6 +550,36 @@ def test_numerical_failure_exits_4(tmp_path, capsys, monkeypatch):
                "--out-scores", str(tmp_path / "s.csv"))
     assert code == 4
     assert "numerical failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("inner_max", ["2000", "20"])
+def test_solve_info_line_counts_rolled_back_inner_work(
+    tmp_path, sbm_files, caplog, monkeypatch, inner_max
+):
+    # the step that is rolled back ran a full inner loop too; the info line
+    # counts its iterations and cap hit with those of the kept steps
+    graph, _, seeds = sbm_files
+    steps = []
+    real_step = graphtv.solver.outer_step
+
+    def spy(*args, **kwargs):
+        out = real_step(*args, **kwargs)
+        steps.append(out[1])
+        return out
+
+    monkeypatch.setattr(graphtv.solver, "outer_step", spy)
+    caplog.set_level(logging.INFO, logger="graphtv.cli")
+    code = run("solve", "--graph", str(graph), "--labels", str(seeds),
+               "--inner-max", inner_max, "--out-scores", str(tmp_path / "s.csv"))
+    assert code == 0
+    messages = [r.getMessage() for r in caplog.records]
+    (line,) = [m for m in messages if "solve finished" in m]
+    assert "stop=no_decrease" in line  # so one step was rolled back
+    iters = sum(r.inner_iters for r in steps)
+    caps = sum(r.hit_cap for r in steps)
+    assert (caps > 0) == (inner_max == "20")
+    assert f"{iters} inner iterations and {caps} inner cap hits" in line
+    assert f"{len(steps) - 1} outer steps" in line
 
 
 def test_invalid_log_level_exits_2(monkeypatch, capsys):

@@ -13,17 +13,21 @@ from hypothesis import strategies as st
 import graphtv.solver
 from graphtv import (
     Graph,
+    KernelSpec,
     LabelConstraints,
     NormalizedGradient,
     SolverConfig,
+    build_knn_graph,
     constraint_violation,
     initialize_state,
+    make_partition,
     outer_step,
     prediction_from_scores,
     project_constraints,
     read_scores_csv,
     solve,
     synth_sbm,
+    synth_two_moons,
     write_scores_csv,
     write_trace_json,
 )
@@ -90,21 +94,22 @@ def inner_solve(anchor, op, cons, config):
     return _inner_loop(anchor, op, cons, config, coeff)
 
 
-def run_both_loops(anchor, op, cons, config):
-    """Fused loop and reference oracle from the same anchor; both outcomes."""
+def run_both_loops(anchor, op, cons, config, dual=None):
+    """Fused loop and reference oracle from the same start; both outcomes."""
     _, _, coeff = _ratio_terms(op, anchor)
-    fused_out = _inner_loop(anchor, op, cons, config, coeff)
-    ref_out = reference_inner_loop(anchor, op, cons, config, coeff)
+    fused_out = _inner_loop(anchor, op, cons, config, coeff, dual)
+    ref_out = reference_inner_loop(anchor, op, cons, config, coeff, dual)
     return fused_out, ref_out
 
 
 def assert_loops_agree(fused_out, ref_out):
-    (u, iters, gap, converged), (ref_u, ref_iters, ref_gap, ref_converged, _) = (
+    (u, iters, gap, converged, z), (ref_u, ref_iters, ref_gap, ref_converged, ref_z) = (
         fused_out, ref_out
     )
     assert iters == ref_iters and converged == ref_converged
     assert same_bits(gap, ref_gap)
     assert same_bits(u, ref_u)
+    assert same_bits(z, ref_z)
 
 
 # -------------------------------------------------------------- projection
@@ -251,7 +256,7 @@ def test_inner_loop_preserves_its_own_fixed_point():
     op = NormalizedGradient(graph)
     config = SolverConfig(inner_tol=1e-12, inner_max=20000)
     anchor = initialize_state(graph, cons)
-    settled, _, _, _ = inner_solve(anchor, op, cons, config)
+    settled, *_ = inner_solve(anchor, op, cons, config)
     assert surrogate_objective(op, settled, anchor, config.dt) <= 1e-12
 
 
@@ -263,7 +268,7 @@ def test_inner_loop_beats_random_feasible_candidates(rng):
     op = NormalizedGradient(graph)
     config = SolverConfig(inner_tol=1e-12, inner_max=6000)
     anchor = initialize_state(graph, cons)
-    u, _, _, _ = inner_solve(anchor, op, cons, config)
+    u, *_ = inner_solve(anchor, op, cons, config)
     achieved = surrogate_objective(op, u, anchor, config.dt)
 
     best = np.inf
@@ -321,13 +326,8 @@ def test_inner_loop_rejects_three_class_state_for_two_class_constraints(rng):
         reference_inner_loop(anchor, op, cons2, config, coeff)
 
 
-@pytest.mark.parametrize("n_classes", [2, 3, 5, 9])
-@pytest.mark.parametrize("dt", [1.0, 0.3])
-@pytest.mark.parametrize("stop", ["tol", "cap"])
-@pytest.mark.parametrize("seeding", ["one", "most", "all"])
-def test_inner_loop_matches_reference_oracle(n_classes, dt, stop, seeding):
-    # the fused in-place loop must repeat the whole-array loop's arithmetic
-    # exactly; 9 classes cross numpy's pairwise-summation block
+def oracle_case(n_classes, dt, stop, seeding):
+    """A seeded inner problem and a config that stops on ``stop``."""
     n = 6 * n_classes + (seeding != "all")
     per = {"one": 1, "most": 6, "all": 6}[seeding]
     rng = np.random.default_rng([n_classes, int(10 * dt), int(stop == "tol"), per, n])
@@ -336,10 +336,43 @@ def test_inner_loop_matches_reference_oracle(n_classes, dt, stop, seeding):
         config = SolverConfig(dt=dt, inner_tol=1e-3, inner_max=5000)
     else:
         config = SolverConfig(dt=dt, inner_tol=1e-300, inner_max=60)
-    fused_out, ref_out = run_both_loops(anchor, op, cons, config)
+    return rng, op, cons, anchor, config
+
+
+def assert_oracle_case(op, cons, anchor, config, stop, dual=None):
+    fused_out, ref_out = run_both_loops(anchor, op, cons, config, dual)
     assert_loops_agree(fused_out, ref_out)
     iters = fused_out[1]
     assert (iters < config.inner_max) if stop == "tol" else (iters == config.inner_max)
+
+
+@pytest.mark.parametrize("n_classes", [2, 3, 5, 9])
+@pytest.mark.parametrize("dt", [1.0, 0.3])
+@pytest.mark.parametrize("stop", ["tol", "cap"])
+@pytest.mark.parametrize("seeding", ["one", "most", "all"])
+def test_inner_loop_matches_reference_oracle(n_classes, dt, stop, seeding):
+    # the fused in-place loop must repeat the whole-array loop's arithmetic
+    # exactly; 9 classes cross numpy's pairwise-summation block
+    _, op, cons, anchor, config = oracle_case(n_classes, dt, stop, seeding)
+    assert_oracle_case(op, cons, anchor, config, stop)
+
+
+@pytest.mark.parametrize("n_classes", [2, 3, 5, 9])
+@pytest.mark.parametrize("dt", [1.0, 0.3])
+@pytest.mark.parametrize("stop", ["tol", "cap"])
+@pytest.mark.parametrize("seeding", ["one", "most", "all"])
+@pytest.mark.parametrize("start", ["random", "previous"])
+def test_inner_loop_matches_reference_oracle_from_warm_dual(
+    n_classes, dt, stop, seeding, start
+):
+    # the same, with the dual started at a random point of the unit box or
+    # at the last dual of the outer step that produced the anchor
+    rng, op, cons, anchor, config = oracle_case(n_classes, dt, stop, seeding)
+    if start == "random":
+        dual = rng.uniform(-1.0, 1.0, size=(op.matrix.shape[0], n_classes))
+    else:
+        anchor, _, dual = outer_step(anchor, op, cons, config)
+    assert_oracle_case(op, cons, anchor, config, stop, dual)
 
 
 @settings(max_examples=60, deadline=None)
@@ -350,24 +383,50 @@ def test_inner_loop_matches_reference_oracle(n_classes, dt, stop, seeding):
     dt=st.sampled_from([1.0, 0.3]),
     inner_max=st.integers(1, 40),
     inner_tol=st.sampled_from([1e-8, 1e-2]),
+    warm=st.booleans(),
 )
 def test_inner_loop_matches_reference_oracle_on_random_graphs(
-    seed, n, n_classes, dt, inner_max, inner_tol
+    seed, n, n_classes, dt, inner_max, inner_tol, warm
 ):
     assume(n >= n_classes)
-    op, cons, anchor = random_inner_problem(np.random.default_rng(seed), n, n_classes)
+    rng = np.random.default_rng(seed)
+    op, cons, anchor = random_inner_problem(rng, n, n_classes)
     config = SolverConfig(dt=dt, inner_tol=inner_tol, inner_max=inner_max)
-    assert_loops_agree(*run_both_loops(anchor, op, cons, config))
+    dual = None
+    if warm:
+        dual = rng.uniform(-1.0, 1.0, size=(op.matrix.shape[0], n_classes))
+    assert_loops_agree(*run_both_loops(anchor, op, cons, config, dual))
 
 
 def test_inner_loop_leaves_caller_arrays_alone(rng):
-    # the loop swaps its own buffers; none of them may be the caller's anchor
+    # the loop swaps its own buffers; none of them may be the caller's
+    # anchor or starting dual
     op, cons, anchor = random_inner_problem(rng, 15, 3)
-    before = anchor.copy()
-    u, iters, _, _ = inner_solve(anchor, op, cons, SolverConfig(inner_max=5))
+    dual = rng.uniform(-1.0, 1.0, size=(op.matrix.shape[0], 3))
+    before, dual_before = anchor.copy(), dual.copy()
+    _, _, coeff = _ratio_terms(op, anchor)
+    config = SolverConfig(inner_max=5)
+    u, iters, _, _, z = _inner_loop(anchor, op, cons, config, coeff, dual)
     assert iters == 5
-    assert same_bits(anchor, before)
+    assert same_bits(anchor, before) and same_bits(dual, dual_before)
     assert not np.shares_memory(u, anchor)
+    assert not np.shares_memory(z, dual)
+
+
+MISSHAPEN_DUALS = {
+    "edge": lambda m, n_classes: (m + 1, n_classes),
+    "class": lambda m, n_classes: (m, n_classes + 1),
+    "transposed": lambda m, n_classes: (n_classes, m),
+}
+
+
+@pytest.mark.parametrize("field", list(MISSHAPEN_DUALS))
+def test_inner_loop_rejects_dual_of_other_shape(rng, field):
+    op, cons, anchor = random_inner_problem(rng, 12, 3)
+    bad = np.zeros(MISSHAPEN_DUALS[field](op.matrix.shape[0], 3))
+    _, _, coeff = _ratio_terms(op, anchor)
+    with pytest.raises(ShapeMismatchError, match="dual shape"):
+        _inner_loop(anchor, op, cons, SolverConfig(inner_max=5), coeff, bad)
 
 
 @pytest.mark.parametrize("field", ["u", "v", "z"])
@@ -405,7 +464,7 @@ def test_inner_loop_overflowing_norm_is_not_non_finite(rng):
             anchor, op, cons, SolverConfig(dt=1e300, inner_max=30)
         )
     assert_loops_agree(fused_out, ref_out)
-    u, iters, gap, converged = fused_out
+    u, iters, gap, converged, _ = fused_out
     assert np.isfinite(u).all()
     assert not np.isfinite(gap)
     assert iters == 30 and not converged
@@ -436,7 +495,7 @@ def test_inner_gap_is_non_negative_at_every_check(seed, n, n_classes, dt, inner_
     op, cons, anchor = random_inner_problem(np.random.default_rng(seed), n, n_classes)
     config = SolverConfig(dt=dt, inner_tol=1e-300, inner_max=inner_max)
     _, _, coeff = _ratio_terms(op, anchor)
-    u, iters, gap, _ = _inner_loop(anchor, op, cons, config, coeff)
+    u, iters, gap, *_ = _inner_loop(anchor, op, cons, config, coeff)
     # the loop starts at the anchor, which can be optimal already: only a
     # gap that rounds to <= 0 may then stop it before the cap
     assert iters == inner_max or gap <= 0.0
@@ -453,8 +512,7 @@ def test_inner_gap_matches_dense_oracle(rng, inner_max):
     config = SolverConfig(dt=0.7, inner_tol=1e-300, inner_max=inner_max)
     fused_out, ref_out = run_both_loops(anchor, op, cons, config)
     assert_loops_agree(fused_out, ref_out)
-    u, _, gap, _ = fused_out
-    z = ref_out[4]  # the loop keeps its dual to itself; the oracle returns it
+    u, _, gap, _, z = fused_out
     _, _, coeff = _ratio_terms(op, anchor)
     primal, last_gap = dense_duality_gap(graph, cons, u, z, anchor, coeff, 0.7)
     assert primal == pytest.approx(primal_value(op, u, anchor, coeff, 0.7), rel=1e-12)
@@ -475,7 +533,7 @@ def test_inner_loop_ends_on_gap_for_small_dt(dt):
     cons = make_constraints(24, 2, [[0, 1], [12, 13]], epsilon=0.1)
     op = NormalizedGradient(graph)
     config = SolverConfig(dt=dt)
-    _, record = outer_step(initialize_state(graph, cons), op, cons, config)
+    _, record, _ = outer_step(initialize_state(graph, cons), op, cons, config)
     assert not record.hit_cap
     assert record.inner_iters < config.inner_max
     assert 0.0 <= record.gap
@@ -491,7 +549,7 @@ def test_outer_step_decreases_on_bridged_triangles():
     config = SolverConfig()
     u = initialize_state(graph, cons)
     before = _ratio_terms(op, u)[2].sum()
-    u, record = outer_step(u, op, cons, config)
+    u, record, _ = outer_step(u, op, cons, config)
     assert record.sum_ratios <= before + 1e-9
     # per-class pre-shift certificate
     assert min(record.decrease_slack) >= -1e-9
@@ -508,7 +566,7 @@ def test_outer_step_leaves_its_input_alone(rng):
     op = NormalizedGradient(graph)
     u = initialize_state(graph, cons)
     before = u.copy()
-    u_new, _ = outer_step(u, op, cons, SolverConfig())
+    u_new, *_ = outer_step(u, op, cons, SolverConfig())
     assert same_bits(u, before)
     assert not np.shares_memory(u_new, u)
 
@@ -518,14 +576,14 @@ def test_outer_record_flags_inner_cap(rng):
     cons = make_constraints(14, 2, [[0], [7]], epsilon=0.1)
     op = NormalizedGradient(graph)
     u = initialize_state(graph, cons)
-    _, capped = outer_step(u, op, cons, SolverConfig(inner_max=3))
+    _, capped, _ = outer_step(u, op, cons, SolverConfig(inner_max=3))
     assert capped.inner_iters == 3 and capped.hit_cap is True
-    _, settled = outer_step(
+    _, settled, _ = outer_step(
         u, op, cons, SolverConfig(inner_tol=1e-2, inner_max=100000)
     )
     assert settled.inner_iters < 100000 and settled.hit_cap is False
     # meeting the gap test on the last allowed iteration is not a cap hit
-    _, exact = outer_step(
+    _, exact, _ = outer_step(
         u, op, cons,
         SolverConfig(inner_tol=1e-2, inner_max=settled.inner_iters),
     )
@@ -546,7 +604,7 @@ def test_summed_decrease_slack_is_at_least_minus_gap(seed, n, inner_max):
     cons = random_constraints(rng, n, 2)
     op = NormalizedGradient(graph)
     u = initialize_state(graph, cons)
-    _, record = outer_step(u, op, cons, SolverConfig(inner_max=inner_max))
+    _, record, _ = outer_step(u, op, cons, SolverConfig(inner_max=inner_max))
     assert sum(record.decrease_slack) >= -record.gap - 1e-12
 
 
@@ -554,7 +612,7 @@ def test_outer_step_record_ratios_match_carried_state(rng):
     graph = random_connected_graph(rng, 14)
     cons = make_constraints(14, 2, [[0], [7]], epsilon=0.1)
     op = NormalizedGradient(graph)
-    u, record = outer_step(initialize_state(graph, cons), op, cons, SolverConfig())
+    u, record, _ = outer_step(initialize_state(graph, cons), op, cons, SolverConfig())
     again = _ratio_terms(op, u)[2]
     assert record.ratios == pytest.approx(again, rel=1e-12)
     assert record.sum_ratios == pytest.approx(sum(again), rel=1e-12)
@@ -635,6 +693,10 @@ def test_solve_warns_when_first_step_stagnates():
     assert trace.stop_reason == "no_decrease"
     assert trace.records == []
     assert same_bits(prediction.scores, initialize_state(graph, cons))
+    # the rolled-back step stays visible: it is the cold first step
+    u = initialize_state(graph, cons)
+    _, record, _ = outer_step(u, NormalizedGradient(graph), cons, SolverConfig())
+    assert record_fields(trace.rejected_step) == record_fields(record)
 
 
 def test_solve_deterministic(rng):
@@ -682,6 +744,60 @@ def test_solve_budget_stop_reason():
     assert not trace.converged
     assert trace.stop_reason == "budget"
     assert len(trace.records) == 1
+    assert trace.rejected_step is None
+
+
+def moons_instance():
+    """300 two-moons points, k = 10, 10% seeds: six kept steps when cold."""
+    features, truth = synth_two_moons(300, 0.2, 0)
+    graph = build_knn_graph(features, KernelSpec(10))
+    constraints, _ = make_partition(truth, 2, 0.1, 0)
+    return graph, constraints
+
+
+def record_fields(record):
+    """An outer record's fields, less its wall-clock time."""
+    fields = dataclasses.asdict(record)
+    del fields["wall_ms"]
+    return fields
+
+
+def every_step(trace):
+    """The kept records, then the rolled-back one if there is one."""
+    steps = list(trace.records)
+    if trace.rejected_step is not None:
+        steps.append(trace.rejected_step)
+    return steps
+
+
+def test_solve_first_step_is_a_cold_outer_step():
+    graph, cons = moons_instance()
+    config = SolverConfig(outer_max=1, outer_tol=0.0)
+    prediction, trace = solve(graph, cons, config)
+    u = initialize_state(graph, cons)
+    u_new, record, _ = outer_step(u, NormalizedGradient(graph), cons, config)
+    assert len(trace.records) == 1
+    assert record_fields(trace.records[0]) == record_fields(record)
+    assert same_bits(prediction.scores, u_new)
+
+
+def test_carried_dual_saves_inner_iterations(monkeypatch):
+    # no RNG is drawn, so both counts repeat exactly from run to run
+    graph, cons = moons_instance()
+    _, warm = solve(graph, cons)
+    cold_step = outer_step
+    monkeypatch.setattr(
+        graphtv.solver, "outer_step", lambda *args, dual=None: cold_step(*args)
+    )
+    _, cold = solve(graph, cons)
+    assert len(cold.records) > 1
+    assert warm.records[0].inner_iters == cold.records[0].inner_iters
+    assert sum(r.inner_iters for r in every_step(warm)) < sum(
+        r.inner_iters for r in every_step(cold)
+    )
+    # a warm-started loop is certified by its gap like a cold one
+    for record in warm.records:
+        assert sum(record.decrease_slack) >= -record.gap
 
 
 def test_solve_weight_scale_invariance(rng):
@@ -698,11 +814,11 @@ def test_solve_raises_non_finite_with_partial_trace(monkeypatch):
     # failure is injected: the second inner loop reports a non-finite iterate
     calls = []
 
-    def fail_second_call(*args):
-        calls.append(1)
+    def fail_second_call(anchor, operator, constraints, config, coeff, dual=None):
+        calls.append(dual)
         if len(calls) == 2:
             raise NonFiniteError("inner iterate is not finite", iteration=7)
-        return _inner_loop(*args)
+        return _inner_loop(anchor, operator, constraints, config, coeff, dual)
 
     monkeypatch.setattr(graphtv.solver, "_inner_loop", fail_second_call)
     graph, _ = synth_sbm((6, 6), 0.8, 0.1, 1)
@@ -713,6 +829,8 @@ def test_solve_raises_non_finite_with_partial_trace(monkeypatch):
     trace = info.value.trace
     assert trace.initial_ratios  # partial trace is usable
     assert len(trace.records) == 1 and trace.stop_reason == "budget"
+    # the first loop starts cold, the second from the first one's dual
+    assert calls[0] is None and calls[1] is not None
 
 
 @pytest.mark.parametrize("dt", [1e300, 1e308], ids=["1e300", "1e308"])

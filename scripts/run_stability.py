@@ -15,8 +15,8 @@ from graphtv import (
     stability_experiment,
     synth_two_moons,
     write_report_csv,
-    write_report_json,
 )
+from graphtv.tables import write_json
 
 
 def main():
@@ -58,7 +58,7 @@ def main():
             print(f"  fraction={c['fraction']} seed={c['seed']}: {c['error']}")
 
     if args.out_json:
-        write_report_json(args.out_json, report)
+        write_json(args.out_json, report)
     if args.out_csv:
         write_report_csv(args.out_csv, report)
 

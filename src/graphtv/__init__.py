@@ -27,7 +27,6 @@ from .evaluation import (
     roc_auc,
     stability_experiment,
     write_report_csv,
-    write_report_json,
 )
 from .graph import (
     FeatureMatrix,
@@ -105,7 +104,6 @@ __all__ = [
     "evaluate",
     "baseline_label_spreading",
     "stability_experiment",
-    "write_report_json",
     "write_report_csv",
     "__version__",
 ]

@@ -55,7 +55,6 @@ from .evaluation import (
     evaluate,
     stability_experiment,
     write_report_csv,
-    write_report_json,
 )
 from .graph import _KERNELS, _METRICS, _SYMMETRIZATIONS
 from .graph import KernelSpec, build_knn_graph, load_graph, save_graph
@@ -314,7 +313,7 @@ def cmd_experiment(rc):
         epsilon=float(p["epsilon"]),
         jobs=int(p["jobs"]),
     )
-    write_report_json(rc.outputs["report"], report)
+    write_json(rc.outputs["report"], report)
     if rc.outputs["report_csv"] is not None:
         write_report_csv(rc.outputs["report_csv"], report)
     if all("error" in cell for cell in report["cells"]):

@@ -22,7 +22,7 @@ from .errors import (
 from .operators import diffusion_solve, normalized_adjacency
 from .datasets import make_partition
 from .solver import SolverConfig, prediction_from_scores, solve
-from .tables import fmt, write_json, write_table
+from .tables import fmt, write_table
 
 log = logging.getLogger(__name__)
 
@@ -237,10 +237,6 @@ def stability_experiment(
             {str(fractions[i]): means[i] for i in order},
         )
     return {"cells": cells, "summary": summary}
-
-
-def write_report_json(path, report):
-    write_json(path, report)
 
 
 def write_report_csv(path, report):

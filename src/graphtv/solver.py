@@ -246,45 +246,42 @@ def prediction_from_scores(scores):
 
 
 class _Projection:
-    """Row-wise projection of C-ordered (n, L) states, done in place.
+    """Projection of class-major (L, n) states, done in place.
 
-    The index arrays and the scratch it needs are built once per constraint
-    set, so the inner loop can project every iterate without allocating.
+    Row k holds the scores of class k, so each class is one contiguous
+    vector.  The index arrays and the scratch it needs are built once per
+    constraint set, so the inner loop can project every iterate without
+    allocating.
     """
 
     def __init__(self, constraints):
-        n_classes = constraints.n_classes
+        n = constraints.n
         lab = constraints.labeled_nodes
         self.epsilon = constraints.epsilon
-        # flat positions of the seed rows in the state, and of each seed's
-        # own class inside the gathered seed block
-        self.seed_entries = (lab[:, None] * n_classes + np.arange(n_classes)).ravel()
-        self.own_entries = np.arange(lab.size) * n_classes + constraints.own_class[lab]
+        # flat positions of the seed columns in the state, class by class,
+        # and of each seed's own class inside the gathered seed block
+        classes = np.arange(constraints.n_classes)[:, None]
+        self.seed_entries = (classes * n + lab).ravel()
+        self.own_entries = constraints.own_class[lab] * lab.size + np.arange(lab.size)
         self.block = np.empty(self.seed_entries.size)
         self.own_block = np.empty(lab.size)
-        self.row_mean = np.empty(constraints.n)
+        self.node_mean = np.empty(n)
 
     def __call__(self, u):
-        # u must be (n, n_classes) of the constraints, which keeps every
+        # u must be (n_classes, n) of the constraints, which keeps every
         # index in range; mode="clip" only spares numpy the buffered copy of
         # `out` that mode="raise" makes
         flat = u.reshape(-1)  # a view: u is C-contiguous
         np.take(flat, self.seed_entries, out=self.block, mode="clip")
         np.take(self.block, self.own_entries, out=self.own_block, mode="clip")
-        # Every row loses its mean; the seed rows are then overwritten from
-        # the values taken above, so only the unlabeled rows keep the shift.
-        n_classes = u.shape[1]
-        if n_classes < 8:
-            # mean(axis=1) adds short rows left to right onto +0.0; column
-            # sums do the same bit for bit, and at n = 2000, L = 2 take 12 us
-            # where the reduction over the short axis takes 64 us
-            self.row_mean.fill(0.0)
-            for k in range(n_classes):
-                self.row_mean += u[:, k]
-            self.row_mean /= n_classes
-        else:  # numpy sums longer rows pairwise
-            np.mean(u, axis=1, out=self.row_mean)
-        u -= self.row_mean[:, None]
+        # Every node loses its mean over the classes, added left to right
+        # onto +0.0; the seed columns are then overwritten from the values
+        # taken above, so only the unlabeled nodes keep the shift.
+        self.node_mean.fill(0.0)
+        for u_k in u:
+            self.node_mean += u_k
+        self.node_mean /= u.shape[0]
+        u -= self.node_mean
         np.minimum(self.block, -self.epsilon, out=self.block)
         np.maximum(self.own_block, self.epsilon, out=self.own_block)
         self.block[self.own_entries] = self.own_block
@@ -296,8 +293,10 @@ def project_constraints(u, constraints):
 
     Seeded node i of class k: u[i, k] -> max(u[i, k], eps) and
     u[i, k'] -> min(u[i, k'], -eps) for k' != k.  Unlabeled rows lose their
-    mean across classes.  The map is idempotent.  Returns a new array; the
-    inner loop runs the same projection in place on its own buffers.
+    mean across classes, summed from class 0 up.  The map is idempotent.
+    Takes an (n, L) state in any memory order and returns a new
+    C-contiguous one; it projects a class-major copy with the in-place
+    routine the inner loop runs on its own buffers.
     """
     u = np.asarray(u, dtype=np.float64)
     if u.shape != (constraints.n, constraints.n_classes):
@@ -305,9 +304,9 @@ def project_constraints(u, constraints):
             f"state shape {u.shape} does not match "
             f"({constraints.n}, {constraints.n_classes})"
         )
-    out = np.array(u, order="C")
+    out = np.array(u.T, order="C")
     _Projection(constraints)(out)
-    return out
+    return np.ascontiguousarray(out.T)
 
 
 def constraint_violation(u, constraints):
@@ -377,7 +376,7 @@ def initialize_state(graph, constraints):
 
 
 def _dual_value(w, anchor, dt, project, u_star, tmp):
-    """D = ||u* - v||^2 / (2 dt) - <w, u*> at u* = P_C(v + dt w), in buffers."""
+    """D = ||u* - v||^2 / (2 dt) - <w, u*> at u* = P_C(v + dt w), class-major."""
     np.multiply(w, dt, out=u_star)
     u_star += anchor
     project(u_star)
@@ -401,14 +400,16 @@ def _certified_step(operator, dt):
 def _inner_loop(anchor, operator, constraints, config, coeff, dual=None):
     """Solve the surrogate linearized at ``anchor``, starting from it.
 
-    The primal iterate and its extrapolation start at ``anchor``.  The dual
-    starts at a copy of ``dual``, an ``(m, L)`` edge variable in the unit
-    box such as the last dual of a previous loop, or at the clamped
-    gradient ``clip(K anchor)`` when it is None.  ``anchor`` and ``dual``
-    are only read, and the steps restart at :func:`_certified_step` either
-    way.  Returns ``(u, iters, gap, converged, z)`` with ``z`` the last
-    dual iterate; a non-finite iterate is detected at the next gap
-    evaluation.
+    The primal iterate and its extrapolation start at the ``(n, L)``
+    ``anchor``.  The dual starts at a copy of ``dual``, an ``(m, L)`` edge
+    variable in the unit box such as the last dual of a previous loop, or
+    at the clamped gradient ``clip(K anchor)`` when it is None.  ``anchor``
+    and ``dual`` are only read, and the steps restart at
+    :func:`_certified_step` either way.  The loop itself holds every array
+    class-major, (L, n) on the nodes and (L, m) on the edges.  Returns
+    ``(u, iters, gap, converged, z)``: ``u`` is a new C-contiguous
+    ``(n, L)`` array and ``z`` the ``(m, L)`` last dual iterate; a
+    non-finite iterate is detected at the next gap evaluation.
     """
     shape = (constraints.n, constraints.n_classes)
     if np.shape(anchor) != shape:
@@ -423,14 +424,15 @@ def _inner_loop(anchor, operator, constraints, config, coeff, dual=None):
     fwd = operator.matrix
     adj = operator.adjoint_matrix
     dt = config.dt
-    drive = np.sign(anchor) * coeff  # c^k * sign(v^k), zero where v is zero
     project = _Projection(constraints)
-    # Every buffer is owned by the loop.  The dual and the extrapolation are
-    # held class-major, so each class is one contiguous vector for the
-    # sparse products.  Every update keeps the operand order of the
+    # Every buffer is owned by the loop and class-major, so each class is
+    # one contiguous row for the sparse products, the elementwise updates
+    # and the projection.  Every update keeps the operand order of the
     # whole-array form (reference_inner_loop in tests/oracles.py), so the
     # results are bit-identical to it.
-    u = np.array(anchor, order="C")
+    v = np.array(anchor.T, order="C")
+    drive = np.sign(v) * coeff[:, None]  # c^k * sign(v^k), zero where v is zero
+    u = v.copy()
     u_prev = np.empty_like(u)
     scratch = np.empty_like(u)
     u_star = np.empty_like(u)
@@ -440,7 +442,7 @@ def _inner_loop(anchor, operator, constraints, config, coeff, dual=None):
     adj_z_sum = np.zeros_like(u)
     w_mean = np.empty_like(u)
     weight = 0.0
-    u_tilde = np.array(anchor.T, order="C")
+    u_tilde = v.copy()
     if dual is None:
         dual = np.clip(fwd @ anchor, -1.0, 1.0)
     z = np.array(dual.T, order="C")
@@ -458,7 +460,7 @@ def _inner_loop(anchor, operator, constraints, config, coeff, dual=None):
         np.maximum(z, -1.0, out=z)
         np.minimum(z, 1.0, out=z)
         for k, z_k in enumerate(z):
-            scratch[:, k] = adj @ z_k
+            scratch[k] = adj @ z_k
         # u_prev is dead until the swap below, so it serves as scratch
         np.multiply(scratch, sigma, out=u_prev)
         adj_z_sum += u_prev
@@ -468,9 +470,9 @@ def _inner_loop(anchor, operator, constraints, config, coeff, dual=None):
             # the better lower bound of the last and the averaged dual
             np.divide(adj_z_sum, weight, out=w_mean)
             np.subtract(drive, w_mean, out=w_mean)
-            dual = max(
-                _dual_value(scratch, anchor, dt, project, u_star, u_prev),
-                _dual_value(w_mean, anchor, dt, project, u_star, u_prev),
+            lower = max(
+                _dual_value(scratch, v, dt, project, u_star, u_prev),
+                _dual_value(w_mean, v, dt, project, u_star, u_prev),
             )
         # proximal descent on the nodes: resolvent of the quadratic tether
         # ||u - anchor||^2 / (2 dt) plus the linearized-l1 drive, followed
@@ -478,7 +480,7 @@ def _inner_loop(anchor, operator, constraints, config, coeff, dual=None):
         scratch *= tau * dt
         u, u_prev = u_prev, u
         np.add(u_prev, scratch, out=u)
-        np.multiply(anchor, tau, out=scratch)
+        np.multiply(v, tau, out=scratch)
         u += scratch
         u /= 1.0 + tau
         project(u)
@@ -487,20 +489,20 @@ def _inner_loop(anchor, operator, constraints, config, coeff, dual=None):
         sigma /= theta
         np.subtract(u, u_prev, out=scratch)
         scratch *= theta
-        np.add(u, scratch, out=u_tilde.T)
+        np.add(u, scratch, out=u_tilde)
         iters = it
         if not check:
             continue
         # primal value P(u) = ||u - v||^2 / (2 dt) - <drive, u> + TV(u)
-        np.subtract(u, anchor, out=scratch)
+        np.subtract(u, v, out=scratch)
         np.square(scratch, out=scratch)
         tether = scratch.sum()
         np.multiply(drive, u, out=scratch)
         linear = scratch.sum()
-        grad_u = fwd @ u
+        grad_u = fwd @ u.T  # one (m, L) product, summed in that order
         tv = np.abs(grad_u, out=grad_u).sum()
         primal = tether / (2.0 * dt) - linear + tv
-        gap = float(primal - dual)
+        gap = float(primal - lower)
         # a finite gap implies a finite iterate; look closer otherwise
         if not math.isfinite(gap):
             if not np.isfinite(u).all():
@@ -508,7 +510,7 @@ def _inner_loop(anchor, operator, constraints, config, coeff, dual=None):
         elif gap <= config.inner_tol * abs(primal):
             converged = True
             break
-    return u, iters, gap, converged, z.T
+    return np.ascontiguousarray(u.T), iters, gap, converged, z.T
 
 
 def outer_step(u, operator, constraints, config, *, dual=None):

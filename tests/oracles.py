@@ -8,6 +8,11 @@ matrix, the diffusion oracles solve their linear systems densely, the
 duality-gap oracle uses the dense gradient, and the reference inner loop
 allocates fresh arrays on every iteration.  Tests
 compare the fast implementations against these slow-but-obvious routes.
+
+Where a test compares bits, an oracle adds floats in the library's order:
+the class mean of a projection adds the classes left to right, and the
+reference inner loop takes its whole-array sums over the (L, n)
+class-major layout that the solver's loop keeps.
 """
 
 import math
@@ -192,8 +197,8 @@ def dense_label_spreading(graph, constraints, alpha):
 def reference_project_constraints(u, constraints):
     """Projection onto the seed margins and zero class-sums, one copy per call.
 
-    Unlabeled rows lose the mean of their own gathered block; seed rows are
-    clamped from the input values.
+    Unlabeled rows lose the mean of their own gathered block, its classes
+    added left to right; seed rows are clamped from the input values.
     """
     u = np.asarray(u, dtype=np.float64)
     if u.shape != (constraints.n, constraints.n_classes):
@@ -204,7 +209,11 @@ def reference_project_constraints(u, constraints):
     out = u.copy()
     unl = constraints.unlabeled_nodes
     if unl.size:
-        out[unl] -= out[unl].mean(axis=1, keepdims=True)
+        rows = out[unl]
+        total = np.zeros(unl.size)  # +0.0, so an all -0.0 row sums to +0.0
+        for k in range(constraints.n_classes):
+            total += rows[:, k]
+        out[unl] -= (total / constraints.n_classes)[:, None]
     lab = constraints.labeled_nodes
     if lab.size:
         eps = constraints.epsilon
@@ -269,14 +278,20 @@ def reference_inner_loop(anchor, operator, constraints, config, coeff, dual=None
     and evaluates the surrogate's primal-dual gap, against the better of
     the last dual iterate and the sigma-weighted dual average; it stops
     once that is at most ``inner_tol`` times the primal value's magnitude.
+    The tether, the linear term and both dual values are summed over the
+    class-major (L, n) layout, the order of the solver loop's buffers.
     Returns ``(u, iters, gap, converged, z)`` like the solver loop, z being
     the last dual iterate.
     """
 
+    def class_major_sum(x):
+        return np.ascontiguousarray(x.T).sum()
+
     def dual_value(w):
         # the Lagrangian's minimizer over the constraint set, and its value
         u_star = reference_project_constraints(anchor + dt * w, constraints)
-        return ((u_star - anchor) ** 2).sum() / (2.0 * dt) - (w * u_star).sum()
+        tether = class_major_sum((u_star - anchor) ** 2)
+        return tether / (2.0 * dt) - class_major_sum(w * u_star)
 
     check_every = 10
     fwd = operator.matrix
@@ -318,8 +333,8 @@ def reference_inner_loop(anchor, operator, constraints, config, coeff, dual=None
             if not np.isfinite(u).all():
                 raise NonFiniteError("inner iterate is not finite", iteration=it)
             primal = (
-                ((u - anchor) ** 2).sum() / (2.0 * dt)
-                - (drive * u).sum()
+                class_major_sum((u - anchor) ** 2) / (2.0 * dt)
+                - class_major_sum(drive * u)
                 + np.abs(fwd @ u).sum()
             )
             gap = float(primal - dual)

@@ -475,6 +475,19 @@ def test_budget_exhaustion_exits_3_but_writes_outputs(tmp_path, sbm_files, capsy
     assert (tmp_path / "s.config.json").exists()
 
 
+def test_outer_tol_stop_exits_0(tmp_path, caplog):
+    graph = tmp_path / "g.gxg"
+    save_graph(triangles_bridge(), graph)
+    seeds = tmp_path / "seeds.csv"
+    write_labels_csv(seeds, np.array([0, 3]), np.array([0, 1]))
+    caplog.set_level(logging.INFO, logger="graphtv.cli")
+    assert run("solve", "--graph", str(graph), "--labels", str(seeds),
+               "--outer-tol", "1000", "--out-scores", str(tmp_path / "s.csv")) == 0
+    messages = [r.getMessage() for r in caplog.records]
+    (line,) = [m for m in messages if "solve finished" in m]
+    assert "1 outer steps, converged=True, stop=tol" in line
+
+
 def test_experiment_with_every_cell_failed_exits_3(tmp_path, capsys):
     graph, truth = tmp_path / "g.gxg", tmp_path / "truth.csv"
     assert run("synth", "sbm", "--sizes", "6,6,6", "--p-in", "0.8", "--p-out",

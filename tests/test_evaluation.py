@@ -25,7 +25,6 @@ from graphtv import (
     synth_sbm,
     synth_two_moons,
     write_report_csv,
-    write_report_json,
 )
 from graphtv.errors import (
     DegenerateClassError,
@@ -33,6 +32,7 @@ from graphtv.errors import (
     InvalidExperimentError,
     ShapeMismatchError,
 )
+from graphtv.tables import write_json
 from oracles import (
     cliques_graph,
     dense_label_spreading,
@@ -340,7 +340,7 @@ def test_report_writers(tmp_path):
     dataset = LabeledDataset(truth=truth, n_classes=2, graph=graph)
     report = stability_experiment(dataset, [0.2, 0.3], [0, 1])
     jpath, cpath = tmp_path / "r.json", tmp_path / "r.csv"
-    write_report_json(jpath, report)
+    write_json(jpath, report)
     write_report_csv(cpath, report)
     doc = json.loads(jpath.read_text())
     assert set(doc) == {"cells", "summary"}

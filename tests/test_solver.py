@@ -174,13 +174,14 @@ def test_projection_properties(seed, n, n_classes):
 @given(
     seed=st.integers(0, 2**32 - 1),
     n=st.integers(2, 40),
-    n_classes=st.integers(2, 9),
+    n_classes=st.integers(2, 14),
     fortran=st.booleans(),
 )
 def test_projection_matches_reference_oracle(seed, n, n_classes, fortran):
-    # in-place projection (mean over every row, seed rows written after)
-    # against the copying one, bit for bit; 8 and 9 classes cross numpy's
-    # pairwise-summation block, signed zeros and ties are planted
+    # in-place class-major projection (mean over every node, seed entries
+    # written after) against the copying one, bit for bit; both add the
+    # classes left to right at every class count, signed zeros and ties
+    # are planted
     assume(n >= n_classes)
     gen = np.random.default_rng(seed)
     cons = random_constraints(gen, n, n_classes)
@@ -197,6 +198,21 @@ def test_projection_matches_reference_oracle(seed, n, n_classes, fortran):
     assert same_bits(out, reference_project_constraints(u, cons))
     assert out.flags.c_contiguous
     assert same_bits(u, given_u)  # the input is never written
+
+
+@pytest.mark.parametrize("n_classes", [9, 14])
+def test_projection_adds_classes_left_to_right(n_classes):
+    # the unlabeled row's sum depends on the order of addition: left to
+    # right, 1e16 + 1 rounds to 1e16, which -1e16 then cancels, so the sum
+    # is L - 3; numpy's pairwise summation gives another value
+    cons = make_constraints(n_classes + 1, n_classes, [[k] for k in range(n_classes)])
+    row = np.ones(n_classes)
+    row[[0, 2]] = [1e16, -1e16]
+    u = np.zeros((n_classes + 1, n_classes))
+    u[-1] = row
+    out = project_constraints(u, cons)
+    assert same_bits(out[-1], row - (n_classes - 3) / n_classes)
+    assert same_bits(out, reference_project_constraints(u, cons))
 
 
 # ------------------------------------------------------------------- state
@@ -294,9 +310,10 @@ def test_inner_loop_flags_non_finite_state(rng):
     assert info.value.iteration >= 1
 
 
-# The loop builds its whole state from the anchor: u, u_extrapolated and v
-# start as copies of it and z as clip(K anchor).  Each case hands it an
-# anchor of another class layout that would reach the named array.
+# The loop builds its whole state from the anchor: v is its class-major
+# copy, u and its extrapolation u_tilde start as copies of v, and z starts
+# as clip(K anchor).  Each case hands it an anchor of another class layout
+# that would reach the named array ("u_extrapolated" is u_tilde).
 MISSHAPEN_ANCHORS = {
     "u": lambda a: np.hstack([a, a[:, :1]]),  # one class more
     "u_extrapolated": lambda a: a[:, :1],  # one class fewer
@@ -744,6 +761,22 @@ def test_solve_budget_stop_reason():
     assert not trace.converged
     assert trace.stop_reason == "budget"
     assert len(trace.records) == 1
+    assert trace.rejected_step is None
+
+
+@pytest.mark.parametrize(
+    "config, kept",
+    [(SolverConfig(), 4), (SolverConfig(outer_tol=1e3), 1)],
+    ids=["default", "outer_tol=1e3"],
+)
+def test_solve_tol_stop_reason(config, kept):
+    # a tolerance above any ratio decrease stops on the first kept step
+    graph = triangles_bridge()
+    cons = make_constraints(6, 2, [[0], [3]], epsilon=0.1)
+    _, trace = solve(graph, cons, config)
+    assert trace.converged
+    assert trace.stop_reason == "tol"
+    assert len(trace.records) == kept
     assert trace.rejected_step is None
 
 

@@ -8,7 +8,10 @@ the degree-normalized operators downstream divide by ``d_i``.
 The k-NN build is an exact search in O(n^2 d) time.  It walks the rows in
 blocks of ``max(2, 2**20 // n)`` rows, so beyond its O(n k) result it holds
 one fixed-size block of distances (O(n) memory in n), never an n x n matrix.
-Distance ties go to the lower node index.
+A block picks its candidates in three steps: ``np.partition`` finds each
+row's k-th smallest distance, the flat indices of the one mask
+``dist <= kth`` give every entry up to it, and a lexsort by (row, distance,
+index) orders them, so distance ties go to the lower node index.
 """
 
 import math
@@ -161,7 +164,11 @@ def _nearest_neighbors(values, k, metric):
     """Indices and distances of each row's ``k`` nearest other rows, ascending.
 
     Distance ties are broken by node index.  Rows are processed in blocks, so
-    at most one block of distances is held at a time.
+    at most one block of distances is held at a time.  A block's candidates
+    are the flat indices of the mask ``dist <= kth`` (``kth`` from
+    ``np.partition``), split into (row, column) by ``divmod(flat, n)``; a
+    lexsort by (row, distance, index) orders them and each row keeps its
+    first k.
     """
     n = values.shape[0]
     if metric == "cosine":
@@ -184,10 +191,12 @@ def _nearest_neighbors(values, k, metric):
             np.clip(dist, 0.0, 2.0, out=dist)
         rows = np.arange(hi - lo)
         dist[rows, rows + lo] = np.inf
-        # every entry up to the k-th smallest, in (row, distance, index) order
+        # every entry up to the k-th smallest, in (row, distance, index) order;
+        # the mask's flat indices come in C order, i.e. by (row, column)
         kth = np.partition(dist, k - 1, axis=1)[:, k - 1]
-        r, c = np.nonzero(dist <= kth[:, None])
-        d = dist[r, c]
+        flat = np.flatnonzero(dist <= kth[:, None])
+        r, c = np.divmod(flat, n)
+        d = dist.ravel()[flat]
         order = np.lexsort((c, d, r))
         # keep the first k of each row's run; ties past the k-th are dropped
         starts = np.searchsorted(r[order], rows)
@@ -207,12 +216,15 @@ def build_knn_graph(features, spec):
     elementwise ``max``.
 
     The search is exact and takes O(n^2 d) time.  Rows are handled in blocks
-    of about ``_BLOCK_ENTRIES`` distances, each reduced to its k nearest by
-    partition rather than a full sort, so the build holds one fixed-size
-    block of distances (O(n) memory in n) rather than an n x n matrix.  Each
-    distance is computed exactly as a dense matrix would compute it, except
-    that a cosine block's Gram products go through BLAS on a row slice and
-    may round differently from the full product in the last bit.
+    of about ``_BLOCK_ENTRIES`` distances, each reduced to its k nearest
+    rather than fully sorted: the partition threshold (each row's k-th
+    smallest distance), then the flat indices of one ``dist <= kth`` mask,
+    then a lexsort of those candidates by (row, distance, index).  The build
+    holds one fixed-size block of distances (O(n) memory in n) rather than an
+    n x n matrix.  Each distance is computed exactly as a dense matrix would
+    compute it, except that a cosine block's Gram products go through BLAS on
+    a row slice and may round differently from the full product in the last
+    bit.
 
     Parameters
     ----------

@@ -457,8 +457,7 @@ def _inner_loop(anchor, operator, constraints, config, coeff, dual=None):
             grad = fwd @ u_tilde[k]
             grad *= sigma
             z_k += grad
-        np.maximum(z, -1.0, out=z)
-        np.minimum(z, 1.0, out=z)
+        np.clip(z, -1.0, 1.0, out=z)
         for k, z_k in enumerate(z):
             scratch[k] = adj @ z_k
         # u_prev is dead until the swap below, so it serves as scratch

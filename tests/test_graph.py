@@ -191,12 +191,20 @@ def _exact_gram(values):
 # seven rows in blocks of three would leave a one-row tail; the ties at
 # distance 1 straddle the k-th neighbor of several rows
 TIED_LINE = np.array([[0.0], [1.0], [1.0], [2.0], [3.0], [3.0], [4.0]])
+# in blocks of three rows, row 4 sits in the second block and its third
+# neighbor is a tie between column 0 and column n - 1, at the same distance
+# in both metrics by symmetry about the x-axis; integer features keep the
+# cosine Gram exact
+EDGE_TIES = np.array([[1.0, 1.0], [2.0, 0.0], [3.0, 0.0],
+                      [-1.0, 0.0], [2.0, 0.0], [1.0, -1.0]])
 
 
 @settings(max_examples=150, deadline=None)
 @given(case=knn_cases(), spec_index=st.integers(0, len(SPECS) - 1))
 @example(case=(TIED_LINE, 2, 3), spec_index=0)
 @example(case=(TIED_LINE + 1.0, 3, 3), spec_index=SPECS.index(("cosine", "binary", "max")))
+@example(case=(EDGE_TIES, 3, 3), spec_index=SPECS.index(("euclidean", "binary", "mean")))
+@example(case=(EDGE_TIES, 3, 3), spec_index=SPECS.index(("cosine", "binary", "mean")))
 def test_blocked_build_matches_dense_oracle(case, spec_index):
     values, k, rows = case
     metric, kernel, sym = SPECS[spec_index]

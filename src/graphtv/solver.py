@@ -161,22 +161,22 @@ class SolverConfig:
     i.e. with gamma = mu/2, which meets the algorithm's condition
     gamma <= mu for every dt.  It stops once its primal-dual gap is at
     most ``inner_tol * |P(u)|``, P being the surrogate's primal value, or
-    at ``inner_max`` iterations.
+    at ``inner_max`` iterations.  ``inner_tol`` also stops :func:`solve`
+    on the smallest ratio-sum decrease such a gap resolves.
     """
 
     dt: float = 1.0
     inner_max: int = 2000
     inner_tol: float = 1e-3
     outer_max: int = 100
-    outer_tol: float = 1e-6
 
     def __post_init__(self):
         if not (self.dt > 0 and np.isfinite(self.dt)):
             raise ValueError("dt must be a positive finite real")
         if self.inner_max < 1 or self.outer_max < 1:
             raise ValueError("iteration caps must be >= 1")
-        if not (self.inner_tol > 0 and self.outer_tol >= 0):  # NaN fails too
-            raise ValueError("tolerances must be positive")
+        if not self.inner_tol > 0:  # NaN fails too
+            raise ValueError("inner_tol must be positive")
 
 
 @dataclass
@@ -206,9 +206,9 @@ class OuterRecord:
 class SolveTrace:
     """Records of the kept outer steps, and of the rolled-back one if any.
 
-    ``rejected_step`` is the :class:`OuterRecord` of the step that was
-    rolled back (``stop_reason == "no_decrease"``), else None; it is kept in
-    memory only and is not written by :func:`write_trace_json`.
+    On ``stop_reason`` "tol" the last kept step lowered the ratio sum by at
+    most ``inner_tol`` times the sum before it; on "no_decrease" the step
+    rolled back is kept, in memory only, as ``rejected_step`` (else None).
     """
 
     records: list = field(default_factory=list)
@@ -447,7 +447,6 @@ def _inner_loop(anchor, operator, constraints, config, coeff, dual=None):
         dual = np.clip(fwd @ anchor, -1.0, 1.0)
     z = np.array(dual.T, order="C")
     sigma = tau = _certified_step(operator, dt)
-    iters = 0
     gap = math.inf
     converged = False
     for it in range(1, config.inner_max + 1):
@@ -489,7 +488,6 @@ def _inner_loop(anchor, operator, constraints, config, coeff, dual=None):
         np.subtract(u, u_prev, out=scratch)
         scratch *= theta
         np.add(u, scratch, out=u_tilde)
-        iters = it
         if not check:
             continue
         # primal value P(u) = ||u - v||^2 / (2 dt) - <drive, u> + TV(u)
@@ -509,7 +507,8 @@ def _inner_loop(anchor, operator, constraints, config, coeff, dual=None):
         elif gap <= config.inner_tol * abs(primal):
             converged = True
             break
-    return np.ascontiguousarray(u.T), iters, gap, converged, z.T
+    # inner_max >= 1, so the loop ran and ``it`` counts its iterations
+    return np.ascontiguousarray(u.T), it, gap, converged, z.T
 
 
 def outer_step(u, operator, constraints, config, *, dual=None):
@@ -566,12 +565,13 @@ def solve(graph, constraints, config=None):
     each step is not a descent operation, and an overflowed gap certifies
     nothing, so the first step that comes back worse or uncertified marks
     convergence and is rolled back to the matrix it started from.  It
-    otherwise stops once the sum moves by less than ``outer_tol``, or at
-    ``outer_max``.  Returns ``(Prediction, SolveTrace)``;
-    ``trace.stop_reason`` says which happened.  Labels are the row argmax
-    of the final scores, ties broken toward the smallest class index and
-    flagged.  Nodes of a component
-    without seeds are returned tied (label 0) with one
+    otherwise stops as "tol" on the first kept step that lowers the sum by
+    at most ``inner_tol`` times the sum before it, all that an inner gap of
+    that size resolves (also after a capped inner loop, which certifies
+    less), or at ``outer_max``; ``trace.stop_reason`` says which.  Returns
+    ``(Prediction, SolveTrace)``.  Labels are the row argmax of the final
+    scores, ties broken toward the smallest class index and flagged.  Nodes
+    of a component without seeds are returned tied (label 0) with one
     :class:`~graphtv.errors.SeedlessComponentWarning`.  Every inner loop
     starts from the certified steps of :class:`SolverConfig`; the first
     one starts its dual cold at ``clip(K u)`` and every later one from the
@@ -623,7 +623,7 @@ def solve(graph, constraints, config=None):
             break
         u, dual = u_new, z
         trace.records.append(record)
-        if prev_sum - record.sum_ratios < config.outer_tol:
+        if prev_sum - record.sum_ratios <= config.inner_tol * prev_sum:
             trace.stop_reason = "tol"
             break
         prev_sum = record.sum_ratios

@@ -12,9 +12,14 @@ import graphtv.solver
 from graphtv import LabelConstraints, SolverConfig
 from graphtv.cli import _COMMANDS, _SOLVER_OPTS, RunConfig, main
 from graphtv.datasets import load_labels_csv, write_labels_csv
-from graphtv.errors import DegenerateClassWarning, NonFiniteError, ParseError
+from graphtv.errors import (
+    DegenerateClassWarning,
+    NonFiniteError,
+    NoProgressWarning,
+    ParseError,
+)
 from graphtv.graph import save_graph
-from oracles import triangles_bridge
+from oracles import cliques_graph, triangles_bridge
 
 
 def run(*argv):
@@ -152,6 +157,7 @@ def test_solve_sidecar_expands_defaults_and_replays_identically(
         ("classes", 2, "--classes"),
         ("sigma0", 1.9, "--sigma0"),
         ("tau0", 1.9, "--tau0"),
+        ("outer_tol", 1e-6, "--outer-tol"),
     ],
 )
 def test_solve_replays_sidecar_written_with_removed_option(
@@ -279,14 +285,16 @@ def test_experiment_sidecar_of_features_route_exits_2(tmp_path, sbm_files, capsy
         ("eval", "epsilon", 0.7),
         ("experiment", "sigma0", 1.9),
         ("experiment", "tau0", 1.9),
+        ("experiment", "outer_tol", 1e-6),
     ],
 )
 def test_replays_sidecar_written_with_removed_option(
     tmp_path, sbm_files, capsys, command, key, old_value
 ):
     # experiment's class count comes from the truth file, eval never reads
-    # the seed margin, and the inner loop's first steps follow from dt and
-    # the graph: old sidecars that carry any of these still replay
+    # the seed margin, the inner loop's first steps follow from dt and the
+    # graph, and the outer loop stops on inner_tol: old sidecars that carry
+    # any of these still replay
     graph, truth, seeds = sbm_files
     if command == "experiment":
         argv = ["experiment", "--graph", str(graph), "--truth", str(truth),
@@ -395,10 +403,9 @@ def test_usage_errors_exit_2(tmp_path, sbm_files, capsys):
                "--out-features", str(tmp_path / "f2.csv"),
                "--out-truth", str(tmp_path / "t3.csv")) == 2
     assert "noise" in capsys.readouterr().err
-    for flag in ("--inner-tol", "--outer-tol"):
-        assert run("solve", "--graph", str(graph), "--labels", str(seeds),
-                   "--out-scores", str(tmp_path / "s.csv"), flag, "nan") == 2
-        assert "tolerances" in capsys.readouterr().err
+    assert run("solve", "--graph", str(graph), "--labels", str(seeds),
+               "--out-scores", str(tmp_path / "s.csv"), "--inner-tol", "nan") == 2
+    assert "inner_tol must be positive" in capsys.readouterr().err
 
 
 def test_corrupt_graph_header_exits_2(tmp_path, sbm_files, capsys):
@@ -469,23 +476,41 @@ def test_budget_exhaustion_exits_3_but_writes_outputs(tmp_path, sbm_files, capsy
     graph, truth, seeds = sbm_files
     scores = tmp_path / "s.csv"
     assert run("solve", "--graph", str(graph), "--labels", str(seeds),
-               "--outer-max", "1", "--outer-tol", "1e-300",
+               "--outer-max", "1",
                "--out-scores", str(scores)) == 3
     assert scores.exists()
     assert (tmp_path / "s.config.json").exists()
 
 
-def test_outer_tol_stop_exits_0(tmp_path, caplog):
+@pytest.mark.parametrize(
+    "inner_max, kept, caps", [("2000", 3, 0), ("10", 3, 3)], ids=["2000", "10"]
+)
+def test_tol_stop_exits_0(tmp_path, caplog, inner_max, kept, caps):
+    # the outer stop holds a step whose inner loop hit --inner-max to the
+    # same bound as a converged one, although its gap certifies less: at
+    # --inner-max 10 every step is capped and the run still ends on tol
     graph = tmp_path / "g.gxg"
     save_graph(triangles_bridge(), graph)
     seeds = tmp_path / "seeds.csv"
     write_labels_csv(seeds, np.array([0, 3]), np.array([0, 1]))
+    trace = tmp_path / "trace.json"
     caplog.set_level(logging.INFO, logger="graphtv.cli")
     assert run("solve", "--graph", str(graph), "--labels", str(seeds),
-               "--outer-tol", "1000", "--out-scores", str(tmp_path / "s.csv")) == 0
+               "--inner-max", inner_max, "--out-trace", str(trace),
+               "--out-scores", str(tmp_path / "s.csv")) == 0
     messages = [r.getMessage() for r in caplog.records]
     (line,) = [m for m in messages if "solve finished" in m]
-    assert "1 outer steps, converged=True, stop=tol" in line
+    assert f"{kept} outer steps, converged=True, stop=tol" in line
+    assert f"and {caps} inner cap hits" in line
+    records = json.loads(trace.read_text())
+    assert sum(r["hit_cap"] for r in records) == caps
+    # after the first step (the file has no initial ratios), only the last
+    # kept step lowers the sum by at most inner_tol times the sum before it
+    inner_tol = RunConfig.load(tmp_path / "s.config.json").parameters["inner_tol"]
+    sums = [r["sum_ratios"] for r in records]
+    decreases = [a - b for a, b in zip(sums, sums[1:])]
+    assert all(d > inner_tol * a for d, a in zip(decreases[:-1], sums))
+    assert decreases[-1] <= inner_tol * sums[-2]
 
 
 def test_experiment_with_every_cell_failed_exits_3(tmp_path, capsys):
@@ -567,11 +592,16 @@ def test_numerical_failure_exits_4(tmp_path, capsys, monkeypatch):
 
 @pytest.mark.parametrize("inner_max", ["2000", "20"])
 def test_solve_info_line_counts_rolled_back_inner_work(
-    tmp_path, sbm_files, caplog, monkeypatch, inner_max
+    tmp_path, caplog, monkeypatch, inner_max
 ):
     # the step that is rolled back ran a full inner loop too; the info line
-    # counts its iterations and cap hit with those of the kept steps
-    graph, _, seeds = sbm_files
+    # counts its iterations and cap hit with those of the kept steps.  On
+    # this instance the first step raises the ratio sum at either cap, so it
+    # is really rolled back rather than cut off by the outer stop
+    graph = tmp_path / "g.gxg"
+    save_graph(cliques_graph([(0, 1, 2), (3, 4, 5, 6)], [(2, 3, 0.1)]), graph)
+    seeds = tmp_path / "seeds.csv"
+    write_labels_csv(seeds, np.array([0, 3]), np.array([0, 1]))
     steps = []
     real_step = graphtv.solver.outer_step
 
@@ -582,8 +612,9 @@ def test_solve_info_line_counts_rolled_back_inner_work(
 
     monkeypatch.setattr(graphtv.solver, "outer_step", spy)
     caplog.set_level(logging.INFO, logger="graphtv.cli")
-    code = run("solve", "--graph", str(graph), "--labels", str(seeds),
-               "--inner-max", inner_max, "--out-scores", str(tmp_path / "s.csv"))
+    with pytest.warns(NoProgressWarning):
+        code = run("solve", "--graph", str(graph), "--labels", str(seeds),
+                   "--inner-max", inner_max, "--out-scores", str(tmp_path / "s.csv"))
     assert code == 0
     messages = [r.getMessage() for r in caplog.records]
     (line,) = [m for m in messages if "solve finished" in m]

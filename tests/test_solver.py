@@ -752,36 +752,47 @@ def test_solve_recorded_sums_non_increasing(rng):
         assert all(r >= 0.0 for r in record.ratios)
 
 
+def resolved(trace, inner_tol):
+    """Per kept step: is its ratio-sum decrease within the outer stop bound?"""
+    sums = [sum(trace.initial_ratios)] + [r.sum_ratios for r in trace.records]
+    return [before - after <= inner_tol * before
+            for before, after in zip(sums, sums[1:])]
+
+
 def test_solve_budget_stop_reason():
+    # the first step lowers the sum by about 60%, far above the stop bound
     graph = triangles_bridge()
     cons = make_constraints(6, 2, [[0], [3]], epsilon=0.1)
-    _, trace = solve(
-        graph, cons, SolverConfig(outer_max=1, outer_tol=1e-300)
-    )
+    config = SolverConfig(outer_max=1)
+    _, trace = solve(graph, cons, config)
     assert not trace.converged
     assert trace.stop_reason == "budget"
     assert len(trace.records) == 1
+    assert resolved(trace, config.inner_tol) == [False]
     assert trace.rejected_step is None
 
 
 @pytest.mark.parametrize(
     "config, kept",
-    [(SolverConfig(), 4), (SolverConfig(outer_tol=1e3), 1)],
-    ids=["default", "outer_tol=1e3"],
+    [(SolverConfig(), 3), (SolverConfig(inner_tol=1.0), 1)],
+    ids=["default", "inner_tol=1"],
 )
 def test_solve_tol_stop_reason(config, kept):
-    # a tolerance above any ratio decrease stops on the first kept step
+    # the loop stops on the first kept step whose decrease is at most
+    # inner_tol times the sum before it; at inner_tol = 1 every kept step's
+    # decrease is, since ratios are non-negative
     graph = triangles_bridge()
     cons = make_constraints(6, 2, [[0], [3]], epsilon=0.1)
     _, trace = solve(graph, cons, config)
     assert trace.converged
     assert trace.stop_reason == "tol"
     assert len(trace.records) == kept
+    assert resolved(trace, config.inner_tol) == [False] * (kept - 1) + [True]
     assert trace.rejected_step is None
 
 
 def moons_instance():
-    """300 two-moons points, k = 10, 10% seeds: six kept steps when cold."""
+    """300 two-moons points, k = 10, 10% seeds: three kept steps."""
     features, truth = synth_two_moons(300, 0.2, 0)
     graph = build_knn_graph(features, KernelSpec(10))
     constraints, _ = make_partition(truth, 2, 0.1, 0)
@@ -805,8 +816,9 @@ def every_step(trace):
 
 def test_solve_first_step_is_a_cold_outer_step():
     graph, cons = moons_instance()
-    config = SolverConfig(outer_max=1, outer_tol=0.0)
+    config = SolverConfig(outer_max=1)
     prediction, trace = solve(graph, cons, config)
+    assert trace.stop_reason == "budget"
     u = initialize_state(graph, cons)
     u_new, record, _ = outer_step(u, NormalizedGradient(graph), cons, config)
     assert len(trace.records) == 1
@@ -833,6 +845,34 @@ def test_carried_dual_saves_inner_iterations(monkeypatch):
         assert sum(record.decrease_slack) >= -record.gap
 
 
+def test_outer_stop_only_truncates():
+    # the stop ends the descent early but changes none of the steps it keeps:
+    # the kept records are a prefix of outer steps chained by hand, the
+    # chain running on past the stop until a step raises the ratio sum
+    graph, cons = moons_instance()
+    config = SolverConfig()
+    _, trace = solve(graph, cons, config)
+    op = NormalizedGradient(graph)
+    u, dual = initialize_state(graph, cons), None
+    chain, prev_sum = [], sum(trace.initial_ratios)
+    while len(chain) < 10:
+        u, record, dual = outer_step(u, op, cons, config, dual=dual)
+        chain.append(record)
+        if record.sum_ratios > prev_sum:
+            break
+        prev_sum = record.sum_ratios
+    kept = len(trace.records)
+    assert 1 < kept < len(chain)
+    assert [record_fields(r) for r in trace.records] == [
+        record_fields(r) for r in chain[:kept]
+    ]
+    assert resolved(trace, config.inner_tol) == [False] * (kept - 1) + [True]
+    assert trace.stop_reason == "tol"
+    assert trace.rejected_step is None
+    for record in trace.records:
+        assert sum(record.decrease_slack) >= -record.gap
+
+
 def test_solve_weight_scale_invariance(rng):
     graph, _ = synth_sbm((9, 9), 0.8, 0.1, 31)
     scaled = Graph.from_csr(graph.csr * 7.3)
@@ -856,8 +896,9 @@ def test_solve_raises_non_finite_with_partial_trace(monkeypatch):
     monkeypatch.setattr(graphtv.solver, "_inner_loop", fail_second_call)
     graph, _ = synth_sbm((6, 6), 0.8, 0.1, 1)
     cons = make_constraints(12, 2, [[0], [6]], epsilon=0.1)
+    # the first step lowers the sum by about 60%, so the outer loop goes on
     with pytest.raises(NonFiniteError) as info:
-        solve(graph, cons, SolverConfig(outer_tol=0.0))
+        solve(graph, cons)
     assert info.value.iteration == 7
     trace = info.value.trace
     assert trace.initial_ratios  # partial trace is usable

@@ -27,7 +27,6 @@ def main():
     ap.add_argument("--fractions", default="0.02,0.05,0.10,0.15,0.20")
     ap.add_argument("--seeds", default="0,1,2")
     ap.add_argument("--data-seed", type=int, default=7)
-    ap.add_argument("--jobs", type=int, default=1)
     ap.add_argument("--out-json", default=None)
     ap.add_argument("--out-csv", default=None)
     args = ap.parse_args()
@@ -39,7 +38,6 @@ def main():
         dataset,
         fractions=[float(f) for f in args.fractions.split(",")],
         seeds=[int(s) for s in args.seeds.split(",")],
-        jobs=args.jobs,
     )
 
     print(f"{'fraction':>9} {'acc mean':>9} {'acc std':>9} {'auc mean':>9} {'cells':>6}")

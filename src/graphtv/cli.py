@@ -53,6 +53,7 @@ from .errors import (
 )
 from .evaluation import (
     evaluate,
+    solve_counters,
     stability_experiment,
     write_report_csv,
 )
@@ -271,14 +272,12 @@ def cmd_solve(rc):
     write_scores_csv(rc.outputs["out_scores"], prediction)
     if rc.outputs["out_trace"] is not None:
         write_trace_json(rc.outputs["out_trace"], trace)
-    steps = list(trace.records)
-    if trace.rejected_step is not None:
-        steps.append(trace.rejected_step)
+    counts = solve_counters(trace)
     log.info(
         "solve finished: %d outer steps, converged=%s, stop=%s, "
         "%d inner iterations and %d inner cap hits (rolled-back step included)",
-        len(trace.records), trace.converged, trace.stop_reason,
-        sum(r.inner_iters for r in steps), sum(r.hit_cap for r in steps),
+        counts["outer_steps"], trace.converged, counts["stop_reason"],
+        counts["inner_iters"], counts["inner_cap_hits"],
     )
     return EXIT_OK if trace.converged else EXIT_NO_CONVERGENCE
 
@@ -311,7 +310,6 @@ def cmd_experiment(rc):
         seeds=[int(s) for s in p["seeds"]],
         config=_solver_config(p),
         epsilon=float(p["epsilon"]),
-        jobs=int(p["jobs"]),
     )
     write_json(rc.outputs["report"], report)
     if rc.outputs["report_csv"] is not None:
@@ -371,7 +369,6 @@ _COMMANDS = {
         _Opt("fractions", "param", _csv_floats, required=True),
         _Opt("seeds", "param", _csv_ints, required=True),
         *_SOLVER_OPTS,
-        _Opt("jobs", "param", int, 1),
         _Opt("report", "out", str, required=True),
         _Opt("report_csv", "out", str),
     ]),

@@ -5,9 +5,11 @@ computed over the heldout complement only.
 """
 
 import logging
+import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.stats import rankdata
@@ -142,33 +144,78 @@ def baseline_label_spreading(graph, constraints, alpha=0.99):
     return prediction_from_scores(f)
 
 
-def _cell_guarded(args):
-    """Solve and evaluate one grid cell; a solver error becomes an error cell."""
-    graph, truth, n_classes, fraction, part_seed, config, epsilon = args
-    try:
-        constraints, _ = make_partition(truth, n_classes, fraction, part_seed, epsilon)
-        prediction, _ = solve(graph, constraints, config)
-        report = evaluate(prediction, truth, constraints)
-    except GraphTVError as exc:
-        log.warning("cell fraction=%s seed=%s failed: %s", fraction, part_seed, exc)
-        return {"fraction": fraction, "seed": part_seed, "error": str(exc)}
+def solve_counters(trace):
+    """Why a solve stopped and how much work it did.
+
+    ``inner_iters`` and ``inner_cap_hits`` count the rolled-back step too;
+    ``outer_steps`` counts only the kept ones.
+    """
+    steps = list(trace.records)
+    if trace.rejected_step is not None:
+        steps.append(trace.rejected_step)
     return {
-        "fraction": fraction,
-        "seed": part_seed,
-        "accuracy": report.accuracy,
-        "auc_per_class": report.per_class_auc,
-        "auc_mean": report.average_auc,
+        "stop_reason": trace.stop_reason,
+        "outer_steps": len(trace.records),
+        "inner_iters": sum(r.inner_iters for r in steps),
+        "inner_cap_hits": sum(r.hit_cap for r in steps),
+        "first_step_rejected": trace.rejected_step is not None and not trace.records,
     }
 
 
-def stability_experiment(
-    dataset,
-    fractions,
-    seeds,
-    config=None,
-    epsilon=0.1,
-    jobs=1,
-):
+def _usable_cpus():
+    """CPUs this process may run on; ``taskset`` limits them."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without CPU affinity
+        return os.cpu_count() or 1
+
+
+def _cell(graph, truth, n_classes, config, epsilon, cell):
+    """Solve and evaluate the grid cell ``(fraction, seed)``.
+
+    Returns the report cell and the warnings raised on the way, as
+    ``(category, message, filename, lineno)`` tuples, so that the caller
+    can re-issue them in grid order whichever process ran the cell.  A
+    solver error becomes an error cell.
+    """
+    fraction, part_seed = cell
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            constraints, _ = make_partition(
+                truth, n_classes, fraction, part_seed, epsilon
+            )
+            prediction, trace = solve(graph, constraints, config)
+            report = evaluate(prediction, truth, constraints)
+        except GraphTVError as exc:
+            result = {"fraction": fraction, "seed": part_seed, "error": str(exc)}
+        else:
+            result = {
+                "fraction": fraction,
+                "seed": part_seed,
+                "accuracy": report.accuracy,
+                "auc_per_class": report.per_class_auc,
+                "auc_mean": report.average_auc,
+                **solve_counters(trace),
+            }
+    raised = [(w.category, str(w.message), w.filename, w.lineno) for w in caught]
+    return result, raised
+
+
+#: the grid's shared arguments in a worker process, set by its initializer
+_worker_grid = None
+
+
+def _start_worker(*grid):
+    global _worker_grid
+    _worker_grid = grid
+
+
+def _worker_cell(cell):
+    return _cell(*_worker_grid, cell)
+
+
+def stability_experiment(dataset, fractions, seeds, config=None, epsilon=0.1):
     """Full (fraction x partition-seed) grid of solve-and-evaluate cells.
 
     Every cell solves on the one ``dataset.graph``, so the graph is built
@@ -176,17 +223,24 @@ def stability_experiment(
     Per-cell solver errors are recorded in the cell and do not abort the
     grid.  Returns the report as a dict::
 
-        {"cells": [{fraction, seed, accuracy, auc_per_class, auc_mean}...],
+        {"cells": [{fraction, seed, accuracy, auc_per_class, auc_mean,
+                    stop_reason, outer_steps, inner_iters, inner_cap_hits,
+                    first_step_rejected}...],
          "summary": {str(fraction): {accuracy_mean, accuracy_std,
                                      auc_mean, auc_std, n_cells}}}
 
-    A cell with no heldout node has a ``None`` accuracy (see
-    :func:`evaluate`); the summary's means skip ``None`` values, and
-    ``n_cells`` counts the cells that have an accuracy.
+    The counters are :func:`solve_counters` of the cell's solve.  A cell
+    with no heldout node has a ``None`` accuracy (see :func:`evaluate`);
+    the summary's means skip ``None`` values, and ``n_cells`` counts the
+    cells that have an accuracy.
 
-    A non-monotone mean-accuracy trend across increasing fractions is
-    logged as a warning but never raised.  ``jobs > 1`` solves the cells in
-    a pool of at most ``min(jobs, cells)`` worker processes.
+    The cells run on ``min(cells, usable CPUs)`` processes: in this one
+    when that is 1, else in a pool of worker processes that receive the
+    graph once.  Each cell's warnings are re-issued here, and each error
+    cell logged, in grid order, so the report, the warnings and the log
+    lines do not depend on the worker count.  An exception other than a
+    solver error reaches the caller.  A non-monotone mean-accuracy trend
+    across increasing fractions is logged as a warning but never raised.
     """
     fractions = list(fractions)
     seeds = list(seeds)
@@ -194,20 +248,29 @@ def stability_experiment(
         raise InvalidExperimentError("need at least one fraction and one seed")
     if len(set(fractions)) != len(fractions) or len(set(seeds)) != len(seeds):
         raise InvalidExperimentError("fractions and seeds must be unique")
-    if jobs < 1:
-        raise InvalidExperimentError(f"jobs must be >= 1, got {jobs}")
     if config is None:
         config = SolverConfig()
-    grid = [
-        (dataset.graph, dataset.truth, dataset.n_classes, f, s, config, epsilon)
-        for f in fractions
-        for s in seeds
-    ]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(grid))) as pool:
-            cells = list(pool.map(_cell_guarded, grid))
+    shared = (dataset.graph, dataset.truth, dataset.n_classes, config, epsilon)
+    grid = [(f, s) for f in fractions for s in seeds]
+    workers = min(len(grid), _usable_cpus())
+    if workers == 1:
+        results = list(map(partial(_cell, *shared), grid))
     else:
-        cells = [_cell_guarded(args) for args in grid]
+        with ProcessPoolExecutor(
+            workers, initializer=_start_worker, initargs=shared
+        ) as pool:
+            results = list(pool.map(_worker_cell, grid))
+    # a repeat is shown once under the "default" action, as if raised here
+    registry = globals().setdefault("__warningregistry__", {})
+    cells = []
+    for cell, raised in results:
+        for category, message, filename, lineno in raised:
+            warnings.warn_explicit(message, category, filename, lineno,
+                                   registry=registry)
+        if "error" in cell:
+            log.warning("cell fraction=%s seed=%s failed: %s",
+                        cell["fraction"], cell["seed"], cell["error"])
+        cells.append(cell)
     summary = {}
     means = []
     for f in fractions:
@@ -239,8 +302,17 @@ def stability_experiment(
     return {"cells": cells, "summary": summary}
 
 
+#: the solve counters of a scored cell, as write_report_csv orders them
+_COUNTERS = ("stop_reason", "outer_steps", "inner_iters", "inner_cap_hits",
+             "first_step_rejected")
+
+
 def write_report_csv(path, report):
-    """Flat mirror of the cells: fraction,seed,accuracy,auc_mean,auc_0,..."""
+    """Flat mirror of the cells: fraction,seed,accuracy,auc_mean,auc_0,...
+
+    then the solve counters, a flag as 0 or 1; an error cell has neither
+    metrics nor counters.
+    """
     cells = report["cells"]
     width = max((len(c.get("auc_per_class", ())) for c in cells), default=0)
 
@@ -249,8 +321,13 @@ def write_report_csv(path, report):
         values += cell.get("auc_per_class", [])  # an error cell has none
         values += [None] * (2 + width - len(values))
         head = [fmt(cell["fraction"]), str(cell["seed"])]
-        return head + ["" if x is None else fmt(x) for x in values]
+        if "error" in cell:
+            counts = [""] * len(_COUNTERS)
+        else:
+            counts = [cell["stop_reason"]]
+            counts += [str(int(cell[key])) for key in _COUNTERS[1:]]
+        return head + ["" if x is None else fmt(x) for x in values] + counts
 
     header = ["fraction", "seed", "accuracy", "auc_mean"]
     header += [f"auc_{k}" for k in range(width)]
-    write_table(path, header, map(row, cells))
+    write_table(path, header + list(_COUNTERS), map(row, cells))

@@ -286,6 +286,7 @@ def test_experiment_sidecar_of_features_route_exits_2(tmp_path, sbm_files, capsy
         ("experiment", "sigma0", 1.9),
         ("experiment", "tau0", 1.9),
         ("experiment", "outer_tol", 1e-6),
+        ("experiment", "jobs", 2),
     ],
 )
 def test_replays_sidecar_written_with_removed_option(
@@ -293,8 +294,8 @@ def test_replays_sidecar_written_with_removed_option(
 ):
     # experiment's class count comes from the truth file, eval never reads
     # the seed margin, the inner loop's first steps follow from dt and the
-    # graph, and the outer loop stops on inner_tol: old sidecars that carry
-    # any of these still replay
+    # graph, the outer loop stops on inner_tol, and the worker count follows
+    # from the machine: old sidecars that carry any of these still replay
     graph, truth, seeds = sbm_files
     if command == "experiment":
         argv = ["experiment", "--graph", str(graph), "--truth", str(truth),
@@ -563,15 +564,6 @@ def test_fully_seeded_reports_are_strict_json(tmp_path, capsys):
     assert capsys.readouterr().out == "accuracy=nan average_auc=nan\n"
     doc = json.loads(eval_report.read_text(), parse_constant=reject)
     assert doc["accuracy"] is None and doc["average_auc"] is None
-
-
-@pytest.mark.parametrize("jobs", ["0", "-2"])
-def test_experiment_jobs_below_one_exits_2(tmp_path, sbm_files, capsys, jobs):
-    graph, truth, _ = sbm_files
-    assert run("experiment", "--graph", str(graph), "--truth", str(truth),
-               "--fractions", "0.2", "--seeds", "0", "--jobs", jobs,
-               "--report", str(tmp_path / "r.json")) == 2
-    assert "jobs must be >= 1" in capsys.readouterr().err
 
 
 def test_numerical_failure_exits_4(tmp_path, capsys, monkeypatch):

@@ -1,6 +1,7 @@
 """AUC against the pairwise oracle, report assembly, spreading baseline."""
 
 import json
+import multiprocessing
 import warnings
 
 import numpy as np
@@ -281,28 +282,90 @@ def test_stability_captures_cell_errors_and_continues():
     assert report["summary"]["0.5"]["n_cells"] == 1
 
 
-def test_stability_parallel_jobs_match_serial():
+def _grid_run(monkeypatch, cpus, *args):
+    """Run a grid with ``cpus`` usable CPUs; returns the report and warnings."""
+    monkeypatch.setattr(graphtv.evaluation, "_usable_cpus", lambda: cpus)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        report = stability_experiment(*args)
+    return report, [(w.category, str(w.message)) for w in caught]
+
+
+def test_stability_output_does_not_depend_on_worker_count(monkeypatch):
+    # fraction 1.0 seeds every node: its cell warns and has no accuracy
     graph, truth = synth_sbm((10, 10), 0.7, 0.05, 6)
     dataset = LabeledDataset(truth=truth, n_classes=2, graph=graph)
-    serial = stability_experiment(dataset, [0.1, 0.2], [0, 1], jobs=1)
-    parallel = stability_experiment(dataset, [0.1, 0.2], [0, 1], jobs=2)
-    assert serial == parallel
+    args = (dataset, [0.1, 1.0, 0.2], [0, 1])
+    serial, serial_warnings = _grid_run(monkeypatch, 1, *args)
+    pooled, pooled_warnings = _grid_run(monkeypatch, 2, *args)
+    assert pooled == serial
+    assert pooled_warnings == serial_warnings
+    assert serial_warnings.count(
+        (DegenerateClassWarning, "empty heldout set: every node is seeded")
+    ) == 2
 
 
-@pytest.mark.parametrize("jobs", [0, -1])
-def test_stability_rejects_jobs_below_one(jobs):
-    graph, truth = synth_sbm((6, 6), 0.8, 0.1, 0)
+def test_stability_cells_carry_solve_counters():
+    graph, truth = synth_sbm((12, 12), 0.7, 0.05, 9)
     dataset = LabeledDataset(truth=truth, n_classes=2, graph=graph)
-    with pytest.raises(InvalidExperimentError, match="jobs"):
-        stability_experiment(dataset, [0.2], [0], jobs=jobs)
+    [cell] = stability_experiment(dataset, [0.1], [4])["cells"]
+    cons, _ = make_partition(truth, 2, 0.1, 4)
+    _, trace = solve(graph, cons)
+    # the rolled-back step's inner work counts, as `solve` logs it
+    steps = trace.records + [trace.rejected_step] * (trace.rejected_step is not None)
+    assert cell["stop_reason"] == trace.stop_reason
+    assert cell["outer_steps"] == len(trace.records)
+    assert cell["inner_iters"] == sum(r.inner_iters for r in steps)
+    assert cell["inner_cap_hits"] == sum(r.hit_cap for r in steps)
+    assert cell["first_step_rejected"] is (
+        trace.rejected_step is not None and not trace.records
+    )
+
+
+def test_stability_logs_failed_cells_in_the_caller(monkeypatch, caplog):
+    graph, truth = synth_sbm((10, 10), 0.8, 0.05, 2)
+    dataset = LabeledDataset(truth=truth, n_classes=2, graph=graph)
+    monkeypatch.setattr(graphtv.evaluation, "_usable_cpus", lambda: 2)
+    with caplog.at_level("WARNING", logger="graphtv.evaluation"):
+        stability_experiment(dataset, [0.05, 0.5], [0, 1])
+    failed = [r.getMessage() for r in caplog.records if "failed" in r.getMessage()]
+    assert [m.split(":")[0] for m in failed] == [
+        "cell fraction=0.05 seed=0 failed", "cell fraction=0.05 seed=1 failed",
+    ]
+
+
+def test_stability_leaves_no_worker_running(monkeypatch):
+    graph, truth = synth_sbm((10, 10), 0.7, 0.05, 6)
+    dataset = LabeledDataset(truth=truth, n_classes=2, graph=graph)
+    monkeypatch.setattr(graphtv.evaluation, "_usable_cpus", lambda: 2)
+    stability_experiment(dataset, [0.1, 0.2], [0, 1])
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="a patched solve reaches only forked workers",
+)
+def test_stability_raises_a_cell_crash_and_stops_every_worker(monkeypatch):
+    def crash(*args, **kwargs):
+        raise RuntimeError("cell crashed")
+
+    graph, truth = synth_sbm((10, 10), 0.7, 0.05, 6)
+    dataset = LabeledDataset(truth=truth, n_classes=2, graph=graph)
+    monkeypatch.setattr(graphtv.evaluation, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(graphtv.evaluation, "solve", crash)
+    with pytest.raises(RuntimeError, match="cell crashed"):
+        stability_experiment(dataset, [0.1, 0.2], [0, 1])
+    assert multiprocessing.active_children() == []
 
 
 def test_stability_pool_has_at_most_one_worker_per_cell(monkeypatch):
     started = []
 
     class SerialPool:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, initializer, initargs):
             started.append(max_workers)
+            initializer(*initargs)
 
         def __enter__(self):
             return self
@@ -316,11 +379,12 @@ def test_stability_pool_has_at_most_one_worker_per_cell(monkeypatch):
     monkeypatch.setattr(graphtv.evaluation, "ProcessPoolExecutor", SerialPool)
     graph, truth = synth_sbm((10, 10), 0.7, 0.05, 6)
     dataset = LabeledDataset(truth=truth, n_classes=2, graph=graph)
-    pooled = stability_experiment(dataset, [0.1, 0.2], [0, 1, 2], jobs=64)
-    assert started == [6]
-    assert pooled == stability_experiment(dataset, [0.1, 0.2], [0, 1, 2])
-    stability_experiment(dataset, [0.1, 0.2], [0, 1, 2], jobs=4)
-    assert started == [6, 4]
+    reports = []
+    for cpus, workers in ((64, [6]), (4, [6, 4]), (1, [6, 4])):
+        monkeypatch.setattr(graphtv.evaluation, "_usable_cpus", lambda: cpus)
+        reports.append(stability_experiment(dataset, [0.1, 0.2], [0, 1, 2]))
+        assert started == workers  # one CPU runs the cells in this process
+    assert reports[0] == reports[2]
 
 
 def test_non_monotone_warning_prints_plain_floats(caplog):
@@ -349,4 +413,13 @@ def test_report_writers(tmp_path):
         assert {"fraction", "seed"} <= set(cell)
     lines = cpath.read_text().splitlines()
     assert len(lines) == 5
-    assert lines[0].startswith("fraction,seed,accuracy,auc_mean")
+    assert lines[0] == ("fraction,seed,accuracy,auc_mean,auc_0,auc_1,stop_reason,"
+                        "outer_steps,inner_iters,inner_cap_hits,first_step_rejected")
+    for cell, line in zip(doc["cells"], lines[1:]):
+        assert line.split(",")[-5:] == [
+            cell["stop_reason"], str(cell["outer_steps"]), str(cell["inner_iters"]),
+            str(cell["inner_cap_hits"]), str(int(cell["first_step_rejected"])),
+        ]
+    failed = {"cells": [{"fraction": 0.5, "seed": 3, "error": "no seeds"}]}
+    write_report_csv(cpath, failed)
+    assert cpath.read_text().splitlines()[1] == "0.5,3,,,,,,,"

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 import graphtv.solver
 from graphtv import (
@@ -39,7 +40,7 @@ from graphtv.errors import (
     SeedlessComponentWarning,
     ShapeMismatchError,
 )
-from graphtv.operators import operator_norm
+from graphtv.operators import diffusion_solve, normalized_adjacency, operator_norm
 from graphtv.solver import _certified_step, _inner_loop, _ratio_terms
 from oracles import (
     cliques_graph,
@@ -413,6 +414,127 @@ def test_inner_loop_matches_reference_oracle_on_random_graphs(
     if warm:
         dual = rng.uniform(-1.0, 1.0, size=(op.matrix.shape[0], n_classes))
     assert_loops_agree(*run_both_loops(anchor, op, cons, config, dual))
+
+
+def mirrored_anchor(rng, cons):
+    """A feasible two-class anchor whose class 1 is the negation of class 0."""
+    a = rng.normal(size=cons.n)
+    return project_constraints(np.column_stack([a, -a]), cons)
+
+
+def mirrored_dual(rng, op):
+    """A random two-class dual in the unit box, class 1 the negation of class 0."""
+    d = rng.uniform(-1.0, 1.0, size=op.matrix.shape[0])
+    return np.column_stack([d, -d])
+
+
+@pytest.mark.parametrize("dt", [1.0, 0.3])
+@pytest.mark.parametrize("stop", ["tol", "cap"])
+@pytest.mark.parametrize("seeding", ["one", "most", "all"])
+@pytest.mark.parametrize("start", ["cold", "mirrored", "previous"])
+def test_mirrored_inner_loop_matches_reference_oracle(dt, stop, seeding, start):
+    # a two-class loop whose anchor and dual are mirrored runs class 0
+    # alone; widened back, it must repeat the full-width arithmetic exactly
+    rng, op, cons, _, config = oracle_case(2, dt, stop, seeding)
+    anchor = mirrored_anchor(rng, cons)
+    dual = None
+    if start == "mirrored":
+        dual = mirrored_dual(rng, op)
+    elif start == "previous":
+        anchor, _, dual = outer_step(anchor, op, cons, config)
+    assert_oracle_case(op, cons, anchor, config, stop, dual)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(3, 40),
+    dt=st.sampled_from([1.0, 0.3]),
+    inner_max=st.integers(1, 40),
+    inner_tol=st.sampled_from([1e-8, 1e-2]),
+    warm=st.booleans(),
+)
+def test_mirrored_inner_loop_matches_reference_oracle_on_random_graphs(
+    seed, n, dt, inner_max, inner_tol, warm
+):
+    rng = np.random.default_rng(seed)
+    op = NormalizedGradient(random_connected_graph(rng, n))
+    cons = random_constraints(rng, n, 2)
+    anchor = mirrored_anchor(rng, cons)
+    config = SolverConfig(dt=dt, inner_tol=inner_tol, inner_max=inner_max)
+    dual = mirrored_dual(rng, op) if warm else None
+    assert_loops_agree(*run_both_loops(anchor, op, cons, config, dual))
+
+
+def test_mirrored_loop_differs_only_in_the_sign_of_an_exact_zero(monkeypatch):
+    # adjacent seeds 0 and 1 of one class have equal degree, so their
+    # edge's gradient and dual stay exactly 0.0: the full-width loop
+    # computes +0.0 in class 1 where the mirror writes -0.0.  The scores
+    # and the gap keep their bits, and the solve's scores too.
+    graph = cliques_graph([range(5), range(5, 10)], bridges=[(4, 5, 0.3)])
+    cons = make_constraints(10, 2, [[0, 1], [8, 9]])
+    op = NormalizedGradient(graph)
+    anchor = initialize_state(graph, cons)
+    config = SolverConfig(inner_tol=1e-300, inner_max=30)
+    (u, iters, gap, converged, z), ref_out = run_both_loops(anchor, op, cons, config)
+    ref_u, ref_iters, ref_gap, ref_converged, ref_z = ref_out
+    assert (iters, converged) == (ref_iters, ref_converged)
+    assert same_bits(u, ref_u) and same_bits(gap, ref_gap)
+    assert np.array_equal(z, ref_z)
+    assert z[0, 1] == 0.0
+    prediction, _ = solve(graph, cons)
+    monkeypatch.setattr(graphtv.solver, "_inner_loop", reference_inner_loop)
+    assert same_bits(prediction.scores, solve(graph, cons)[0].scores)
+
+
+class CountingCSR(sparse.csr_matrix):
+    """A csr matrix that counts its products with a single vector."""
+
+    vector_products = 0
+
+    def __matmul__(self, other):
+        if np.ndim(other) == 1:
+            self.vector_products += 1
+        return super().__matmul__(other)
+
+
+def counting_operator(graph):
+    """The graph's operator, its two matrices counting their vector products."""
+    op = NormalizedGradient(graph)
+    op.matrix = CountingCSR(op.matrix)
+    op.adjoint_matrix = CountingCSR(op.adjoint_matrix)
+    return op
+
+
+def vector_products(op):
+    return op.matrix.vector_products + op.adjoint_matrix.vector_products
+
+
+@pytest.mark.parametrize(
+    "start, per_iteration",
+    [("mirrored", 2), ("seed_row", 4), ("dual", 4), ("coeff", 4)],
+)
+def test_two_class_loop_runs_one_class_only_when_mirrored(start, per_iteration):
+    # one product per class and direction: a mirrored loop pays for class 0
+    # alone, and any input that is not mirrored keeps the full-width path
+    rng = np.random.default_rng(11)
+    op = counting_operator(random_connected_graph(rng, 30))
+    cons = random_constraints(rng, 30, 2, per=3)
+    anchor = mirrored_anchor(rng, cons)
+    dual = mirrored_dual(rng, op)
+    if start == "seed_row":
+        anchor[cons.labeled[0][0]] = (0.5, -0.9)
+    elif start == "dual":
+        dual[0, 1] = -0.5 * dual[0, 0]
+    _, _, coeff = _ratio_terms(op, anchor)
+    if start == "coeff":  # a drive that is not mirrored
+        coeff[1] *= 1.5
+    config = SolverConfig(inner_tol=1e-300, inner_max=9)
+    fused_out = _inner_loop(anchor, op, cons, config, coeff, dual)
+    assert fused_out[1] == 9
+    assert vector_products(op) == per_iteration * 9
+    ref_out = reference_inner_loop(anchor, op, cons, config, coeff, dual)
+    assert_loops_agree(fused_out, ref_out)
 
 
 def test_inner_loop_leaves_caller_arrays_alone(rng):
@@ -799,6 +921,23 @@ def moons_instance():
     return graph, constraints
 
 
+def two_moons_400(outlier=False):
+    """400 two-moons points, k = 10, and their truth.
+
+    With ``outlier`` a 401st point, truth 1, sits two bandwidths right of
+    the rightmost point, so it is weakly attached.
+    """
+    features, truth = synth_two_moons(400, 0.1, 0)
+    x = features.values
+    if outlier:
+        # the auto bandwidth: the mean distance to the ceil(k/2)-th neighbour
+        dist = np.linalg.norm(x[:, None] - x[None], axis=2)
+        sigma = np.sort(dist, axis=1)[:, 5].mean()
+        x = np.vstack([x, x[np.argmax(x[:, 0])] + [2.0 * sigma, 0.0]])
+        truth = np.append(truth, 1)
+    return build_knn_graph(x, KernelSpec(k=10)), truth
+
+
 def record_fields(record):
     """An outer record's fields, less its wall-clock time."""
     fields = dataclasses.asdict(record)
@@ -843,6 +982,56 @@ def test_carried_dual_saves_inner_iterations(monkeypatch):
     # a warm-started loop is certified by its gap like a cold one
     for record in warm.records:
         assert sum(record.decrease_slack) >= -record.gap
+
+
+@pytest.mark.parametrize("outlier", [False, True], ids=["moons", "outlier"])
+@pytest.mark.parametrize("fraction, seed", [(0.02, 0), (0.05, 1), (0.10, 2)])
+def test_two_class_solve_matches_full_width_reference(
+    monkeypatch, outlier, fraction, seed
+):
+    # every inner loop of a two-class solve runs class 0 alone, also from
+    # the second step on at odd n, where the median shift leaves +0.0 in
+    # both columns of one node; scores and records repeat the full-width
+    # reference loop exactly
+    graph, truth = two_moons_400(outlier)
+    cons, _ = make_partition(truth, 2, fraction, seed)
+    ops = []
+
+    def operator(graph):
+        ops.append(counting_operator(graph))
+        return ops[-1]
+
+    monkeypatch.setattr(graphtv.solver, "NormalizedGradient", operator)
+    prediction, trace = solve(graph, cons)
+    steps = every_step(trace)
+    assert len(steps) > 1
+    if outlier:  # the median node of both columns, at +0.0
+        zero = (prediction.scores == 0.0) & ~np.signbit(prediction.scores)
+        assert zero.all(axis=1).any()
+    assert vector_products(ops[0]) == 2 * sum(r.inner_iters for r in steps)
+    monkeypatch.setattr(graphtv.solver, "_inner_loop", reference_inner_loop)
+    ref_prediction, ref_trace = solve(graph, cons)
+    assert same_bits(prediction.scores, ref_prediction.scores)
+    assert [record_fields(r) for r in steps] == [
+        record_fields(r) for r in every_step(ref_trace)
+    ]
+    assert trace.stop_reason == ref_trace.stop_reason
+    assert trace.initial_ratios == ref_trace.initial_ratios
+
+
+@pytest.mark.parametrize("outlier", [False, True], ids=["moons", "outlier"])
+def test_two_class_warm_start_matches_two_column_solve(outlier):
+    # one CG column, negated, is the two-column solve bit for bit
+    graph, truth = two_moons_400(outlier)
+    cons, _ = make_partition(truth, 2, 0.05, 1)
+    lab, unl = cons.labeled_nodes, cons.unlabeled_nodes
+    u = np.full((graph.n, 2), -cons.epsilon)
+    u[lab, cons.own_class[lab]] = cons.epsilon
+    rows = normalized_adjacency(graph)[unl]
+    margins = u[lab] - u[lab].mean(axis=1, keepdims=True)
+    u[unl] = diffusion_solve(rows[:, unl], rows[:, lab] @ margins, 1.0)
+    expected = project_constraints(u / np.linalg.norm(u), cons)
+    assert same_bits(initialize_state(graph, cons), expected)
 
 
 def test_outer_stop_only_truncates():
@@ -1009,13 +1198,7 @@ def test_prediction_ties_break_to_smallest_index():
     "node is the one that sits at that median, so it ends tied",
 )
 def test_near_isolated_node_keeps_its_warm_start_label():
-    features, truth = synth_two_moons(400, 0.1, 0)
-    x = features.values
-    # the auto bandwidth: the mean distance to the ceil(k/2)-th neighbour
-    sigma = np.sort(np.linalg.norm(x[:, None] - x[None], axis=2), axis=1)[:, 5].mean()
-    outlier = x[np.argmax(x[:, 0])] + [2.0 * sigma, 0.0]
-    graph = build_knn_graph(np.vstack([x, outlier]), KernelSpec(k=10))
-    truth = np.append(truth, 1)
+    graph, truth = two_moons_400(outlier=True)
     node = graph.n - 1
     assert graph.degrees[node] < 0.02
     cons, _ = make_partition(truth, 2, 0.02, 0)

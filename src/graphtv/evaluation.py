@@ -5,7 +5,6 @@ computed over the heldout complement only.
 """
 
 import logging
-import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -23,6 +22,7 @@ from .errors import (
 )
 from .operators import diffusion_solve, normalized_adjacency
 from .datasets import make_partition
+from .graph import _usable_cpus
 from .solver import SolverConfig, prediction_from_scores, solve
 from .tables import fmt, write_table
 
@@ -160,14 +160,6 @@ def solve_counters(trace):
         "inner_cap_hits": sum(r.hit_cap for r in steps),
         "first_step_rejected": trace.rejected_step is not None and not trace.records,
     }
-
-
-def _usable_cpus():
-    """CPUs this process may run on; ``taskset`` limits them."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # a platform without CPU affinity
-        return os.cpu_count() or 1
 
 
 def _cell(graph, truth, n_classes, config, epsilon, cell):

@@ -6,16 +6,21 @@ construction site (k-NN builder, synthetic generators, file loader) because
 the degree-normalized operators downstream divide by ``d_i``.
 
 The k-NN build is an exact search in O(n^2 d) time.  It walks the rows in
-blocks of ``max(2, 2**20 // n)`` rows, so beyond its O(n k) result it holds
-one fixed-size block of distances (O(n) memory in n), never an n x n matrix.
-A block picks its candidates in three steps: ``np.partition`` finds each
-row's k-th smallest distance, the flat indices of the one mask
-``dist <= kth`` give every entry up to it, and a lexsort by (row, distance,
-index) orders them, so distance ties go to the lower node index.
+blocks on ``min(usable CPUs, blocks)`` threads.  The ``2**20`` distances
+(8 MiB of float64) it may hold at once are split between the threads, so
+beyond its O(n k) result it holds one fixed-size budget of distances (O(n)
+memory in n), never an n x n matrix.  A block picks its candidates in three
+steps: an in-place partition of a scratch copy finds each row's k-th
+smallest distance, the flat indices of the one mask ``dist <= kth`` give
+every entry up to it, and a lexsort by (row, distance, index) orders them,
+so distance ties go to the lower node index.  Every distance is computed
+per pair by ``cdist``, with no BLAS call, so the result does not depend on
+the blocks or the thread count.
 """
 
 import math
 import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +35,8 @@ from .errors import (
 )
 
 _GXG_MAGIC = b"GXG1"
-# distances held at once by the k-NN search: 8 MiB of float64
+# distances held at once by the k-NN search, over all its threads: 8 MiB of
+# float64
 _BLOCK_ENTRIES = 2**20
 
 _METRICS = ("euclidean", "cosine")
@@ -146,63 +152,88 @@ class Graph:
         return cls(n=n, csr=w, degrees=degrees)
 
 
-def _row_blocks(n):
-    """Row ranges of about ``_BLOCK_ENTRIES`` distances each, none a single row.
+def _usable_cpus():
+    """CPUs this process may run on; ``taskset`` limits them."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without CPU affinity
+        return os.cpu_count() or 1
 
-    A one-row product would go through BLAS gemv, whose rounding differs from
-    the gemm path the other blocks take, so a single-row tail is folded into
-    the block before it.
+
+def _row_blocks(n, parts):
+    """Row ranges of about ``_BLOCK_ENTRIES / parts`` distances each.
+
+    No block is a single row: a one-row tail folds into the block before it.
     """
-    size = max(2, _BLOCK_ENTRIES // n)
+    size = max(2, _BLOCK_ENTRIES // (n * parts))
     starts = list(range(0, n, size))
     if len(starts) > 1 and n - starts[-1] == 1:
         starts.pop()
-    return zip(starts, starts[1:] + [n])
+    return list(zip(starts, starts[1:] + [n]))
 
 
 def _nearest_neighbors(values, k, metric):
     """Indices and distances of each row's ``k`` nearest other rows, ascending.
 
-    Distance ties are broken by node index.  Rows are processed in blocks, so
-    at most one block of distances is held at a time.  A block's candidates
-    are the flat indices of the mask ``dist <= kth`` (``kth`` from
-    ``np.partition``), split into (row, column) by ``divmod(flat, n)``; a
-    lexsort by (row, distance, index) orders them and each row keeps its
-    first k.
+    Distance ties are broken by node index.  The row blocks are shared out
+    between ``min(usable CPUs, blocks)`` threads, each with its own distance
+    and partition buffers, and the ``_BLOCK_ENTRIES`` budget is split
+    between them; at one CPU the calling thread scans every block.  A block's candidates
+    are the flat indices of the mask ``dist <= kth`` (``kth`` from an
+    in-place partition of a copy), split into (row, column) by
+    ``divmod(flat, n)``; a lexsort by (row, distance, index) orders them and
+    each row keeps its first k.  Cosine distance is half the squared
+    euclidean distance of the unit rows, so the search ranks the unit rows
+    by ``sqeuclidean`` and halves the k distances it keeps.
     """
     n = values.shape[0]
     if metric == "cosine":
-        # cosine distance 1 - <x,y>/(|x||y|); zero-norm rows are undefined
+        # 1 - <x,y>/(|x||y|) = |x/|x| - y/|y||^2 / 2; zero-norm rows are undefined
         norms = np.linalg.norm(values, axis=1)
         bad = np.flatnonzero(norms == 0.0)
         if bad.size:
             raise DegenerateFeaturesError(
                 f"row {bad[0]} has zero norm; cosine distance is undefined"
             )
+        values = values / norms[:, None]
+    pair_metric = "euclidean" if metric == "euclidean" else "sqeuclidean"
     neighbor = np.empty((n, k), dtype=np.intp)
     ndist = np.empty((n, k))
-    for lo, hi in _row_blocks(n):
-        if metric == "euclidean":
-            dist = cdist(values[lo:hi], values, metric="euclidean")
-        else:
-            dist = values[lo:hi] @ values.T
-            dist /= np.outer(norms[lo:hi], norms)
-            np.subtract(1.0, dist, out=dist)
-            np.clip(dist, 0.0, 2.0, out=dist)
-        rows = np.arange(hi - lo)
-        dist[rows, rows + lo] = np.inf
-        # every entry up to the k-th smallest, in (row, distance, index) order;
-        # the mask's flat indices come in C order, i.e. by (row, column)
-        kth = np.partition(dist, k - 1, axis=1)[:, k - 1]
-        flat = np.flatnonzero(dist <= kth[:, None])
-        r, c = np.divmod(flat, n)
-        d = dist.ravel()[flat]
-        order = np.lexsort((c, d, r))
-        # keep the first k of each row's run; ties past the k-th are dropped
-        starts = np.searchsorted(r[order], rows)
-        keep = (starts[:, None] + np.arange(k)).ravel()
-        neighbor[lo:hi] = c[order[keep]].reshape(-1, k)
-        ndist[lo:hi] = d[order[keep]].reshape(-1, k)
+
+    def scan(blocks):
+        rows_max = max(hi - lo for lo, hi in blocks)
+        dist_buf = np.empty((rows_max, n))
+        part_buf = np.empty((rows_max, n))
+        for lo, hi in blocks:
+            dist, part = dist_buf[: hi - lo], part_buf[: hi - lo]
+            cdist(values[lo:hi], values, pair_metric, out=dist)
+            rows = np.arange(hi - lo)
+            dist[rows, rows + lo] = np.inf
+            # every entry up to the k-th smallest, in (row, distance, index)
+            # order; the mask's flat indices come in C order, i.e. by (row, column)
+            np.copyto(part, dist)
+            part.partition(k - 1, axis=1)
+            flat = np.flatnonzero(dist <= part[:, k - 1 : k])
+            r, c = np.divmod(flat, n)
+            d = dist.ravel()[flat]
+            order = np.lexsort((c, d, r))
+            # keep the first k of each row's run; ties past the k-th are dropped
+            starts = np.searchsorted(r[order], rows)
+            keep = (starts[:, None] + np.arange(k)).ravel()
+            neighbor[lo:hi] = c[order[keep]].reshape(-1, k)
+            ndist[lo:hi] = d[order[keep]].reshape(-1, k)
+
+    cpus = _usable_cpus()
+    blocks = _row_blocks(n, cpus)
+    workers = min(cpus, len(blocks))
+    if workers == 1:
+        scan(blocks)
+    else:
+        # each thread writes only its own rows of neighbor and ndist
+        with ThreadPoolExecutor(workers) as pool:
+            list(pool.map(scan, [blocks[w::workers] for w in range(workers)]))
+    if metric == "cosine":
+        ndist *= 0.5
     return neighbor, ndist
 
 
@@ -216,15 +247,16 @@ def build_knn_graph(features, spec):
     elementwise ``max``.
 
     The search is exact and takes O(n^2 d) time.  Rows are handled in blocks
-    of about ``_BLOCK_ENTRIES`` distances, each reduced to its k nearest
-    rather than fully sorted: the partition threshold (each row's k-th
-    smallest distance), then the flat indices of one ``dist <= kth`` mask,
-    then a lexsort of those candidates by (row, distance, index).  The build
-    holds one fixed-size block of distances (O(n) memory in n) rather than an
-    n x n matrix.  Each distance is computed exactly as a dense matrix would
-    compute it, except that a cosine block's Gram products go through BLAS on
-    a row slice and may round differently from the full product in the last
-    bit.
+    on ``min(usable CPUs, blocks)`` threads, each block reduced to its k
+    nearest rather than fully sorted: the partition threshold (each row's
+    k-th smallest distance), then the flat indices of one ``dist <= kth``
+    mask, then a lexsort of those candidates by (row, distance, index).  The
+    threads split one budget of ``_BLOCK_ENTRIES`` distances (8 MiB), so the
+    build holds O(n) memory in n rather than an n x n matrix.  The cosine
+    distance of x and y is ``cdist(x/|x|, y/|y|, "sqeuclidean") / 2``, which
+    equals 1 - cos(x, y) without the cancellation of that difference.  Every
+    distance is computed per pair, with no BLAS call, so the graph is the one
+    a dense n x n distance matrix gives, bit for bit, for any thread count.
 
     Parameters
     ----------

@@ -4,10 +4,11 @@ These deliberately avoid the library's own code paths: the dense gradient
 matrix is assembled entry-by-entry from the dense weight matrix, the SBM
 oracle draws every pair at once into an n x n adjacency, the AUC oracle
 counts pairs literally, the k-NN oracle stable-sorts a full distance
-matrix, the diffusion oracles solve their linear systems densely, the
-duality-gap oracle uses the dense gradient, and the reference inner loop
-allocates fresh arrays on every iteration.  Tests
-compare the fast implementations against these slow-but-obvious routes.
+matrix, the exact cosine distance works in 80-digit decimals, the
+diffusion oracles solve their linear systems densely, the duality-gap
+oracle uses the dense gradient, and the reference inner loop allocates
+fresh arrays on every iteration.  Tests compare the fast implementations
+against these slow-but-obvious routes.
 
 Where a test compares bits, an oracle adds floats in the library's order:
 the class mean of a projection adds the classes left to right, and the
@@ -15,6 +16,7 @@ reference inner loop takes its whole-array sums over the (L, n)
 class-major layout that the solver's loop keeps.
 """
 
+import decimal
 import math
 
 import numpy as np
@@ -125,15 +127,28 @@ def cliques_graph(blocks, bridges=()):
 
 
 def dense_distances(values, metric):
-    """Full n x n distance matrix with ``inf`` on the diagonal."""
+    """Full n x n distance matrix with ``inf`` on the diagonal.
+
+    The cosine distance is half the squared euclidean distance of the unit
+    rows, the same per-pair arithmetic ``build_knn_graph`` uses.
+    """
     if metric == "euclidean":
         dist = cdist(values, values, metric="euclidean")
     else:
-        norms = np.linalg.norm(values, axis=1)
-        sim = (values @ values.T) / np.outer(norms, norms)
-        dist = np.clip(1.0 - sim, 0.0, 2.0)
+        unit = values / np.linalg.norm(values, axis=1)[:, None]
+        dist = 0.5 * cdist(unit, unit, metric="sqeuclidean")
     np.fill_diagonal(dist, np.inf)
     return dist
+
+
+def exact_cosine_distance(x, y):
+    """1 - cos(x, y) in 80-digit decimal arithmetic, rounded once to a float."""
+    with decimal.localcontext(decimal.Context(prec=80)):
+        x = [decimal.Decimal(float(a)) for a in x]
+        y = [decimal.Decimal(float(b)) for b in y]
+        dot = sum(a * b for a, b in zip(x, y))
+        norms = sum(a * a for a in x) * sum(b * b for b in y)
+        return float(1 - dot / norms.sqrt())
 
 
 def dense_knn_graph(values, spec):

@@ -2,12 +2,14 @@
 
 Features CSV: one node per row of comma-separated decimal floats, with an
 optional first header row starting with '#'.  Label/truth CSV: header
-``node,class`` followed by 0-based integer pairs.  Both are read and
-written through :mod:`graphtv.tables`.
+``node,class`` followed by 0-based integer pairs.  Both are written
+through :mod:`graphtv.tables`, and read through it except where numpy's
+reader parses a well-formed features CSV (see :func:`load_features_csv`).
 """
 
 import itertools
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -162,9 +164,30 @@ def write_features_csv(path, features):
 def load_features_csv(path):
     """Read a features CSV into a FeatureMatrix.
 
-    Raises :class:`ParseError` (with 1-based line number) on malformed rows
-    and NaN/Inf entries, and :class:`ShapeMismatchError` on ragged rows.
+    numpy's C reader (``np.loadtxt``) parses the file; it converts each
+    cell with the same correctly rounded string-to-double as Python's
+    ``float``.  Only when it raises, finds no data row or reads a NaN/Inf
+    entry does the Python row loop read the file again: it raises
+    :class:`ParseError` (with 1-based line number) on malformed rows, NaN/Inf
+    entries and a file without data rows, and :class:`ShapeMismatchError`
+    on ragged rows, or reads the cells that only ``float`` accepts, such as
+    ``1_0`` and non-ASCII digits.
     """
+    with open(path) as fh:
+        if not fh.readline().strip().startswith("#"):
+            fh.seek(0)
+        try:
+            with warnings.catch_warnings():
+                # the row loop below reports an empty file
+                warnings.filterwarnings(
+                    "ignore", "loadtxt: input contained no data", UserWarning
+                )
+                values = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            values = None
+    if values is not None and values.size and np.isfinite(values).all():
+        return FeatureMatrix(values)
+    # the row loop, whose every error names its line
     rows = []
     width = None
     with open(path, "r", newline="") as fh:

@@ -6,12 +6,14 @@ construction site (k-NN builder, synthetic generators, file loader) because
 the degree-normalized operators downstream divide by ``d_i``.
 
 The k-NN build is an exact search in O(n^2 d) time.  It walks the rows in
-blocks on ``min(usable CPUs, blocks)`` threads.  The ``2**20`` distances
-(8 MiB of float64) it may hold at once are split between the threads, so
+blocks on ``min(usable CPUs, blocks)`` threads.  The ``2**18`` distances
+(2 MiB of float64) it may hold at once are split between the threads, so
 beyond its O(n k) result it holds one fixed-size budget of distances (O(n)
-memory in n), never an n x n matrix.  A block picks its candidates in three
-steps: an in-place partition of a scratch copy finds each row's k-th
-smallest distance, the flat indices of the one mask ``dist <= kth`` give
+memory in n), never an n x n matrix; at two threads each one's distances
+and partition scratch fit a 2 MiB L2 cache.  Both metrics rank squared
+euclidean distances.  A block picks its candidates in three steps: an
+in-place partition of a scratch copy finds each row's k-th smallest
+squared distance, the flat indices of the one mask ``dist <= kth`` give
 every entry up to it, and a lexsort by (row, distance, index) orders them,
 so distance ties go to the lower node index.  Every distance is computed
 per pair by ``cdist``, with no BLAS call, so the result does not depend on
@@ -35,9 +37,13 @@ from .errors import (
 )
 
 _GXG_MAGIC = b"GXG1"
-# distances held at once by the k-NN search, over all its threads: 8 MiB of
+# distances held at once by the k-NN search, over all its threads: 2 MiB of
 # float64
-_BLOCK_ENTRIES = 2**20
+_BLOCK_ENTRIES = 2**18
+# a euclidean block keeps every squared distance up to kth * _SQRT_TIE_SLACK:
+# correctly rounded sqrt can merge squared distances a few ulps apart, and
+# each one whose root ties the k-th root must reach the lexsort
+_SQRT_TIE_SLACK = 1.0 + 4.0 * np.finfo(np.float64).eps
 
 _METRICS = ("euclidean", "cosine")
 _KERNELS = ("gaussian", "binary")
@@ -178,13 +184,17 @@ def _nearest_neighbors(values, k, metric):
     Distance ties are broken by node index.  The row blocks are shared out
     between ``min(usable CPUs, blocks)`` threads, each with its own distance
     and partition buffers, and the ``_BLOCK_ENTRIES`` budget is split
-    between them; at one CPU the calling thread scans every block.  A block's candidates
-    are the flat indices of the mask ``dist <= kth`` (``kth`` from an
-    in-place partition of a copy), split into (row, column) by
-    ``divmod(flat, n)``; a lexsort by (row, distance, index) orders them and
-    each row keeps its first k.  Cosine distance is half the squared
+    between them; at one CPU the calling thread scans every block.  Both
+    metrics rank ``cdist(..., "sqeuclidean")``.  A block's candidates are
+    the flat indices of the mask ``dist <= kth`` (``kth`` from an in-place
+    partition of a copy), split into (row, column) by ``divmod(flat, n)``; a
+    lexsort by (row, distance, index) orders them and each row keeps its
+    first k.  Euclidean distance is the square root of the candidates only
+    (``cdist``'s euclidean is that root, bit for bit); its mask is widened to
+    ``kth * _SQRT_TIE_SLACK``, so every entry whose root ties the k-th root
+    still reaches the lexsort.  Cosine distance is half the squared
     euclidean distance of the unit rows, so the search ranks the unit rows
-    by ``sqeuclidean`` and halves the k distances it keeps.
+    and halves the k distances it keeps.
     """
     n = values.shape[0]
     if metric == "cosine":
@@ -196,7 +206,6 @@ def _nearest_neighbors(values, k, metric):
                 f"row {bad[0]} has zero norm; cosine distance is undefined"
             )
         values = values / norms[:, None]
-    pair_metric = "euclidean" if metric == "euclidean" else "sqeuclidean"
     neighbor = np.empty((n, k), dtype=np.intp)
     ndist = np.empty((n, k))
 
@@ -206,16 +215,21 @@ def _nearest_neighbors(values, k, metric):
         part_buf = np.empty((rows_max, n))
         for lo, hi in blocks:
             dist, part = dist_buf[: hi - lo], part_buf[: hi - lo]
-            cdist(values[lo:hi], values, pair_metric, out=dist)
+            cdist(values[lo:hi], values, "sqeuclidean", out=dist)
             rows = np.arange(hi - lo)
             dist[rows, rows + lo] = np.inf
             # every entry up to the k-th smallest, in (row, distance, index)
             # order; the mask's flat indices come in C order, i.e. by (row, column)
             np.copyto(part, dist)
             part.partition(k - 1, axis=1)
-            flat = np.flatnonzero(dist <= part[:, k - 1 : k])
+            kth = part[:, k - 1 : k]
+            if metric == "euclidean":
+                kth *= _SQRT_TIE_SLACK
+            flat = np.flatnonzero(dist <= kth)
             r, c = np.divmod(flat, n)
             d = dist.ravel()[flat]
+            if metric == "euclidean":
+                np.sqrt(d, out=d)
             order = np.lexsort((c, d, r))
             # keep the first k of each row's run; ties past the k-th are dropped
             starts = np.searchsorted(r[order], rows)
@@ -251,10 +265,13 @@ def build_knn_graph(features, spec):
     nearest rather than fully sorted: the partition threshold (each row's
     k-th smallest distance), then the flat indices of one ``dist <= kth``
     mask, then a lexsort of those candidates by (row, distance, index).  The
-    threads split one budget of ``_BLOCK_ENTRIES`` distances (8 MiB), so the
-    build holds O(n) memory in n rather than an n x n matrix.  The cosine
-    distance of x and y is ``cdist(x/|x|, y/|y|, "sqeuclidean") / 2``, which
-    equals 1 - cos(x, y) without the cancellation of that difference.  Every
+    threads split one budget of ``_BLOCK_ENTRIES`` distances (2 MiB), so the
+    build holds O(n) memory in n rather than an n x n matrix.  Both metrics
+    rank squared euclidean distances; the euclidean distance is the square
+    root of the candidates alone, equal bit for bit to ``cdist``'s
+    euclidean.  The cosine distance of x and y is
+    ``cdist(x/|x|, y/|y|, "sqeuclidean") / 2``, which equals 1 - cos(x, y)
+    without the cancellation of that difference.  Every
     distance is computed per pair, with no BLAS call, so the graph is the one
     a dense n x n distance matrix gives, bit for bit, for any thread count.
 

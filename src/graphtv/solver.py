@@ -306,7 +306,8 @@ def project_constraints(u, constraints):
 
     Seeded node i of class k: u[i, k] -> max(u[i, k], eps) and
     u[i, k'] -> min(u[i, k'], -eps) for k' != k.  Unlabeled rows lose their
-    mean across classes, summed from class 0 up.  The map is idempotent.
+    mean across classes, summed from class 0 up.  The map is idempotent up
+    to rounding of each unlabeled row's mean.
     Takes an (n, L) state in any memory order and returns a new
     C-contiguous one; it projects a class-major copy with the in-place
     routine the inner loop runs on its own buffers.
@@ -437,7 +438,8 @@ def _inner_loop(anchor, operator, constraints, config, coeff, dual=None):
     instead of two, half of every update, and a projection that only
     clamps the seeds, since a mirrored node's class mean is exactly 0.0.
     The gap check widens u and both duals to full-width ``[x, -x]`` and
-    runs unchanged, and ``u`` and ``z`` are returned widened.  The test
+    runs unchanged, except that ``K u`` is one class-0 product and its
+    negation; ``u`` and ``z`` are returned widened.  The test
     compares values, not sign bits: at odd n the median shift leaves +0.0
     in both columns of one node, and a sign-bit test would send every
     outer step after the first down the full-width path.  Every update is
@@ -498,6 +500,7 @@ def _inner_loop(anchor, operator, constraints, config, coeff, dual=None):
     u_star = np.empty_like(v)
     tmp = np.empty_like(v)
     wide = np.empty_like(v) if mirrored else None
+    grad_wide = np.empty((dual_shape[0], 2)) if mirrored else None
 
     def widen(x, out=None):
         """The (L, .) array that loop array ``x`` stands for, in ``out``."""
@@ -560,7 +563,14 @@ def _inner_loop(anchor, operator, constraints, config, coeff, dual=None):
         tether = tmp.sum()
         np.multiply(drive, u_full, out=tmp)
         linear = tmp.sum()
-        grad_u = fwd @ u_full.T  # one (m, L) product, summed in that order
+        if mirrored:
+            # K [x, -x] = [K x, -K x]: one class-0 product, summed in the
+            # (m, 2) order of the full-width product
+            grad_u = grad_wide
+            grad_u[:, 0] = fwd @ u[0]
+            np.negative(grad_u[:, 0], out=grad_u[:, 1])
+        else:
+            grad_u = fwd @ u_full.T  # one (m, L) product, summed in that order
         tv = np.abs(grad_u, out=grad_u).sum()
         primal = tether / (2.0 * dt) - linear + tv
         gap = float(primal - lower)

@@ -6,8 +6,9 @@ oracle draws every pair at once into an n x n adjacency, the AUC oracle
 counts pairs literally, the k-NN oracle stable-sorts a full distance
 matrix, the exact cosine distance works in 80-digit decimals, the
 diffusion oracles solve their linear systems densely, the duality-gap
-oracle uses the dense gradient, and the reference inner loop allocates
-fresh arrays on every iteration.  Tests compare the fast implementations
+oracle uses the dense gradient, the reference inner loop allocates
+fresh arrays on every iteration, and the reference features reader converts
+each CSV cell with Python's ``float``.  Tests compare the fast implementations
 against these slow-but-obvious routes.
 
 Where a test compares bits, an oracle adds floats in the library's order:
@@ -17,15 +18,17 @@ class-major layout that the solver's loop keeps.
 """
 
 import decimal
+import itertools
 import math
 
 import numpy as np
 from scipy import sparse
 from scipy.spatial.distance import cdist
 
-from graphtv import Graph
-from graphtv.errors import NonFiniteError, ShapeMismatchError
+from graphtv import FeatureMatrix, Graph
+from graphtv.errors import NonFiniteError, ParseError, ShapeMismatchError
 from graphtv.solver import _certified_step
+from graphtv.tables import convert_cells, read_rows
 
 
 def from_dense(matrix):
@@ -149,6 +152,33 @@ def exact_cosine_distance(x, y):
         dot = sum(a * b for a, b in zip(x, y))
         norms = sum(a * a for a in x) * sum(b * b for b in y)
         return float(1 - dot / norms.sqrt())
+
+
+def reference_load_features_csv(path):
+    """Read a features CSV into a FeatureMatrix.
+
+    Raises :class:`ParseError` (with 1-based line number) on malformed rows
+    and NaN/Inf entries, and :class:`ShapeMismatchError` on ragged rows.
+    """
+    rows = []
+    width = None
+    with open(path, "r", newline="") as fh:
+        for lineno, cells in read_rows(fh):
+            if lineno == 1 and cells[0].startswith("#"):
+                continue
+            vals = convert_cells(itertools.repeat(float), cells, lineno)
+            if not all(map(math.isfinite, vals)):
+                raise ParseError("feature is not finite", line=lineno)
+            if width is None:
+                width = len(vals)
+            elif len(vals) != width:
+                raise ShapeMismatchError(
+                    f"line {lineno}: expected {width} columns, got {len(vals)}"
+                )
+            rows.append(vals)
+    if not rows:
+        raise ParseError("no data rows", line=1)
+    return FeatureMatrix(np.asarray(rows, dtype=np.float64))
 
 
 def dense_knn_graph(values, spec):

@@ -1,6 +1,7 @@
 """Generators, partitioning, and CSV ingestion."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from graphtv.errors import (
     ParseError,
     ShapeMismatchError,
 )
-from oracles import dense_sbm
+from oracles import dense_sbm, reference_load_features_csv
 
 
 # ------------------------------------------------------------------- moons
@@ -244,6 +245,73 @@ def test_features_csv_errors_carry_line_numbers(tmp_path):
     ragged.write_text("1.0,2.0\n3.0\n")
     with pytest.raises(ShapeMismatchError):
         load_features_csv(ragged)
+
+
+# cells only Python's float reads, cells it reads as non-finite, and cells
+# no reader takes
+ODD_CELLS = ["nan", "inf", "1e400", "-0.0", "1_0", "\u0661\u0662", "", "#5"]
+
+
+@st.composite
+def feature_texts(draw):
+    """A features CSV as bytes: mostly well-formed, with every oddity mixed in."""
+    number = st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False).map(repr),
+        st.integers(-99, 99).map(str),
+    )
+    # one cell in twelve is odd, so many texts take the fast path
+    cell = st.integers(0, 11).flatmap(
+        lambda i: st.sampled_from(ODD_CELLS) if i == 0 else number
+    )
+    width = draw(st.integers(1, 3))
+    lines = []
+    if draw(st.booleans()):
+        lines.append(draw(st.sampled_from(["#x0,x1", "  #x0", "#"])))
+    for _ in range(draw(st.integers(0, 5))):
+        if draw(st.integers(0, 5)) == 0:
+            lines.append(draw(st.sampled_from(["", "   "])))
+            continue
+        ragged = draw(st.integers(0, 7)) == 0
+        cells = draw(st.lists(cell, min_size=1, max_size=4) if ragged
+                     else st.lists(cell, min_size=width, max_size=width))
+        pad = draw(st.sampled_from(["", " "]))
+        lines.append(",".join(pad + c + pad for c in cells))
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]),
+                         min_size=len(lines), max_size=len(lines)))
+    text = "".join(line + end for line, end in zip(lines, ends))
+    bom = "\ufeff" if draw(st.integers(0, 7)) == 0 else ""
+    return (bom + text).encode("utf-8")
+
+
+def read_outcome(reader, path):
+    """The values a reader returns, or the type, message and line it raises."""
+    try:
+        values = reader(path).values
+    except (ValueError, ParseError, ShapeMismatchError) as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+    return values.shape, values.view(np.int64).tolist()  # sign bits included
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=feature_texts())
+def test_features_csv_matches_row_by_row_reader(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("csv") / "f.csv"
+    path.write_bytes(data)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert read_outcome(load_features_csv, path) == read_outcome(
+            reference_load_features_csv, path
+        )
+
+
+def test_features_csv_header_only_raises_without_warning(tmp_path):
+    path = tmp_path / "f.csv"
+    path.write_text("#x0,x1\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParseError, match="no data rows") as info:
+            load_features_csv(path)
+    assert info.value.line == 1
 
 
 def test_labels_roundtrip_and_validation(tmp_path):

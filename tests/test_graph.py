@@ -236,6 +236,35 @@ def test_blocked_cosine_distances_match_oracle_to_rounding(seed, n, rows, d, jit
     assert np.abs(ndist - exact).max() <= 8 * np.finfo(np.float64).eps
 
 
+def test_euclidean_keeps_squared_distances_whose_roots_tie_the_kth():
+    # q and p are one ulp apart in squared distance from node 0 and equal
+    # after the square root, so the tie goes to q, the lower index; a mask
+    # at the k-th squared distance alone would see only p
+    q = (1.7199053588004087, 1.8691333659165827)
+    p = (1.7199053588004087, 1.8691333659165825)
+    values = np.array([(0.0, 0.0), q, p, (50.0, 0.0), (0.0, 50.0)])
+    squared = cdist(values[:1], values[1:3], "sqeuclidean")[0]
+    assert squared[0] > squared[1]
+    assert np.sqrt(squared[0]) == np.sqrt(squared[1])
+    neighbor, ndist = graph_module._nearest_neighbors(values, 1, "euclidean")
+    assert neighbor[0, 0] == 1
+    assert ndist[0, 0] == cdist(values[:1], values[1:2])[0, 0]
+
+
+@pytest.mark.parametrize("metric", ["euclidean", "cosine"])
+def test_both_metrics_rank_squared_distances(metric):
+    metrics = []
+
+    def recording_cdist(xa, xb, pair_metric, **kwargs):
+        metrics.append(pair_metric)
+        return cdist(xa, xb, pair_metric, **kwargs)
+
+    values = np.random.default_rng(9).normal(size=(12, 3))
+    with mock.patch.object(graph_module, "cdist", recording_cdist):
+        build_on_cpus(2, values, KernelSpec(k=3, metric=metric), 2 * 12)
+    assert len(metrics) > 1 and set(metrics) == {"sqeuclidean"}
+
+
 @pytest.mark.parametrize("n, rows, blocks", [
     (7, 3, [(0, 3), (3, 7)]),   # a single-row tail folds into the block before
     (6, 3, [(0, 3), (3, 6)]),

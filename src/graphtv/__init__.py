@@ -36,13 +36,7 @@ from .graph import (
     load_graph,
     save_graph,
 )
-from .operators import (
-    NormalizedGradient,
-    apply_divergence,
-    apply_gradient,
-    operator_norm,
-    total_variation,
-)
+from .operators import NormalizedGradient, operator_norm
 from .solver import (
     LabelConstraints,
     OuterRecord,
@@ -71,9 +65,6 @@ __all__ = [
     "load_graph",
     "save_graph",
     "NormalizedGradient",
-    "apply_gradient",
-    "apply_divergence",
-    "total_variation",
     "operator_norm",
     "LabelConstraints",
     "SolverConfig",

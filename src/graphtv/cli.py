@@ -67,7 +67,7 @@ from .solver import (
     write_scores_csv,
     write_trace_json,
 )
-from .tables import json_text, write_json
+from .tables import write_json
 
 log = logging.getLogger("graphtv.cli")
 
@@ -111,9 +111,6 @@ class RunConfig:
     inputs: dict
     outputs: dict
     version: str = __version__
-
-    def to_json(self):
-        return json_text(dataclasses.asdict(self))
 
     def write(self, path):
         write_json(path, dataclasses.asdict(self))
@@ -273,13 +270,14 @@ def cmd_solve(rc):
     if rc.outputs["out_trace"] is not None:
         write_trace_json(rc.outputs["out_trace"], trace)
     counts = solve_counters(trace)
+    converged = trace.stop_reason != "budget"
     log.info(
         "solve finished: %d outer steps, converged=%s, stop=%s, "
         "%d inner iterations and %d inner cap hits (rolled-back step included)",
-        counts["outer_steps"], trace.converged, counts["stop_reason"],
+        counts["outer_steps"], converged, counts["stop_reason"],
         counts["inner_iters"], counts["inner_cap_hits"],
     )
-    return EXIT_OK if trace.converged else EXIT_NO_CONVERGENCE
+    return EXIT_OK if converged else EXIT_NO_CONVERGENCE
 
 
 def cmd_eval(rc):

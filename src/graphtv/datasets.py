@@ -118,7 +118,9 @@ def synth_sbm(sizes, p_in, p_out, seed):
     )
 
 
-def make_partition(truth, n_classes, labeled_fraction, seed, epsilon=0.1):
+def make_partition(
+    truth, n_classes, labeled_fraction, seed, epsilon=LabelConstraints.epsilon
+):
     """Stratified seed/evaluation split of a labeled dataset.
 
     Per class, ``round(fraction * class_size)`` seeds (at least 1) are drawn
@@ -173,7 +175,7 @@ def load_features_csv(path):
     on ragged rows, or reads the cells that only ``float`` accepts, such as
     ``1_0`` and non-ASCII digits.
     """
-    with open(path) as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         if not fh.readline().strip().startswith("#"):
             fh.seek(0)
         try:
@@ -190,7 +192,7 @@ def load_features_csv(path):
     # the row loop, whose every error names its line
     rows = []
     width = None
-    with open(path, "r", newline="") as fh:
+    with open(path, "r", newline="", encoding="utf-8-sig") as fh:
         for lineno, cells in read_rows(fh):
             if lineno == 1 and cells[0].startswith("#"):
                 continue

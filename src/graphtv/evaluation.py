@@ -23,7 +23,7 @@ from .errors import (
 from .operators import diffusion_solve, normalized_adjacency
 from .datasets import make_partition
 from .graph import _usable_cpus
-from .solver import SolverConfig, prediction_from_scores, solve
+from .solver import LabelConstraints, SolverConfig, prediction_from_scores, solve
 from .tables import fmt, write_table
 
 log = logging.getLogger(__name__)
@@ -207,7 +207,9 @@ def _worker_cell(cell):
     return _cell(*_worker_grid, cell)
 
 
-def stability_experiment(dataset, fractions, seeds, config=None, epsilon=0.1):
+def stability_experiment(
+    dataset, fractions, seeds, config=None, epsilon=LabelConstraints.epsilon
+):
     """Full (fraction x partition-seed) grid of solve-and-evaluate cells.
 
     Every cell solves on the one ``dataset.graph``, so the graph is built

@@ -6,16 +6,16 @@ construction site (k-NN builder, synthetic generators, file loader) because
 the degree-normalized operators downstream divide by ``d_i``.
 
 The k-NN build is an exact search in O(n^2 d) time.  It walks the rows in
-blocks on ``min(usable CPUs, blocks)`` threads.  The ``2**18`` distances
-(2 MiB of float64) it may hold at once are split between the threads, so
-beyond its O(n k) result it holds one fixed-size budget of distances (O(n)
-memory in n), never an n x n matrix; at two threads each one's distances
-and partition scratch fit a 2 MiB L2 cache.  Both metrics rank squared
-euclidean distances.  A block picks its candidates in three steps: an
-in-place partition of a scratch copy finds each row's k-th smallest
-squared distance, the flat indices of the one mask ``dist <= kth`` give
-every entry up to it, and a lexsort by (row, distance, index) orders them,
-so distance ties go to the lower node index.  Every distance is computed
+blocks on the ``min(usable CPUs, blocks)`` threads of one pool, one thread
+at one CPU.  The ``2**18`` distances (2 MiB of float64) it may hold at once
+are split between the threads, so beyond its O(n k) result it holds one
+fixed-size budget of distances (O(n) memory in n), never an n x n matrix;
+at two threads each one's distances and partition scratch fit a 2 MiB L2
+cache.  Both metrics rank squared euclidean distances.  A block picks its
+candidates in three steps: an in-place partition of a scratch copy finds
+each row's k-th smallest squared distance, the flat indices of the one mask
+``dist <= kth`` give every entry up to it, and a lexsort by (row, distance,
+index) orders them, so distance ties go to the lower node index.  Every distance is computed
 per pair by ``cdist``, with no BLAS call, so the result does not depend on
 the blocks or the thread count.
 """
@@ -167,14 +167,9 @@ def _usable_cpus():
 
 
 def _row_blocks(n, parts):
-    """Row ranges of about ``_BLOCK_ENTRIES / parts`` distances each.
-
-    No block is a single row: a one-row tail folds into the block before it.
-    """
+    """Row ranges of about ``_BLOCK_ENTRIES / parts`` distances each."""
     size = max(2, _BLOCK_ENTRIES // (n * parts))
     starts = list(range(0, n, size))
-    if len(starts) > 1 and n - starts[-1] == 1:
-        starts.pop()
     return list(zip(starts, starts[1:] + [n]))
 
 
@@ -182,10 +177,10 @@ def _nearest_neighbors(values, k, metric):
     """Indices and distances of each row's ``k`` nearest other rows, ascending.
 
     Distance ties are broken by node index.  The row blocks are shared out
-    between ``min(usable CPUs, blocks)`` threads, each with its own distance
-    and partition buffers, and the ``_BLOCK_ENTRIES`` budget is split
-    between them; at one CPU the calling thread scans every block.  Both
-    metrics rank ``cdist(..., "sqeuclidean")``.  A block's candidates are
+    between the ``min(usable CPUs, blocks)`` threads of one pool, each with
+    its own distance and partition buffers, and the ``_BLOCK_ENTRIES``
+    budget is split between them.  Both metrics rank
+    ``cdist(..., "sqeuclidean")``.  A block's candidates are
     the flat indices of the mask ``dist <= kth`` (``kth`` from an in-place
     partition of a copy), split into (row, column) by ``divmod(flat, n)``; a
     lexsort by (row, distance, index) orders them and each row keeps its
@@ -240,12 +235,9 @@ def _nearest_neighbors(values, k, metric):
     cpus = _usable_cpus()
     blocks = _row_blocks(n, cpus)
     workers = min(cpus, len(blocks))
-    if workers == 1:
-        scan(blocks)
-    else:
-        # each thread writes only its own rows of neighbor and ndist
-        with ThreadPoolExecutor(workers) as pool:
-            list(pool.map(scan, [blocks[w::workers] for w in range(workers)]))
+    # each thread writes only its own rows of neighbor and ndist
+    with ThreadPoolExecutor(workers) as pool:
+        list(pool.map(scan, [blocks[w::workers] for w in range(workers)]))
     if metric == "cosine":
         ndist *= 0.5
     return neighbor, ndist

@@ -11,7 +11,8 @@ nullspace of K.  The adjoint scatters an edge function back to the nodes,
     (K^T z)_i = sum_{e=(i,j)} +- w_ij * z_e / d_i,
 
 with a plus sign where i is the first endpoint.  Both maps are realized
-once as sparse matrices so they are exactly transposes of each other.
+once as CSR matrices, exact transposes of each other, and callers take
+K u and K^T z as plain products with them.
 The p=2 side, S = D^-1/2 W D^-1/2 and one CG solve with it, lives here too.
 """
 
@@ -19,15 +20,14 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import cg
 
-from .errors import NoConvergenceError, NonFiniteError, ShapeMismatchError
+from .errors import NoConvergenceError
 
 
 class NormalizedGradient:
-    """Sparse realization of the edge-difference operator of a graph.
+    """The edge-difference operator of a graph as its two CSR matrices.
 
     Attributes
     ----------
-    graph : Graph
     matrix : csr_matrix, shape (num_edges, n)
         The forward (node -> edge) map.
     adjoint_matrix : csr_matrix, shape (n, num_edges)
@@ -35,7 +35,6 @@ class NormalizedGradient:
     """
 
     def __init__(self, graph):
-        self.graph = graph
         # canonical edges i < j, in row-major order of the upper triangle
         upper = sparse.triu(graph.csr, k=1).tocoo()
         m = upper.nnz
@@ -49,33 +48,6 @@ class NormalizedGradient:
         self.adjoint_matrix = self.matrix.T.tocsr()
 
 
-def _check_input(x, length):
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape[0] != length:
-        raise ShapeMismatchError(
-            f"expected length {length} along axis 0, got {x.shape[0]}"
-        )
-    if not np.isfinite(x).all():
-        raise NonFiniteError("input contains NaN or Inf")
-    return x
-
-
-def apply_gradient(operator, u):
-    """Edge differences K u of a node function (vector or (n, L) matrix)."""
-    return operator.matrix @ _check_input(u, operator.graph.n)
-
-
-def apply_divergence(operator, z):
-    """Adjoint map K^T z of an edge function, satisfying <Ku, z> = <u, K^T z>."""
-    return operator.adjoint_matrix @ _check_input(z, operator.graph.num_edges)
-
-
-def total_variation(operator, u):
-    """sum(|K u|); zero exactly on multiples of the degree vector."""
-    grad = apply_gradient(operator, u)
-    return np.abs(grad).sum(axis=0)
-
-
 def operator_norm(operator):
     """An upper bound on the largest singular value of K, never below it.
 
@@ -84,7 +56,7 @@ def operator_norm(operator):
     gradient the bound is at most sqrt(2), which a single edge attains.
     """
     magnitude = abs(operator.matrix)
-    row_sums = magnitude @ np.ones(operator.graph.n)
+    row_sums = magnitude @ np.ones(operator.matrix.shape[1])
     return float(np.sqrt((magnitude.T @ row_sums).max()))
 
 

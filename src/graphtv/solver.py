@@ -134,8 +134,9 @@ class LabelConstraints:
         self.labeled_nodes = np.flatnonzero(own >= 0)
         self.unlabeled_nodes = np.flatnonzero(own < 0)
 
+    # the default is the field's, read from this class body
     @classmethod
-    def from_pairs(cls, nodes, classes, n, n_classes, epsilon=0.1):
+    def from_pairs(cls, nodes, classes, n, n_classes, epsilon=epsilon):
         """Build from parallel (node, class) arrays, e.g. a parsed seed CSV."""
         nodes = np.asarray(nodes, dtype=np.int64)
         classes = np.asarray(classes, dtype=np.int64)
@@ -219,10 +220,6 @@ class SolveTrace:
     initial_ratios: list = field(default_factory=list)
     stop_reason: str = "budget"  # "tol" | "no_decrease" | "budget"
     rejected_step: OuterRecord | None = None
-
-    @property
-    def converged(self):
-        return self.stop_reason != "budget"
 
 
 @dataclass

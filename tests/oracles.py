@@ -162,7 +162,7 @@ def reference_load_features_csv(path):
     """
     rows = []
     width = None
-    with open(path, "r", newline="") as fh:
+    with open(path, "r", newline="", encoding="utf-8-sig") as fh:
         for lineno, cells in read_rows(fh):
             if lineno == 1 and cells[0].startswith("#"):
                 continue

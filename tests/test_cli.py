@@ -19,6 +19,7 @@ from graphtv.errors import (
     ParseError,
 )
 from graphtv.graph import save_graph
+from graphtv.tables import json_text
 from oracles import cliques_graph, triangles_bridge
 
 
@@ -55,12 +56,12 @@ def test_run_config_round_trip_is_canonical():
         inputs={"graph": "g.gxg"},
         outputs={"out_scores": "s.csv"},
     )
-    text = rc.to_json()
+    text = json_text(dataclasses.asdict(rc))
     assert text == canonical(text)
     assert text.endswith("\n")
     again = RunConfig.from_json(text)
     assert again == rc
-    assert again.to_json() == text
+    assert json_text(dataclasses.asdict(again)) == text
 
 
 def test_run_config_rejects_unknown_and_missing_keys():
@@ -473,12 +474,18 @@ def test_corrupt_config_exits_2(tmp_path, sbm_files, capsys):
     assert "unknown run-config keys" in capsys.readouterr().err
 
 
-def test_budget_exhaustion_exits_3_but_writes_outputs(tmp_path, sbm_files, capsys):
+def test_budget_exhaustion_exits_3_but_writes_outputs(
+    tmp_path, sbm_files, caplog
+):
     graph, truth, seeds = sbm_files
     scores = tmp_path / "s.csv"
+    caplog.set_level(logging.INFO, logger="graphtv.cli")
     assert run("solve", "--graph", str(graph), "--labels", str(seeds),
                "--outer-max", "1",
                "--out-scores", str(scores)) == 3
+    messages = [r.getMessage() for r in caplog.records]
+    (line,) = [m for m in messages if "solve finished" in m]
+    assert "1 outer steps, converged=False, stop=budget" in line
     assert scores.exists()
     assert (tmp_path / "s.config.json").exists()
 

@@ -228,6 +228,20 @@ def test_features_csv_header_optional(tmp_path):
     assert load_features_csv(bare).values.tolist() == [[1.0, 2.0], [3.0, 4.0]]
 
 
+@pytest.mark.parametrize("text", [
+    "#x0,x1\n1.0,2.0\n3.0,4.0\n",
+    "1.0,2.0\n3.0,4.0\n",
+    "1_0,2.0\n3.0,4.0\n",  # only the row loop reads 1_0
+])
+def test_features_csv_skips_a_byte_order_mark(tmp_path, text):
+    # spreadsheet tools write UTF-8 with a leading byte order mark
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    expected = load_features_csv(plain).values
+    assert np.array_equal(load_features_csv(marked).values, expected)
+
+
 def test_features_csv_errors_carry_line_numbers(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("1.0,2.0\nx,4.0\n")

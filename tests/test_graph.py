@@ -183,9 +183,11 @@ def knn_cases(draw):
     return values, k, rows
 
 
-# seven rows in blocks of three would leave a one-row tail; the ties at
-# distance 1 straddle the k-th neighbor of several rows
+# seven rows in blocks of three (two at two threads) leave a one-row tail;
+# the ties at distance 1 straddle the k-th neighbor of several rows
 TIED_LINE = np.array([[0.0], [1.0], [1.0], [2.0], [3.0], [3.0], [4.0]])
+# nine rows in blocks of four (two at two threads) leave a one-row tail
+NINE_ROWS = np.random.default_rng(12).normal(size=(9, 2))
 # in blocks of three rows, row 4 sits in the second block and its third
 # neighbor is a tie between column 0 and column n - 1, at the same distance
 # in both metrics by symmetry about the x-axis
@@ -199,6 +201,7 @@ EDGE_TIES = np.array([[1.0, 1.0], [2.0, 0.0], [3.0, 0.0],
 @example(case=(TIED_LINE + 1.0, 3, 3), spec_index=SPECS.index(("cosine", "binary", "max")))
 @example(case=(EDGE_TIES, 3, 3), spec_index=SPECS.index(("euclidean", "binary", "mean")))
 @example(case=(EDGE_TIES, 3, 3), spec_index=SPECS.index(("cosine", "binary", "mean")))
+@example(case=(NINE_ROWS, 4, 4), spec_index=0)
 def test_blocked_build_matches_dense_oracle(case, spec_index):
     values, k, rows = case
     metric, kernel, sym = SPECS[spec_index]
@@ -209,14 +212,13 @@ def test_blocked_build_matches_dense_oracle(case, spec_index):
     except IsolatedNodeError as exc:
         # a far outlier's gaussian weights underflow under the mean bandwidth;
         # the build must then reject the same node
-        with mock.patch.object(graph_module, "_BLOCK_ENTRIES", rows * n):
+        for cpus in (1, 2):
             with pytest.raises(IsolatedNodeError) as built_exc:
-                build_knn_graph(values, spec)
-        assert built_exc.value.node == exc.node
+                build_on_cpus(cpus, values, spec, rows * n)
+            assert built_exc.value.node == exc.node
         return
-    with mock.patch.object(graph_module, "_BLOCK_ENTRIES", rows * n):
-        built = build_knn_graph(values, spec)
-    assert_same_graph(built, oracle)
+    for cpus in (1, 2):
+        assert_same_graph(build_on_cpus(cpus, values, spec, rows * n), oracle)
 
 
 @settings(max_examples=40, deadline=None)
@@ -266,12 +268,12 @@ def test_both_metrics_rank_squared_distances(metric):
 
 
 @pytest.mark.parametrize("n, rows, blocks", [
-    (7, 3, [(0, 3), (3, 7)]),   # a single-row tail folds into the block before
+    (7, 3, [(0, 3), (3, 6), (6, 7)]),   # a one-row tail is a block of its own
     (6, 3, [(0, 3), (3, 6)]),
-    (5, 1, [(0, 2), (2, 5)]),   # never fewer than two rows per block
+    (5, 1, [(0, 2), (2, 4), (4, 5)]),   # never fewer than two rows but the tail
     (4, 100, [(0, 4)]),
 ])
-def test_row_blocks_never_leave_a_single_row(n, rows, blocks):
+def test_row_blocks_have_two_rows_but_the_tail(n, rows, blocks):
     with mock.patch.object(graph_module, "_BLOCK_ENTRIES", rows * n):
         assert graph_module._row_blocks(n, 1) == blocks
 
@@ -387,19 +389,6 @@ def test_worker_exception_reaches_the_caller():
     with mock.patch.object(graph_module, "cdist", failing_cdist):
         with pytest.raises(RuntimeError, match="block failed"):
             build_on_cpus(2, values, KernelSpec(k=2), 2 * 12)
-
-
-def test_one_cpu_creates_no_pool():
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a thread pool was created")
-
-    values = np.random.default_rng(7).normal(size=(12, 2))
-    spec = KernelSpec(k=2)
-    with mock.patch.object(graph_module, "ThreadPoolExecutor", no_pool):
-        serial = build_on_cpus(1, values, spec, 2 * 12)
-        with pytest.raises(AssertionError, match="thread pool"):
-            build_on_cpus(2, values, spec, 2 * 12)
-    assert_same_graph(serial, dense_knn_graph(values, spec))
 
 
 @pytest.mark.xfail(

@@ -219,7 +219,7 @@ def write_labels_csv(path, nodes, classes):
 def load_labels_csv(path):
     """Read a ``node,class`` CSV into parallel int arrays."""
     nodes, classes = [], []
-    with open(path, "r", newline="") as fh:
+    with open(path, "r", newline="", encoding="utf-8-sig") as fh:
         rows = read_rows(fh)
         if next(rows, None) != (1, ["node", "class"]):
             raise ParseError("expected header 'node,class'", line=1)

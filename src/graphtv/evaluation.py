@@ -28,6 +28,9 @@ from .tables import fmt, write_table
 
 log = logging.getLogger(__name__)
 
+#: label spreading's propagation weight, the value of Zhou et al. (2004)
+SPREADING_ALPHA = 0.99
+
 
 @dataclass
 class EvalReport:
@@ -125,18 +128,18 @@ def evaluate(prediction, truth, constraints):
     )
 
 
-def baseline_label_spreading(graph, constraints, alpha=0.99):
+def baseline_label_spreading(graph, constraints):
     """Classic quadratic diffusion baseline (Zhou et al. 2004).
 
     Scores are the fixed point ``F = (1 - alpha) (I - alpha S)^-1 Y`` of
-    ``F <- alpha * S F + (1 - alpha) * Y``, with ``S = D^-1/2 W D^-1/2`` and
-    one-hot seeds ``Y``, solved by :func:`~graphtv.operators.diffusion_solve`
-    (whose :class:`~graphtv.errors.NoConvergenceError` it passes on).
+    ``F <- alpha * S F + (1 - alpha) * Y`` at alpha = ``SPREADING_ALPHA``,
+    with ``S = D^-1/2 W D^-1/2`` and one-hot seeds ``Y``, solved by
+    :func:`~graphtv.operators.diffusion_solve` (whose
+    :class:`~graphtv.errors.NoConvergenceError` it passes on).
     """
     if constraints.n != graph.n:
         raise ShapeMismatchError("constraints do not match the graph")
-    if not (0.0 <= alpha < 1.0):
-        raise ValueError("alpha must lie in [0, 1)")
+    alpha = SPREADING_ALPHA
     y = np.zeros((graph.n, constraints.n_classes))
     lab = constraints.labeled_nodes
     y[lab, constraints.own_class[lab]] = 1.0

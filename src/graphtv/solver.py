@@ -9,7 +9,7 @@ repeatedly linearizes the non-smooth ratio
 
 around the current state v and solves the resulting convex surrogate
 
-    min_u  ||u - v||^2 / (2 dt)
+    min_u  ||u - v||^2 / 2
            + sum_k [ TV(u^k) - c^k <sign(v^k), u^k> ]        over C,
 
 with c^k the pre-step ratio of class k, by an accelerated primal-dual
@@ -19,7 +19,7 @@ on the nodes, extrapolation with a decreasing step ratio; Chambolle & Pock
 primal-dual gap P(u) - D(z), P being the surrogate above, z the dual edge
 variable in the unit box, drive^k = c^k sign(v^k), w = drive - K^T z and
 
-    D(z) = ||u* - v||^2 / (2 dt) - <w, u*>,      u* = P_C(v + dt w),
+    D(z) = ||u* - v||^2 / 2 - <w, u*>,      u* = P_C(v + w),
 
 taken at the better of the last dual iterate and the sigma-weighted
 average of all of them (the last one alone can stall while u converges);
@@ -157,27 +157,24 @@ class SolverConfig:
     """Tunable knobs of the solver; defaults are the calibrated ones.
 
     The inner loop is CP Algorithm 2 on a surrogate that is mu-strongly
-    convex with mu = 1/dt; its primal step is tau*dt.  It starts from the
-    dual and primal steps sigma = tau = sqrt(0.999 / dt) / B, where
+    convex with mu = 1, its tether weight.  It starts from the dual and
+    primal steps sigma = tau = sqrt(0.999) / B, where
     B = :func:`~graphtv.operators.operator_norm` is a closed-form upper
     bound on ||K||, so the Chambolle & Pock (2011) condition
-    sigma*tau*dt*||K||^2 <= 0.999 < 1 holds for every dt.  It decays the steps
-    by theta = 1/sqrt(1 + 2*gamma*tau*dt) = 1/sqrt(1 + tau) per iteration,
-    i.e. with gamma = mu/2, which meets the algorithm's condition
-    gamma <= mu for every dt.  It stops once its primal-dual gap is at
-    most ``inner_tol * |P(u)|``, P being the surrogate's primal value, or
-    at ``inner_max`` iterations.  ``inner_tol`` also stops :func:`solve`
-    on the smallest ratio-sum decrease such a gap resolves.
+    sigma*tau*||K||^2 <= 0.999 < 1 holds.  It decays the steps by
+    theta = 1/sqrt(1 + 2*gamma*tau) = 1/sqrt(1 + tau) per iteration, i.e.
+    with gamma = mu/2, which meets the algorithm's condition gamma <= mu.
+    It stops once its primal-dual gap is at most ``inner_tol * |P(u)|``,
+    P being the surrogate's primal value, or at ``inner_max`` iterations.
+    ``inner_tol`` also stops :func:`solve` on the smallest ratio-sum
+    decrease such a gap resolves.
     """
 
-    dt: float = 1.0
     inner_max: int = 2000
     inner_tol: float = 1e-3
     outer_max: int = 100
 
     def __post_init__(self):
-        if not (self.dt > 0 and np.isfinite(self.dt)):
-            raise ValueError("dt must be a positive finite real")
         if self.inner_max < 1 or self.outer_max < 1:
             raise ValueError("iteration caps must be >= 1")
         if not self.inner_tol > 0:  # NaN fails too
@@ -192,8 +189,8 @@ class OuterRecord:
     normalized) state; ``ratios_pre`` those of the raw inner-loop output;
     ``decrease_slack`` is c^k*||u||_1 - TV(u) on the raw output; its sum
     is at least ``-gap``.  ``gap`` is the inner loop's final primal-dual
-    gap, or None if it overflowed.  ``hit_cap`` is true when the inner loop
-    ran to ``inner_max`` without meeting the gap test.
+    gap, always finite.  ``hit_cap`` is true when the inner loop ran to
+    ``inner_max`` without meeting the gap test.
     """
 
     ratios: list
@@ -202,7 +199,7 @@ class OuterRecord:
     sum_ratios: float
     inner_iters: int
     hit_cap: bool
-    gap: float | None
+    gap: float
     max_violation: float
     wall_ms: float
 
@@ -393,26 +390,24 @@ def initialize_state(graph, constraints):
     return project_constraints(u / nrm, constraints)
 
 
-def _dual_value(w, anchor, dt, project, u_star, tmp):
-    """D = ||u* - v||^2 / (2 dt) - <w, u*> at u* = P_C(v + dt w), class-major."""
-    np.multiply(w, dt, out=u_star)
-    u_star += anchor
+def _dual_value(w, anchor, project, u_star, tmp):
+    """D = ||u* - v||^2 / 2 - <w, u*> at u* = P_C(v + w), class-major."""
+    np.add(w, anchor, out=u_star)
     project(u_star)
     np.multiply(w, u_star, out=tmp)
     cross = tmp.sum()
     np.subtract(u_star, anchor, out=tmp)
     np.square(tmp, out=tmp)
-    return tmp.sum() / (2.0 * dt) - cross
+    return tmp.sum() / 2.0 - cross
 
 
-def _certified_step(operator, dt):
+def _certified_step(operator):
     """The inner loop's first dual and primal step, sigma = tau.
 
-    sqrt(0.999) / (sqrt(dt) * B) with B = operator_norm(operator) >= ||K||,
-    so sigma * tau * dt * ||K||^2 <= 0.999.  Formed factor by factor, so
-    that neither a huge nor a tiny dt overflows it.
+    sqrt(0.999) / B with B = operator_norm(operator) >= ||K||, so
+    sigma * tau * ||K||^2 <= 0.999.
     """
-    return math.sqrt(0.999) / math.sqrt(dt) / operator_norm(operator)
+    return math.sqrt(0.999) / operator_norm(operator)
 
 
 def _inner_loop(anchor, operator, constraints, config, coeff, dual=None):
@@ -426,8 +421,9 @@ def _inner_loop(anchor, operator, constraints, config, coeff, dual=None):
     :func:`_certified_step` either way.  The loop itself holds every array
     class-major, (L, n) on the nodes and (L, m) on the edges.  Returns
     ``(u, iters, gap, converged, z)``: ``u`` is a new C-contiguous
-    ``(n, L)`` array and ``z`` the ``(m, L)`` last dual iterate; a
-    non-finite iterate is detected at the next gap evaluation.
+    ``(n, L)`` array and ``z`` the ``(m, L)`` last dual iterate.  Each gap
+    term is bounded by the anchor, ``coeff`` and ||K||, so a non-finite gap
+    means a non-finite iterate and raises NonFiniteError at that check.
 
     At two classes, when the anchor, the drive ``coeff * sign(anchor)`` and
     the starting dual each equal minus their class 0 in class 1, the loop
@@ -459,7 +455,6 @@ def _inner_loop(anchor, operator, constraints, config, coeff, dual=None):
         )
     fwd = operator.matrix
     adj = operator.adjoint_matrix
-    dt = config.dt
     # Every buffer is owned by the loop and class-major, so each class is
     # one contiguous row for the sparse products, the elementwise updates
     # and the projection.  Every update keeps the operand order of the
@@ -509,7 +504,7 @@ def _inner_loop(anchor, operator, constraints, config, coeff, dual=None):
         np.negative(x[0], out=out[1])
         return out
 
-    sigma = tau = _certified_step(operator, dt)
+    sigma = tau = _certified_step(operator)
     gap = math.inf
     converged = False
     for it in range(1, config.inner_max + 1):
@@ -532,13 +527,13 @@ def _inner_loop(anchor, operator, constraints, config, coeff, dual=None):
             np.divide(adj_z_sum, weight, out=w_mean)
             np.subtract(drive_rows, w_mean, out=w_mean)
             lower = max(
-                _dual_value(widen(scratch, wide), v, dt, project, u_star, tmp),
-                _dual_value(widen(w_mean, wide), v, dt, project, u_star, tmp),
+                _dual_value(widen(scratch, wide), v, project, u_star, tmp),
+                _dual_value(widen(w_mean, wide), v, project, u_star, tmp),
             )
         # proximal descent on the nodes: resolvent of the quadratic tether
-        # ||u - anchor||^2 / (2 dt) plus the linearized-l1 drive, followed
-        # by projection onto the seed set
-        scratch *= tau * dt
+        # ||u - anchor||^2 / 2 plus the linearized-l1 drive, followed by
+        # projection onto the seed set
+        scratch *= tau
         u, u_prev = u_prev, u
         np.add(u_prev, scratch, out=u)
         np.multiply(v_rows, tau, out=scratch)
@@ -553,7 +548,7 @@ def _inner_loop(anchor, operator, constraints, config, coeff, dual=None):
         np.add(u, scratch, out=u_tilde)
         if not check:
             continue
-        # primal value P(u) = ||u - v||^2 / (2 dt) - <drive, u> + TV(u)
+        # primal value P(u) = ||u - v||^2 / 2 - <drive, u> + TV(u)
         u_full = widen(u, wide)
         np.subtract(u_full, v, out=tmp)
         np.square(tmp, out=tmp)
@@ -569,13 +564,11 @@ def _inner_loop(anchor, operator, constraints, config, coeff, dual=None):
         else:
             grad_u = fwd @ u_full.T  # one (m, L) product, summed in that order
         tv = np.abs(grad_u, out=grad_u).sum()
-        primal = tether / (2.0 * dt) - linear + tv
+        primal = tether / 2.0 - linear + tv
         gap = float(primal - lower)
-        # a finite gap implies a finite iterate; look closer otherwise
         if not math.isfinite(gap):
-            if not np.isfinite(u).all():
-                raise NonFiniteError("inner iterate is not finite", iteration=it)
-        elif gap <= config.inner_tol * abs(primal):
+            raise NonFiniteError("inner iterate is not finite", iteration=it)
+        if gap <= config.inner_tol * abs(primal):
             converged = True
             break
     # inner_max >= 1, so the loop ran and ``it`` counts its iterations
@@ -618,7 +611,7 @@ def outer_step(u, operator, constraints, config, *, dual=None):
         sum_ratios=float(ratios_carried.sum()),
         inner_iters=iters,
         hit_cap=not converged,
-        gap=gap if math.isfinite(gap) else None,
+        gap=gap,
         max_violation=float(violation),
         wall_ms=(time.perf_counter() - t0) * 1e3,
     )
@@ -632,14 +625,13 @@ def solve(graph, constraints, config=None):
     :func:`initialize_state`), then runs outer ratio-descent steps; the
     score matrix is the only state carried from one step to the next.  The
     loop keeps a step only if it does not raise the monitored sum of
-    per-class ratios and its inner gap is finite: the re-centering inside
-    each step is not a descent operation, and an overflowed gap certifies
-    nothing, so the first step that comes back worse or uncertified marks
-    convergence and is rolled back to the matrix it started from.  It
-    otherwise stops as "tol" on the first kept step that lowers the sum by
-    at most ``inner_tol`` times the sum before it, all that an inner gap of
-    that size resolves (also after a capped inner loop, which certifies
-    less), or at ``outer_max``; ``trace.stop_reason`` says which.  Returns
+    per-class ratios: the re-centering inside each step is not a descent
+    operation, so the first step that comes back worse marks convergence
+    and is rolled back to the matrix it started from.  It otherwise stops
+    as "tol" on the first kept step that lowers the sum by at most
+    ``inner_tol`` times the sum before it, all that an inner gap of that
+    size resolves (also after a capped inner loop, which certifies less),
+    or at ``outer_max``; ``trace.stop_reason`` says which.  Returns
     ``(Prediction, SolveTrace)``.  Labels are the row argmax of the final
     scores, ties broken toward the smallest class index and flagged.  Nodes
     of a component without seeds are returned tied (label 0) with one
@@ -682,7 +674,7 @@ def solve(graph, constraints, config=None):
             record.inner_iters,
             record.gap,
         )
-        if record.gap is None or record.sum_ratios > prev_sum:
+        if record.sum_ratios > prev_sum:
             trace.stop_reason = "no_decrease"
             trace.rejected_step = record
             if t == 0:
@@ -717,7 +709,7 @@ def write_scores_csv(path, prediction):
 def read_scores_csv(path):
     """Parse a scores table back into a Prediction."""
     scores, labels, ties = [], [], []
-    with open(path, "r", newline="") as fh:
+    with open(path, "r", newline="", encoding="utf-8-sig") as fh:
         rows = read_rows(fh)
         lineno, head = next(rows, (1, None))
         if head is None:

@@ -269,33 +269,33 @@ def reference_project_constraints(u, constraints):
     return out
 
 
-def dense_duality_gap(graph, constraints, u, z, anchor, coeff, dt):
+def dense_duality_gap(graph, constraints, u, z, anchor, coeff):
     """Primal value and gap of one surrogate at the pair (u, z), densely.
 
-    P(u) = ||u - v||^2 / (2 dt) - <drive, u> + sum|K u| and
-    D(z) = min over the constraint set of ||x - v||^2 / (2 dt) - <drive - K^T z, x>,
+    P(u) = ||u - v||^2 / 2 - <drive, u> + sum|K u| and
+    D(z) = min over the constraint set of ||x - v||^2 / 2 - <drive - K^T z, x>,
     with K from :func:`dense_gradient` and drive = coeff * sign(v).
     """
     grad = dense_gradient(graph)
     drive = np.sign(anchor) * coeff
     primal = (
-        np.sum((u - anchor) ** 2) / (2.0 * dt)
+        np.sum((u - anchor) ** 2) / 2.0
         - np.sum(drive * u)
         + np.sum(np.abs(grad @ u))
     )
     w = drive - grad.T @ z
-    x = reference_project_constraints(anchor + dt * w, constraints)
-    dual = np.sum((x - anchor) ** 2) / (2.0 * dt) - np.sum(w * x)
+    x = reference_project_constraints(anchor + w, constraints)
+    dual = np.sum((x - anchor) ** 2) / 2.0 - np.sum(w * x)
     return float(primal), float(primal - dual)
 
 
-def surrogate_objective(operator, u, anchor, dt=1.0):
+def surrogate_objective(operator, u, anchor):
     """Value at ``u`` of the convex model minimized by one outer step.
 
     The model tethers ``u`` to the linearization point ``anchor`` and
     replaces each class ratio by its linearization there::
 
-        ||u - anchor||^2 / (2 dt)
+        ||u - anchor||^2 / 2
             + sum_k [ TV(u^k) - ratio(anchor^k) * <sign(anchor^k), u^k> ]
 
     with ratio = TV / max(||.||_1, 1e-12).  By construction the value at
@@ -308,7 +308,7 @@ def surrogate_objective(operator, u, anchor, dt=1.0):
         np.abs(anchor).sum(axis=0), 1e-12
     )
     linear = (np.sign(anchor) * u).sum(axis=0) * coeff
-    tether = float(((u - anchor) ** 2).sum()) / (2.0 * dt)
+    tether = float(((u - anchor) ** 2).sum()) / 2.0
     return tether + float((tv - linear).sum())
 
 
@@ -334,19 +334,18 @@ def reference_inner_loop(anchor, operator, constraints, config, coeff, dual=None
 
     def dual_value(w):
         # the Lagrangian's minimizer over the constraint set, and its value
-        u_star = reference_project_constraints(anchor + dt * w, constraints)
+        u_star = reference_project_constraints(anchor + w, constraints)
         tether = class_major_sum((u_star - anchor) ** 2)
-        return tether / (2.0 * dt) - class_major_sum(w * u_star)
+        return tether / 2.0 - class_major_sum(w * u_star)
 
     check_every = 10
     fwd = operator.matrix
     adj = operator.adjoint_matrix
-    dt = config.dt
     drive = np.sign(anchor) * coeff  # c^k * sign(v^k), zero where v is zero
     u = anchor
     z = np.clip(fwd @ anchor, -1.0, 1.0) if dual is None else dual
     u_tilde = anchor
-    sigma = tau = _certified_step(operator, dt)
+    sigma = tau = _certified_step(operator)
     iters = 0
     adj_z_sum = np.zeros(u.shape)
     weight = 0.0
@@ -363,11 +362,10 @@ def reference_inner_loop(anchor, operator, constraints, config, coeff, dual=None
         if check:
             dual = max(dual_value(w), dual_value(drive - adj_z_sum / weight))
         # proximal descent on the nodes: resolvent of the quadratic tether
-        # ||u - anchor||^2 / (2 dt) plus the linearized-l1 drive, followed
-        # by projection onto the seed set
+        # ||u - anchor||^2 / 2 plus the linearized-l1 drive, followed by
+        # projection onto the seed set
         u_prev = u
-        step = tau * dt
-        u = (u + step * w + tau * anchor) / (1.0 + tau)
+        u = (u + tau * w + tau * anchor) / (1.0 + tau)
         u = reference_project_constraints(u, constraints)
         theta = 1.0 / math.sqrt(1.0 + tau)
         tau *= theta
@@ -378,7 +376,7 @@ def reference_inner_loop(anchor, operator, constraints, config, coeff, dual=None
             if not np.isfinite(u).all():
                 raise NonFiniteError("inner iterate is not finite", iteration=it)
             primal = (
-                class_major_sum((u - anchor) ** 2) / (2.0 * dt)
+                class_major_sum((u - anchor) ** 2) / 2.0
                 - class_major_sum(drive * u)
                 + np.abs(fwd @ u).sum()
             )

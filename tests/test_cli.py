@@ -159,6 +159,7 @@ def test_solve_sidecar_expands_defaults_and_replays_identically(
         ("sigma0", 1.9, "--sigma0"),
         ("tau0", 1.9, "--tau0"),
         ("outer_tol", 1e-6, "--outer-tol"),
+        ("dt", 1.0, "--dt"),
     ],
 )
 def test_solve_replays_sidecar_written_with_removed_option(
@@ -287,6 +288,7 @@ def test_experiment_sidecar_of_features_route_exits_2(tmp_path, sbm_files, capsy
         ("experiment", "sigma0", 1.9),
         ("experiment", "tau0", 1.9),
         ("experiment", "outer_tol", 1e-6),
+        ("experiment", "dt", 1.0),
         ("experiment", "jobs", 2),
     ],
 )
@@ -294,9 +296,10 @@ def test_replays_sidecar_written_with_removed_option(
     tmp_path, sbm_files, capsys, command, key, old_value
 ):
     # experiment's class count comes from the truth file, eval never reads
-    # the seed margin, the inner loop's first steps follow from dt and the
-    # graph, the outer loop stops on inner_tol, and the worker count follows
-    # from the machine: old sidecars that carry any of these still replay
+    # the seed margin, the inner loop's first steps follow from the graph,
+    # the outer loop stops on inner_tol, the proximal step is fixed at 1, and
+    # the worker count follows from the machine: old sidecars that carry any
+    # of these still replay
     graph, truth, seeds = sbm_files
     if command == "experiment":
         argv = ["experiment", "--graph", str(graph), "--truth", str(truth),
@@ -574,7 +577,8 @@ def test_fully_seeded_reports_are_strict_json(tmp_path, capsys):
 
 
 def test_numerical_failure_exits_4(tmp_path, capsys, monkeypatch):
-    # certified steps keep even --dt 1e308 finite, so the failure is injected
+    # certified steps keep every iterate of a finite start finite, so the
+    # failure is injected
     def diverge(anchor, operator, constraints, config, coeff, dual=None):
         raise NonFiniteError("inner iterate is not finite", iteration=1)
 

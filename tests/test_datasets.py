@@ -354,6 +354,14 @@ def test_labels_roundtrip_and_validation(tmp_path):
     assert info.value.line == 3
 
 
+def test_labels_csv_skips_a_byte_order_mark(tmp_path):
+    marked = tmp_path / "marked.csv"
+    marked.write_text("node,class\n0,1\n2,0\n", encoding="utf-8-sig")
+    nodes, classes = load_labels_csv(marked)
+    assert nodes.tolist() == [0, 2]
+    assert classes.tolist() == [1, 0]
+
+
 def test_truth_from_pairs_must_cover_every_node():
     assert truth_from_pairs([1, 0, 2], [1, 0, 1], 3).tolist() == [0, 1, 1]
     with pytest.raises(ShapeMismatchError):

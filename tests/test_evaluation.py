@@ -192,36 +192,15 @@ def test_label_spreading_disjoint_cliques():
     assert prediction.labels.tolist() == [0] * 4 + [1] * 4
 
 
-def test_label_spreading_alpha_to_zero_limit():
-    graph = cliques_graph([range(4), range(4, 8)], [(3, 4, 0.5)])
-    cons = make_constraints(8, 2, [[0], [4]])
-    prediction = baseline_label_spreading(graph, cons, alpha=1e-12)
-    # seeds keep their one-hot class; everything else stays (tied) zero
-    assert prediction.labels[0] == 0
-    assert prediction.labels[4] == 1
-    assert prediction.tie_flag[[1, 2, 3, 5, 6, 7]].all()
-    assert not prediction.tie_flag[[0, 4]].any()
-
-
-def test_label_spreading_alpha_bounds():
-    graph = cliques_graph([range(3), range(3, 6)])
-    cons = make_constraints(6, 2, [[0], [3]])
-    with pytest.raises(ValueError):
-        baseline_label_spreading(graph, cons, alpha=-0.1)
-    with pytest.raises(ValueError):
-        baseline_label_spreading(graph, cons, alpha=1.0)
-
-
 @pytest.mark.parametrize("n_classes", [2, 3])
 def test_label_spreading_matches_dense_oracle(rng, n_classes):
     for n in (6, 11, 20, 35):
         graph = random_connected_graph(rng, n)
         labeled = np.array_split(rng.permutation(n)[: 2 * n_classes], n_classes)
         cons = make_constraints(n, n_classes, labeled)
-        for alpha in (0.5, 0.99):
-            scores = baseline_label_spreading(graph, cons, alpha=alpha).scores
-            expected = dense_label_spreading(graph, cons, alpha)
-            assert np.max(np.abs(scores - expected)) <= 1e-10
+        scores = baseline_label_spreading(graph, cons).scores
+        expected = dense_label_spreading(graph, cons, 0.99)
+        assert np.max(np.abs(scores - expected)) <= 1e-10
 
 
 def test_label_spreading_returns_on_noisy_moons():

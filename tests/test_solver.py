@@ -95,9 +95,12 @@ def inner_solve(anchor, op, cons, config):
     return _inner_loop(anchor, op, cons, config, coeff)
 
 
-def run_both_loops(anchor, op, cons, config, dual=None):
-    """Fused loop and reference oracle from the same start; both outcomes."""
-    _, _, coeff = _ratio_terms(op, anchor)
+def run_both_loops(anchor, op, cons, config, dual=None, drive=1.0):
+    """Fused loop and reference oracle from the same start; both outcomes.
+
+    The drive coefficients are the anchor's class ratios times ``drive``.
+    """
+    coeff = _ratio_terms(op, anchor)[2] * drive
     fused_out = _inner_loop(anchor, op, cons, config, coeff, dual)
     ref_out = reference_inner_loop(anchor, op, cons, config, coeff, dual)
     return fused_out, ref_out
@@ -277,7 +280,7 @@ def test_inner_loop_preserves_its_own_fixed_point():
     config = SolverConfig(inner_tol=1e-12, inner_max=20000)
     anchor = initialize_state(graph, cons)
     settled, *_ = inner_solve(anchor, op, cons, config)
-    assert surrogate_objective(op, settled, anchor, config.dt) <= 1e-12
+    assert surrogate_objective(op, settled, anchor) <= 1e-12
 
 
 def test_inner_loop_beats_random_feasible_candidates(rng):
@@ -289,7 +292,7 @@ def test_inner_loop_beats_random_feasible_candidates(rng):
     config = SolverConfig(inner_tol=1e-12, inner_max=6000)
     anchor = initialize_state(graph, cons)
     u, *_ = inner_solve(anchor, op, cons, config)
-    achieved = surrogate_objective(op, u, anchor, config.dt)
+    achieved = surrogate_objective(op, u, anchor)
 
     best = np.inf
     for _ in range(1000):
@@ -297,7 +300,7 @@ def test_inner_loop_beats_random_feasible_candidates(rng):
             anchor + rng.normal(scale=rng.uniform(0.01, 2.0), size=anchor.shape),
             cons,
         )
-        best = min(best, surrogate_objective(op, cand, anchor, config.dt))
+        best = min(best, surrogate_objective(op, cand, anchor))
     assert achieved <= best + 1e-9
     # the anchor itself is feasible with value 0, so the minimum is <= 0
     assert achieved <= 1e-12
@@ -347,53 +350,57 @@ def test_inner_loop_rejects_three_class_state_for_two_class_constraints(rng):
         reference_inner_loop(anchor, op, cons2, config, coeff)
 
 
-def oracle_case(n_classes, dt, stop, seeding):
+def oracle_case(n_classes, drive, stop, seeding):
     """A seeded inner problem and a config that stops on ``stop``."""
     n = 6 * n_classes + (seeding != "all")
     per = {"one": 1, "most": 6, "all": 6}[seeding]
-    rng = np.random.default_rng([n_classes, int(10 * dt), int(stop == "tol"), per, n])
+    rng = np.random.default_rng(
+        [n_classes, int(10 * drive), int(stop == "tol"), per, n]
+    )
     op, cons, anchor = random_inner_problem(rng, n, n_classes, per=per)
     if stop == "tol":
-        config = SolverConfig(dt=dt, inner_tol=1e-3, inner_max=5000)
+        config = SolverConfig(inner_tol=1e-3, inner_max=5000)
     else:
-        config = SolverConfig(dt=dt, inner_tol=1e-300, inner_max=60)
+        config = SolverConfig(inner_tol=1e-300, inner_max=60)
     return rng, op, cons, anchor, config
 
 
-def assert_oracle_case(op, cons, anchor, config, stop, dual=None):
-    fused_out, ref_out = run_both_loops(anchor, op, cons, config, dual)
+def assert_oracle_case(op, cons, anchor, config, stop, dual=None, drive=1.0):
+    fused_out, ref_out = run_both_loops(anchor, op, cons, config, dual, drive)
     assert_loops_agree(fused_out, ref_out)
     iters = fused_out[1]
     assert (iters < config.inner_max) if stop == "tol" else (iters == config.inner_max)
 
 
+# The drive axis scales the anchor's class ratios in the linear term, so
+# at 0.3 the loops run where the total variation outweighs the drive.
 @pytest.mark.parametrize("n_classes", [2, 3, 5, 9])
-@pytest.mark.parametrize("dt", [1.0, 0.3])
+@pytest.mark.parametrize("drive", [1.0, 0.3])
 @pytest.mark.parametrize("stop", ["tol", "cap"])
 @pytest.mark.parametrize("seeding", ["one", "most", "all"])
-def test_inner_loop_matches_reference_oracle(n_classes, dt, stop, seeding):
+def test_inner_loop_matches_reference_oracle(n_classes, drive, stop, seeding):
     # the fused in-place loop must repeat the whole-array loop's arithmetic
     # exactly; 9 classes cross numpy's pairwise-summation block
-    _, op, cons, anchor, config = oracle_case(n_classes, dt, stop, seeding)
-    assert_oracle_case(op, cons, anchor, config, stop)
+    _, op, cons, anchor, config = oracle_case(n_classes, drive, stop, seeding)
+    assert_oracle_case(op, cons, anchor, config, stop, drive=drive)
 
 
 @pytest.mark.parametrize("n_classes", [2, 3, 5, 9])
-@pytest.mark.parametrize("dt", [1.0, 0.3])
+@pytest.mark.parametrize("drive", [1.0, 0.3])
 @pytest.mark.parametrize("stop", ["tol", "cap"])
 @pytest.mark.parametrize("seeding", ["one", "most", "all"])
 @pytest.mark.parametrize("start", ["random", "previous"])
 def test_inner_loop_matches_reference_oracle_from_warm_dual(
-    n_classes, dt, stop, seeding, start
+    n_classes, drive, stop, seeding, start
 ):
     # the same, with the dual started at a random point of the unit box or
     # at the last dual of the outer step that produced the anchor
-    rng, op, cons, anchor, config = oracle_case(n_classes, dt, stop, seeding)
+    rng, op, cons, anchor, config = oracle_case(n_classes, drive, stop, seeding)
     if start == "random":
         dual = rng.uniform(-1.0, 1.0, size=(op.matrix.shape[0], n_classes))
     else:
         anchor, _, dual = outer_step(anchor, op, cons, config)
-    assert_oracle_case(op, cons, anchor, config, stop, dual)
+    assert_oracle_case(op, cons, anchor, config, stop, dual, drive)
 
 
 @settings(max_examples=60, deadline=None)
@@ -401,18 +408,17 @@ def test_inner_loop_matches_reference_oracle_from_warm_dual(
     seed=st.integers(0, 2**32 - 1),
     n=st.integers(3, 40),
     n_classes=st.sampled_from([2, 3, 5, 9]),
-    dt=st.sampled_from([1.0, 0.3]),
     inner_max=st.integers(1, 40),
     inner_tol=st.sampled_from([1e-8, 1e-2]),
     warm=st.booleans(),
 )
 def test_inner_loop_matches_reference_oracle_on_random_graphs(
-    seed, n, n_classes, dt, inner_max, inner_tol, warm
+    seed, n, n_classes, inner_max, inner_tol, warm
 ):
     assume(n >= n_classes)
     rng = np.random.default_rng(seed)
     op, cons, anchor = random_inner_problem(rng, n, n_classes)
-    config = SolverConfig(dt=dt, inner_tol=inner_tol, inner_max=inner_max)
+    config = SolverConfig(inner_tol=inner_tol, inner_max=inner_max)
     dual = None
     if warm:
         dual = rng.uniform(-1.0, 1.0, size=(op.matrix.shape[0], n_classes))
@@ -431,40 +437,39 @@ def mirrored_dual(rng, op):
     return np.column_stack([d, -d])
 
 
-@pytest.mark.parametrize("dt", [1.0, 0.3])
+@pytest.mark.parametrize("drive", [1.0, 0.3])
 @pytest.mark.parametrize("stop", ["tol", "cap"])
 @pytest.mark.parametrize("seeding", ["one", "most", "all"])
 @pytest.mark.parametrize("start", ["cold", "mirrored", "previous"])
-def test_mirrored_inner_loop_matches_reference_oracle(dt, stop, seeding, start):
+def test_mirrored_inner_loop_matches_reference_oracle(drive, stop, seeding, start):
     # a two-class loop whose anchor and dual are mirrored runs class 0
     # alone; widened back, it must repeat the full-width arithmetic exactly
-    rng, op, cons, _, config = oracle_case(2, dt, stop, seeding)
+    rng, op, cons, _, config = oracle_case(2, drive, stop, seeding)
     anchor = mirrored_anchor(rng, cons)
     dual = None
     if start == "mirrored":
         dual = mirrored_dual(rng, op)
     elif start == "previous":
         anchor, _, dual = outer_step(anchor, op, cons, config)
-    assert_oracle_case(op, cons, anchor, config, stop, dual)
+    assert_oracle_case(op, cons, anchor, config, stop, dual, drive)
 
 
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
     n=st.integers(3, 40),
-    dt=st.sampled_from([1.0, 0.3]),
     inner_max=st.integers(1, 40),
     inner_tol=st.sampled_from([1e-8, 1e-2]),
     warm=st.booleans(),
 )
 def test_mirrored_inner_loop_matches_reference_oracle_on_random_graphs(
-    seed, n, dt, inner_max, inner_tol, warm
+    seed, n, inner_max, inner_tol, warm
 ):
     rng = np.random.default_rng(seed)
     op = NormalizedGradient(random_connected_graph(rng, n))
     cons = random_constraints(rng, n, 2)
     anchor = mirrored_anchor(rng, cons)
-    config = SolverConfig(dt=dt, inner_tol=inner_tol, inner_max=inner_max)
+    config = SolverConfig(inner_tol=inner_tol, inner_max=inner_max)
     dual = mirrored_dual(rng, op) if warm else None
     assert_loops_agree(*run_both_loops(anchor, op, cons, config, dual))
 
@@ -599,26 +604,10 @@ def test_inner_loop_reports_non_finite_at_reference_iteration(rng, field):
     assert fused_info.value.iteration == ref_info.value.iteration
 
 
-def test_inner_loop_overflowing_norm_is_not_non_finite(rng):
-    # at dt = 1e300 the iterates stay finite but the dual value overflows;
-    # the non-finite gap must fall back to the full check, carry on like
-    # the reference loop, and never pass the stop test
-    op, cons, anchor = random_inner_problem(rng, 12, 2)
-    with np.errstate(all="ignore"):
-        fused_out, ref_out = run_both_loops(
-            anchor, op, cons, SolverConfig(dt=1e300, inner_max=30)
-        )
-    assert_loops_agree(fused_out, ref_out)
-    u, iters, gap, converged, _ = fused_out
-    assert np.isfinite(u).all()
-    assert not np.isfinite(gap)
-    assert iters == 30 and not converged
-
-
-def primal_value(op, u, anchor, coeff, dt):
+def primal_value(op, u, anchor, coeff):
     drive = np.sign(anchor) * coeff
     return (
-        ((u - anchor) ** 2).sum() / (2.0 * dt)
+        ((u - anchor) ** 2).sum() / 2.0
         - (drive * u).sum()
         + np.abs(op.matrix @ u).sum()
     )
@@ -629,22 +618,21 @@ def primal_value(op, u, anchor, coeff, dt):
     seed=st.integers(0, 2**32 - 1),
     n=st.integers(3, 40),
     n_classes=st.sampled_from([2, 3, 5]),
-    dt=st.sampled_from([1e-3, 0.3, 1.0, 10.0]),
     inner_max=st.integers(1, 80),
 )
-def test_inner_gap_is_non_negative_at_every_check(seed, n, n_classes, dt, inner_max):
+def test_inner_gap_is_non_negative_at_every_check(seed, n, n_classes, inner_max):
     # weak duality: every feasible primal value bounds every dual value
     # from above, so the gap reported at the last iteration (always a
     # check) is non-negative up to rounding
     assume(n >= n_classes)
     op, cons, anchor = random_inner_problem(np.random.default_rng(seed), n, n_classes)
-    config = SolverConfig(dt=dt, inner_tol=1e-300, inner_max=inner_max)
+    config = SolverConfig(inner_tol=1e-300, inner_max=inner_max)
     _, _, coeff = _ratio_terms(op, anchor)
     u, iters, gap, *_ = _inner_loop(anchor, op, cons, config, coeff)
     # the loop starts at the anchor, which can be optimal already: only a
     # gap that rounds to <= 0 may then stop it before the cap
     assert iters == inner_max or gap <= 0.0
-    assert gap >= -1e-10 * (1.0 + abs(primal_value(op, u, anchor, coeff, dt)))
+    assert gap >= -1e-10 * (1.0 + abs(primal_value(op, u, anchor, coeff)))
 
 
 @pytest.mark.parametrize("inner_max", [1, 10, 57])
@@ -654,13 +642,13 @@ def test_inner_gap_matches_dense_oracle(rng, inner_max):
     cons = random_constraints(rng, 15, 3, per=2)
     u0 = initialize_state(graph, cons)
     anchor = project_constraints(u0 + 0.1 * rng.normal(size=u0.shape), cons)
-    config = SolverConfig(dt=0.7, inner_tol=1e-300, inner_max=inner_max)
+    config = SolverConfig(inner_tol=1e-300, inner_max=inner_max)
     fused_out, ref_out = run_both_loops(anchor, op, cons, config)
     assert_loops_agree(fused_out, ref_out)
     u, _, gap, _, z = fused_out
     _, _, coeff = _ratio_terms(op, anchor)
-    primal, last_gap = dense_duality_gap(graph, cons, u, z, anchor, coeff, 0.7)
-    assert primal == pytest.approx(primal_value(op, u, anchor, coeff, 0.7), rel=1e-12)
+    primal, last_gap = dense_duality_gap(graph, cons, u, z, anchor, coeff)
+    assert primal == pytest.approx(primal_value(op, u, anchor, coeff), rel=1e-12)
     if inner_max == 1:
         # one iterate: the dual average is the last dual iterate
         assert gap == pytest.approx(last_gap, rel=1e-10, abs=1e-13)
@@ -668,20 +656,6 @@ def test_inner_gap_matches_dense_oracle(rng, inner_max):
         # the loop takes the better of the last and the averaged dual
         assert gap <= last_gap + 1e-12
     assert gap >= -1e-12
-
-
-@pytest.mark.parametrize("dt", [1e-3, 0.1, 0.3])
-def test_inner_loop_ends_on_gap_for_small_dt(dt):
-    # theta = 1/sqrt(1 + tau) keeps CP's gamma <= mu for every dt; the old
-    # 1/sqrt(1 + tau/dt) broke it below dt = 1/2 and hit the cap at 1e-3
-    graph, _ = synth_sbm((12, 12), 0.7, 0.1, 5)
-    cons = make_constraints(24, 2, [[0, 1], [12, 13]], epsilon=0.1)
-    op = NormalizedGradient(graph)
-    config = SolverConfig(dt=dt)
-    _, record, _ = outer_step(initialize_state(graph, cons), op, cons, config)
-    assert not record.hit_cap
-    assert record.inner_iters < config.inner_max
-    assert 0.0 <= record.gap
 
 
 # -------------------------------------------------------------- outer step
@@ -766,18 +740,14 @@ def test_outer_step_record_ratios_match_carried_state(rng):
 # ------------------------------------------------------------- step sizing
 
 
-@pytest.mark.parametrize(
-    "dt", [1.0, 0.3, 1e-300, 1e308], ids=["default", "dt0.3", "tiny-dt", "huge-dt"]
-)
-def test_certified_rule_enforces_norm_product(rng, dt):
+def test_certified_rule_enforces_norm_product(rng):
     graph = random_connected_graph(rng, 10)
     op = NormalizedGradient(graph)
-    sigma = tau = _certified_step(op, dt)
+    sigma = tau = _certified_step(op)
     assert math.isfinite(sigma) and sigma > 0
-    # sigma * tau * dt * norm^2, one factor sqrt(dt) * norm per step so that
-    # neither extreme dt under- or overflows the check itself
+
     def product(norm):
-        return (sigma * math.sqrt(dt) * norm) * (tau * math.sqrt(dt) * norm)
+        return (sigma * norm) * (tau * norm)
 
     assert product(operator_norm(op)) == pytest.approx(0.999, rel=1e-12)
     svd = np.linalg.svd(dense_gradient(graph), compute_uv=False)[0]
@@ -1077,7 +1047,7 @@ def test_solve_weight_scale_invariance(rng):
 
 
 def test_solve_raises_non_finite_with_partial_trace(monkeypatch):
-    # certified steps keep even dt = 1e308 finite (see below), so the
+    # certified steps keep every iterate of a finite start finite, so the
     # failure is injected: the second inner loop reports a non-finite iterate
     calls = []
 
@@ -1099,34 +1069,6 @@ def test_solve_raises_non_finite_with_partial_trace(monkeypatch):
     assert len(trace.records) == 1 and trace.stop_reason == "budget"
     # the first loop starts cold, the second from the first one's dual
     assert calls[0] is None and calls[1] is not None
-
-
-@pytest.mark.parametrize("dt", [1e300, 1e308], ids=["1e300", "1e308"])
-def test_solve_extreme_dt_never_records_non_finite(dt, tmp_path):
-    # absurd (but finite) dt: steps may blow up internally, yet every
-    # recorded quantity and the returned scores must stay finite; the step
-    # rescale itself must not overflow, and the trace must be strict JSON.
-    # A step whose gap overflowed certifies nothing, so it is never kept.
-    graph, _ = synth_sbm((6, 6), 0.8, 0.1, 1)
-    cons = make_constraints(12, 2, [[0], [6]], epsilon=0.1)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        prediction, trace = solve(
-            graph, cons, SolverConfig(dt=dt, outer_max=3)
-        )
-    assert np.all(np.isfinite(prediction.scores))
-    assert all(np.isfinite(r) for r in trace.initial_ratios)
-    for record in trace.records:
-        assert all(np.isfinite(record.ratios))
-        assert record.gap is not None and np.isfinite(record.gap)
-    path = tmp_path / "trace.json"
-    write_trace_json(path, trace)
-
-    def reject(constant):
-        raise ValueError(f"non-finite {constant} in trace")
-
-    doc = json.loads(path.read_text(), parse_constant=reject)
-    assert len(doc) == len(trace.records)
 
 
 # ------------------------------------------------------------- warm start
@@ -1229,6 +1171,14 @@ def test_scores_csv_roundtrip(tmp_path, rng):
 
 _SCORES_HEAD = "node,score_0,score_1,label,tie\n"
 _SCORES_ROW0 = "0,0.5,-0.5,0,0\n"
+
+
+def test_scores_csv_skips_a_byte_order_mark(tmp_path):
+    marked = tmp_path / "marked.csv"
+    marked.write_text(_SCORES_HEAD + _SCORES_ROW0, encoding="utf-8-sig")
+    back = read_scores_csv(marked)
+    assert back.scores.tolist() == [[0.5, -0.5]]
+    assert back.labels.tolist() == [0]
 
 
 @pytest.mark.parametrize(

@@ -144,7 +144,8 @@ class RunConfig:
 
     @classmethod
     def load(cls, path):
-        with open(path, "r") as fh:
+        # an editor may save the sidecar back with a UTF-8 byte order mark
+        with open(path, "r", encoding="utf-8-sig") as fh:
             return cls.from_json(fh.read())
 
 

@@ -5,19 +5,29 @@ strictly positive degrees.  Those invariants are enforced at every
 construction site (k-NN builder, synthetic generators, file loader) because
 the degree-normalized operators downstream divide by ``d_i``.
 
-The k-NN build is an exact search in O(n^2 d) time.  It walks the rows in
-blocks on the ``min(usable CPUs, blocks)`` threads of one pool, one thread
-at one CPU.  The ``2**18`` distances (2 MiB of float64) it may hold at once
-are split between the threads, so beyond its O(n k) result it holds one
-fixed-size budget of distances (O(n) memory in n), never an n x n matrix;
-at two threads each one's distances and partition scratch fit a 2 MiB L2
-cache.  Both metrics rank squared euclidean distances.  A block picks its
+The k-NN build is an exact search.  It sorts the rows on their principal
+axis and scans each row only against the columns whose projection lies
+within a rigorous bound of its own: the square root of an upper bound on
+the row's k-th squared distance, widened for rounding (Friedman, Baskett &
+Shustek 1975).  A cloud spread along one axis far beyond its k-th neighbor
+distance is searched in a fraction of the n^2 pairs; when every window
+holds every column, as in a cloud with no dominant axis, the scan is the
+O(n^2 d) one of all pairs, plus the O(n d) bound pass.  Blocks of sorted
+rows are scanned against one contiguous window of columns each, on the
+``min(usable CPUs, blocks)`` threads of one pool, one thread at one CPU.
+The ``2**18`` distances (2 MiB of float64) it may hold at once are split
+between the threads, so beyond its O(n k) result and O(n d) sorted copy it
+holds one fixed-size budget of distances, never an n x n matrix; at two
+threads each one's distances and partition scratch fit a 2 MiB L2 cache.
+Both metrics rank squared euclidean distances.  A block picks its
 candidates in three steps: an in-place partition of a scratch copy finds
 each row's k-th smallest squared distance, the flat indices of the one mask
 ``dist <= kth`` give every entry up to it, and a lexsort by (row, distance,
-index) orders them, so distance ties go to the lower node index.  Every distance is computed
-per pair by ``cdist``, with no BLAS call, so the result does not depend on
-the blocks or the thread count.
+node index) orders them, so distance ties go to the lower node index.
+Every distance is computed per pair by ``cdist``, with no BLAS call, so the
+result does not depend on the blocks, the windows or the thread count.  The
+projection makes no BLAS call either: its products are ``np.einsum``, as
+BLAS threads left spinning would slow the scan's own threads.
 """
 
 import math
@@ -44,6 +54,14 @@ _BLOCK_ENTRIES = 2**18
 # correctly rounded sqrt can merge squared distances a few ulps apart, and
 # each one whose root ties the k-th root must reach the lexsort
 _SQRT_TIE_SLACK = 1.0 + 4.0 * np.finfo(np.float64).eps
+# power steps toward the principal axis the k-NN search sorts the rows on,
+# taken on every (n // _AXIS_ROWS)-th row: the axis only steers the pruning
+_POWER_STEPS = 4
+_AXIS_ROWS = 512
+# the pass that bounds each k-th distance compares each sorted row with a
+# run of n / _BOUND_SHARE sorted rows, but at most _BOUND_ROWS of them
+_BOUND_SHARE = 64
+_BOUND_ROWS = 256
 
 _METRICS = ("euclidean", "cosine")
 _KERNELS = ("gaussian", "binary")
@@ -166,26 +184,147 @@ def _usable_cpus():
         return os.cpu_count() or 1
 
 
-def _row_blocks(n, parts):
-    """Row ranges of about ``_BLOCK_ENTRIES / parts`` distances each."""
-    size = max(2, _BLOCK_ENTRIES // (n * parts))
-    starts = list(range(0, n, size))
-    return list(zip(starts, starts[1:] + [n]))
+def _principal_axis(values):
+    """Unit principal axis of the rows, after ``_POWER_STEPS`` power steps.
+
+    The steps start from the centred row farthest from the mean, so the axis
+    needs no RNG, and each product is an ``np.einsum``, not a BLAS call.
+    Rows that are all equal have no axis; the first coordinate stands in.
+    """
+    centered = values - np.einsum("ij->j", values) / values.shape[0]
+    axis = centered[np.argmax(np.einsum("ij,ij->i", centered, centered))]
+    with np.errstate(all="ignore"):
+        for _ in range(_POWER_STEPS):
+            axis = axis / math.sqrt(np.einsum("i,i->", axis, axis))
+            axis = np.einsum("ij,i->j", centered, np.einsum("ij,j->i", centered, axis))
+        axis = axis / math.sqrt(np.einsum("i,i->", axis, axis))
+    if not np.isfinite(axis).all():
+        axis = np.eye(1, values.shape[1])[0]
+    return axis
+
+
+def _kth_bounds(rows, k, pool, parts):
+    """Each sorted row's k-th smallest squared distance, bounded from above.
+
+    The sorted rows are cut into runs of ``size`` rows, ``n / _BOUND_SHARE``
+    but at most ``_BOUND_ROWS`` and at least ``k + 1``, and a row's bound is
+    its k-th smallest ``cdist`` value over the other rows of its run; the
+    last run reaches back to ``size`` rows, so every row sees at least k
+    others when ``k < n``.  The runs are shared out between ``parts`` tasks
+    of ``pool`` in groups that fill one buffer within the task's share of
+    ``_BLOCK_ENTRIES`` and take one partition, as a partition per short run
+    would spend more on handing over the GIL than it computes.
+    """
+    n = rows.shape[0]
+    size = max(k + 1, min(_BOUND_ROWS, n // _BOUND_SHARE))  # at most n
+    runs = -(-n // size)
+    group = size * max(1, min(-(-runs // parts), _BLOCK_ENTRIES // parts // size**2))
+    bound = np.empty(n)
+
+    def fill(starts):
+        buf = np.empty((group, size))
+        for g0 in starts:
+            g1 = min(g0 + group, n)
+            dist = buf[: g1 - g0]
+            for lo in range(g0, g1, size):
+                hi = min(lo + size, n)
+                run = dist[lo - g0 : hi - g0]
+                cdist(rows[lo:hi], rows[hi - size : hi], "sqeuclidean", out=run)
+                np.fill_diagonal(run[:, lo - hi + size :], np.inf)
+            dist.partition(k - 1, axis=1)
+            bound[g0:g1] = dist[:, k - 1]
+
+    starts = range(0, n, group)
+    list(pool.map(fill, [starts[w::parts] for w in range(parts)]))
+    return bound
+
+
+def _windows(rows, k, pool, parts):
+    """Each sorted row's column window ``[lo, hi)``, and the sort order.
+
+    The rows are sorted by their projection p on the principal axis a.  A
+    row's window holds every column whose projection lies within
+
+        r_i = sqrt(R_i * _SQRT_TIE_SLACK) * (1 + delta) + 2 E
+
+    of its own, where R_i is the ``_kth_bounds`` bound.  Every column a
+    scan of all n columns could select lies in it: that scan keeps column j
+    only if the computed squared distance D_ij is at most the k-th smallest
+    one, widened by ``_SQRT_TIE_SLACK``, so at most R_i * _SQRT_TIE_SLACK.
+    With u = 2**-53 the unit roundoff:
+
+    - D_ij sums d non-negative terms, each rounded at most three times, so
+      |x_i - x_j|**2 <= D_ij (1 - u)**-(d + 2);
+    - a is the axis divided by its computed norm, so |a| <= 1 + (d + 2) u;
+    - the computed projection p_i is off by at most d u / (1 - d u) times
+      sum_k |x_ik a_k| <= |x_i| |a| (Higham's bound, for any order of
+      summation).
+
+    With delta = 2 (d + 4) u and E = 2 (d + 2) u max_i |x_i|, the window
+    therefore covers |x_i - x_j| |a| plus both projection errors, and also
+    the few roundings made in computing r_i and p_i -+ r_i themselves.
+    The window so holds the k rows that gave R_i, hence the k-th smallest
+    distance within it is the one over all columns.  When R_i is infinite,
+    the window is every column.
+    """
+    n, d = rows.shape
+    axis = _principal_axis(rows[:: max(1, n // _AXIS_ROWS)])
+    proj = np.einsum("ij,j->i", rows, axis)
+    order = np.argsort(proj)
+    rows = rows[order]
+    proj = proj[order]
+    u = np.finfo(np.float64).eps / 2
+    delta = 2 * (d + 4) * u
+    error = 2 * (d + 2) * u * math.sqrt(np.max(np.einsum("ij,ij->i", rows, rows)))
+    bound = _kth_bounds(rows, k, pool, parts)
+    radius = np.sqrt(bound * _SQRT_TIE_SLACK) * (1 + delta) + 2 * error
+    lo = np.searchsorted(proj, proj - radius, side="left")
+    hi = np.searchsorted(proj, proj + radius, side="right")
+    return rows, order, lo, hi
+
+
+def _window_blocks(lo, hi, budget):
+    """Blocks ``(row lo, row hi, column lo, column hi)`` of the sorted rows.
+
+    Each block is a run of sorted rows and the union of their windows, which
+    is one contiguous run of columns.  A block grows while rows x window
+    stays within ``budget`` and its rows number no more than the columns of
+    its first row's window, so that the rows' own spread does not widen a
+    block of narrow windows much.  It keeps at least two rows, but at the
+    tail, as a scan of whole rows always did.
+    """
+    n = lo.size
+    blocks = []
+    start = 0
+    while start < n:
+        width = hi[start] - lo[start]
+        # rows x window grows with every row, so the rows that fit are a prefix
+        span = min(n - start, max(2, min(width, budget // width)))
+        c0 = np.minimum.accumulate(lo[start:start + span])
+        c1 = np.maximum.accumulate(hi[start:start + span])
+        fits = np.arange(1, span + 1) * (c1 - c0) <= budget
+        count = min(span, max(2, np.count_nonzero(fits)))
+        blocks.append((start, start + count, int(c0[count - 1]), int(c1[count - 1])))
+        start += count
+    return blocks
 
 
 def _nearest_neighbors(values, k, metric):
     """Indices and distances of each row's ``k`` nearest other rows, ascending.
 
-    Distance ties are broken by node index.  The row blocks are shared out
-    between the ``min(usable CPUs, blocks)`` threads of one pool, each with
-    its own distance and partition buffers, and the ``_BLOCK_ENTRIES``
-    budget is split between them.  Both metrics rank
-    ``cdist(..., "sqeuclidean")``.  A block's candidates are
-    the flat indices of the mask ``dist <= kth`` (``kth`` from an in-place
-    partition of a copy), split into (row, column) by ``divmod(flat, n)``; a
-    lexsort by (row, distance, index) orders them and each row keeps its
-    first k.  Euclidean distance is the square root of the candidates only
-    (``cdist``'s euclidean is that root, bit for bit); its mask is widened to
+    Distance ties are broken by node index.  The rows are sorted on their
+    principal axis (``_windows``), and each block of sorted rows is scanned
+    against one contiguous window of sorted columns that holds every column
+    it could select (``_window_blocks``).  The blocks are shared out between
+    the ``min(usable CPUs, blocks)`` threads of one pool, each with its own
+    distance and partition buffers, and the ``_BLOCK_ENTRIES`` budget is
+    split between them.  Both metrics rank ``cdist(..., "sqeuclidean")`` of
+    copies of the rows.  A block's candidates are the flat indices of the
+    mask ``dist <= kth`` (``kth`` from an in-place partition of a copy),
+    split into (row, column) by ``divmod``; a lexsort by (row, distance,
+    node index) orders them and each row keeps its first k.  Euclidean
+    distance is the square root of the candidates only (``cdist``'s
+    euclidean is that root, bit for bit); its mask is widened to
     ``kth * _SQRT_TIE_SLACK``, so every entry whose root ties the k-th root
     still reaches the lexsort.  Cosine distance is half the squared
     euclidean distance of the unit rows, so the search ranks the unit rows
@@ -205,14 +344,16 @@ def _nearest_neighbors(values, k, metric):
     ndist = np.empty((n, k))
 
     def scan(blocks):
-        rows_max = max(hi - lo for lo, hi in blocks)
-        dist_buf = np.empty((rows_max, n))
-        part_buf = np.empty((rows_max, n))
-        for lo, hi in blocks:
-            dist, part = dist_buf[: hi - lo], part_buf[: hi - lo]
-            cdist(values[lo:hi], values, "sqeuclidean", out=dist)
-            rows = np.arange(hi - lo)
-            dist[rows, rows + lo] = np.inf
+        entries = max((r1 - r0) * (c1 - c0) for r0, r1, c0, c1 in blocks)
+        dist_buf = np.empty(entries)
+        part_buf = np.empty(entries)
+        for r0, r1, c0, c1 in blocks:
+            shape = (r1 - r0, c1 - c0)
+            dist = dist_buf[: shape[0] * shape[1]].reshape(shape)
+            part = part_buf[: dist.size].reshape(shape)
+            cdist(rows[r0:r1], rows[c0:c1], "sqeuclidean", out=dist)
+            block_rows = np.arange(shape[0])
+            dist[block_rows, block_rows + r0 - c0] = np.inf
             # every entry up to the k-th smallest, in (row, distance, index)
             # order; the mask's flat indices come in C order, i.e. by (row, column)
             np.copyto(part, dist)
@@ -221,22 +362,24 @@ def _nearest_neighbors(values, k, metric):
             if metric == "euclidean":
                 kth *= _SQRT_TIE_SLACK
             flat = np.flatnonzero(dist <= kth)
-            r, c = np.divmod(flat, n)
+            r, c = np.divmod(flat, shape[1])
+            c = order[c + c0]
             d = dist.ravel()[flat]
             if metric == "euclidean":
                 np.sqrt(d, out=d)
-            order = np.lexsort((c, d, r))
+            ranked = np.lexsort((c, d, r))
             # keep the first k of each row's run; ties past the k-th are dropped
-            starts = np.searchsorted(r[order], rows)
-            keep = (starts[:, None] + np.arange(k)).ravel()
-            neighbor[lo:hi] = c[order[keep]].reshape(-1, k)
-            ndist[lo:hi] = d[order[keep]].reshape(-1, k)
+            starts = np.searchsorted(r[ranked], block_rows)
+            keep = ranked[(starts[:, None] + np.arange(k)).ravel()]
+            neighbor[order[r0:r1]] = c[keep].reshape(-1, k)
+            ndist[order[r0:r1]] = d[keep].reshape(-1, k)
 
     cpus = _usable_cpus()
-    blocks = _row_blocks(n, cpus)
-    workers = min(cpus, len(blocks))
-    # each thread writes only its own rows of neighbor and ndist
-    with ThreadPoolExecutor(workers) as pool:
+    # each thread writes only its own rows of bound, neighbor and ndist
+    with ThreadPoolExecutor(cpus) as pool:
+        rows, order, lo, hi = _windows(values, k, pool, cpus)
+        blocks = _window_blocks(lo, hi, _BLOCK_ENTRIES // cpus)
+        workers = min(cpus, len(blocks))
         list(pool.map(scan, [blocks[w::workers] for w in range(workers)]))
     if metric == "cosine":
         ndist *= 0.5
@@ -252,20 +395,27 @@ def build_knn_graph(features, spec):
     graph is symmetrized by ``mean`` (missing reverse edge counts as zero) or
     elementwise ``max``.
 
-    The search is exact and takes O(n^2 d) time.  Rows are handled in blocks
-    on ``min(usable CPUs, blocks)`` threads, each block reduced to its k
-    nearest rather than fully sorted: the partition threshold (each row's
-    k-th smallest distance), then the flat indices of one ``dist <= kth``
-    mask, then a lexsort of those candidates by (row, distance, index).  The
-    threads split one budget of ``_BLOCK_ENTRIES`` distances (2 MiB), so the
-    build holds O(n) memory in n rather than an n x n matrix.  Both metrics
-    rank squared euclidean distances; the euclidean distance is the square
-    root of the candidates alone, equal bit for bit to ``cdist``'s
-    euclidean.  The cosine distance of x and y is
-    ``cdist(x/|x|, y/|y|, "sqeuclidean") / 2``, which equals 1 - cos(x, y)
-    without the cancellation of that difference.  Every
-    distance is computed per pair, with no BLAS call, so the graph is the one
-    a dense n x n distance matrix gives, bit for bit, for any thread count.
+    The search is exact.  The rows are sorted on their principal axis, and
+    each row is compared only with the columns whose projection lies within
+    a rigorous bound of its own: the root of an upper bound on its k-th
+    squared distance (the k-th smallest over a run of nearby sorted rows),
+    widened for rounding.  A cloud spread along one axis far beyond its k-th
+    neighbor distance is searched in a fraction of the n^2 pairs; the worst
+    case, a window of every column, takes O(n^2 d) time.  Blocks of sorted
+    rows run on ``min(usable CPUs, blocks)`` threads, each block reduced to
+    its k nearest rather than fully sorted: the partition threshold (each
+    row's k-th smallest distance), then the flat indices of one
+    ``dist <= kth`` mask, then a lexsort of those candidates by (row,
+    distance, node index).  The threads split one budget of
+    ``_BLOCK_ENTRIES`` distances (2 MiB), so the build holds O(n) memory in
+    n rather than an n x n matrix.  Both metrics rank squared euclidean
+    distances; the euclidean distance is the square root of the candidates
+    alone, equal bit for bit to ``cdist``'s euclidean.  The cosine distance
+    of x and y is ``cdist(x/|x|, y/|y|, "sqeuclidean") / 2``, which equals
+    1 - cos(x, y) without the cancellation of that difference.  Every
+    distance is computed per pair, with no BLAS call, so the graph is the
+    one a dense n x n distance matrix gives, bit for bit, for any thread
+    count.
 
     Parameters
     ----------

@@ -150,6 +150,19 @@ def test_solve_sidecar_expands_defaults_and_replays_identically(
     assert rc2.inputs == rc.inputs
 
 
+def test_solve_replays_sidecar_saved_with_a_byte_order_mark(tmp_path, sbm_files):
+    graph, truth, seeds = sbm_files
+    scores = tmp_path / "scores.csv"
+    assert run("solve", "--graph", str(graph), "--labels", str(seeds),
+               "--out-scores", str(scores)) == 0
+    marked = tmp_path / "marked.config.json"
+    text = (tmp_path / "scores.config.json").read_text(encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    replay = tmp_path / "replay.csv"
+    assert run("solve", "--config", str(marked), "--out-scores", str(replay)) == 0
+    assert replay.read_bytes() == scores.read_bytes()
+
+
 @pytest.mark.parametrize(
     "key, old_value, flag",
     [

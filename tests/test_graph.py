@@ -273,17 +273,115 @@ def test_both_metrics_rank_squared_distances(metric):
     (5, 1, [(0, 2), (2, 4), (4, 5)]),   # never fewer than two rows but the tail
     (4, 100, [(0, 4)]),
 ])
-def test_row_blocks_have_two_rows_but_the_tail(n, rows, blocks):
-    with mock.patch.object(graph_module, "_BLOCK_ENTRIES", rows * n):
-        assert graph_module._row_blocks(n, 1) == blocks
+def test_full_windows_give_the_row_blocks_of_a_whole_row_scan(n, rows, blocks):
+    # when every window is every column, the blocks are whole rows, at least
+    # two of them but at the tail
+    got = graph_module._window_blocks(np.zeros(n, dtype=np.intp),
+                                      np.full(n, n), rows * n)
+    assert got == [(lo, hi, 0, n) for lo, hi in blocks]
 
 
-def test_row_blocks_split_the_budget_between_workers():
-    with mock.patch.object(graph_module, "_BLOCK_ENTRIES", 8 * 10):
-        assert graph_module._row_blocks(10, 1) == [(0, 8), (8, 10)]
-        assert graph_module._row_blocks(10, 2) == [(0, 4), (4, 8), (8, 10)]
-        assert graph_module._row_blocks(10, 3) == [(0, 2), (2, 4), (4, 6),
-                                                   (6, 8), (8, 10)]
+@st.composite
+def sorted_windows(draw):
+    """Windows [lo, hi) of n sorted rows, each holding its own row."""
+    n = draw(st.integers(1, 60))
+    reach = st.lists(st.integers(0, n), min_size=n, max_size=n)
+    rows = np.arange(n)
+    lo = np.maximum(0, rows - np.array(draw(reach)))
+    hi = np.minimum(n, rows + 1 + np.array(draw(reach)))
+    return lo, hi, draw(st.integers(1, n * n + 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=sorted_windows())
+def test_window_blocks_hold_every_sorted_row_once_within_the_budget(case):
+    lo, hi, budget = case
+    blocks = graph_module._window_blocks(lo, hi, budget)
+    # consecutive runs of sorted rows, so every row lies in exactly one block
+    assert [b[0] for b in blocks] == [0] + [b[1] for b in blocks[:-1]]
+    assert blocks[-1][1] == lo.size
+    for r0, r1, c0, c1 in blocks:
+        assert r1 > r0
+        # one window of columns holds every row's own window
+        assert (c0, c1) == (lo[r0:r1].min(), hi[r0:r1].max())
+        # beyond the two-row floor a block stays within the budget
+        assert (r1 - r0) * (c1 - c0) <= budget or r1 - r0 <= 2
+
+
+def test_scan_blocks_split_the_budget_between_workers():
+    budgets = []
+    window_blocks = graph_module._window_blocks
+
+    def recording(lo, hi, budget):
+        budgets.append(budget)
+        return window_blocks(lo, hi, budget)
+
+    values = np.random.default_rng(3).normal(size=(10, 2))
+    with mock.patch.object(graph_module, "_window_blocks", recording):
+        for cpus in (1, 2, 3):
+            build_on_cpus(cpus, values, KernelSpec(k=2), 8 * 10)
+    assert budgets == [80, 40, 26]
+
+
+@st.composite
+def dominant_axis_cases(draw):
+    """Line-like clouds: integer steps along one axis and a small jitter.
+
+    Integer steps put exact distance ties on a window's edge; the jitter is
+    either exact (a power of two times small integers) or gaussian.
+    """
+    n = draw(st.integers(2, 60))
+    d = draw(st.integers(1, 4))
+    values = np.empty((n, d))
+    axis = draw(st.integers(0, d - 1))
+    values[:, axis] = draw(st.lists(st.integers(-25, 25), min_size=n, max_size=n))
+    others = [c for c in range(d) if c != axis]
+    if draw(st.booleans()):
+        jitter = draw(st.lists(st.integers(-2, 2), min_size=n * (d - 1),
+                               max_size=n * (d - 1)))
+        values[:, others] = np.reshape(jitter, (n, d - 1)) * 2.0 ** -draw(st.integers(0, 8))
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        values[:, others] = rng.normal(size=(n, d - 1)) * 10.0 ** -draw(st.integers(1, 6))
+    for src, dst in draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                            st.integers(0, n - 1)), max_size=4)):
+        values[dst] = values[src]
+    # a line off the origin keeps a dominant axis among the unit rows of
+    # cosine; a zero row has no cosine direction at all
+    values[:, others[0] if others else 0] += draw(st.sampled_from([0.0, 30.0]))
+    values[np.all(values == 0.0, axis=1), 0] = 1.0
+    return values, draw(st.integers(1, n - 1)), draw(st.integers(2, 2 * n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=dominant_axis_cases(), metric=st.sampled_from(["euclidean", "cosine"]))
+@example(case=(np.arange(9.0)[:, None], 2, 4), metric="euclidean")
+@example(case=(np.array([[float(i), 30.0] for i in range(12)]), 3, 2), metric="cosine")
+def test_window_scan_matches_dense_oracle_on_a_dominant_axis(case, metric):
+    values, k, rows = case
+    spec = KernelSpec(k=k, metric=metric, kernel="binary")
+    oracle = dense_knn_graph(values, spec)
+    for cpus in (1, 2):
+        assert_same_graph(build_on_cpus(cpus, values, spec, rows * values.shape[0]),
+                          oracle)
+
+
+@pytest.mark.parametrize("metric", ["euclidean", "cosine"])
+def test_window_scan_skips_most_pairs_of_a_line_like_cloud(metric):
+    n = 400
+    values = np.column_stack([np.arange(n, dtype=np.float64),
+                              1e-3 * np.random.default_rng(1).normal(size=(n, 2)) + 5.0])
+    pairs = []
+
+    def counting_cdist(xa, xb, pair_metric, **kwargs):
+        pairs.append(len(xa) * len(xb))
+        return cdist(xa, xb, pair_metric, **kwargs)
+
+    spec = KernelSpec(k=10, metric=metric)
+    with mock.patch.object(graph_module, "cdist", counting_cdist):
+        built = build_knn_graph(values, spec)
+    assert sum(pairs) < n * n / 4
+    assert_same_graph(built, dense_knn_graph(values, spec))
 
 
 def test_two_moons_matches_dense_oracle():

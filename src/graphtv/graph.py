@@ -10,11 +10,13 @@ axis and scans each row only against the columns whose projection lies
 within a rigorous bound of its own: the square root of an upper bound on
 the row's k-th squared distance, widened for rounding (Friedman, Baskett &
 Shustek 1975).  A cloud spread along one axis far beyond its k-th neighbor
-distance is searched in a fraction of the n^2 pairs; when every window
-holds every column, as in a cloud with no dominant axis, the scan is the
-O(n^2 d) one of all pairs, plus the O(n d) bound pass.  Blocks of sorted
-rows are scanned against one contiguous window of columns each, on the
-``min(usable CPUs, blocks)`` threads of one pool, one thread at one CPU.
+distance is searched in a fraction of the n^2 pairs.  The bound pass
+starts with every eighth run of sorted rows; when their windows hold three
+quarters of the columns or more, as in a cloud with no dominant axis, the
+pass stops there and the rows are scanned whole and unsorted, the O(n^2 d)
+scan of all pairs.  Blocks of rows are scanned against one contiguous
+window of columns each, on the ``min(usable CPUs, blocks)`` threads of one
+pool, one thread at one CPU.
 The ``2**18`` distances (2 MiB of float64) it may hold at once are split
 between the threads, so beyond its O(n k) result and O(n d) sorted copy it
 holds one fixed-size budget of distances, never an n x n matrix; at two
@@ -62,6 +64,10 @@ _AXIS_ROWS = 512
 # run of n / _BOUND_SHARE sorted rows, but at most _BOUND_ROWS of them
 _BOUND_SHARE = 64
 _BOUND_ROWS = 256
+# every _SAMPLE_RUNS-th run is bounded first: when its rows' windows hold on
+# average _FULL_SHARE of the columns or more, every window is every column
+_SAMPLE_RUNS = 8
+_FULL_SHARE = 0.75
 
 _METRICS = ("euclidean", "cosine")
 _KERNELS = ("gaussian", "binary")
@@ -189,97 +195,122 @@ def _principal_axis(values):
 
     The steps start from the centred row farthest from the mean, so the axis
     needs no RNG, and each product is an ``np.einsum``, not a BLAS call.
-    Rows that are all equal have no axis; the first coordinate stands in.
+    The centred rows and each step are scaled to a largest entry of 1, so
+    the steps neither under- nor overflow at any scale of the features, and
+    the squared norm the axis is divided by at the end is at least 1.  Rows
+    that are all equal have no axis; the first coordinate stands in.
     """
     centered = values - np.einsum("ij->j", values) / values.shape[0]
-    axis = centered[np.argmax(np.einsum("ij,ij->i", centered, centered))]
     with np.errstate(all="ignore"):
+        centered = centered / np.max(np.abs(centered))
+        axis = centered[np.argmax(np.einsum("ij,ij->i", centered, centered))]
         for _ in range(_POWER_STEPS):
-            axis = axis / math.sqrt(np.einsum("i,i->", axis, axis))
             axis = np.einsum("ij,i->j", centered, np.einsum("ij,j->i", centered, axis))
+            axis = axis / np.max(np.abs(axis))
         axis = axis / math.sqrt(np.einsum("i,i->", axis, axis))
     if not np.isfinite(axis).all():
         axis = np.eye(1, values.shape[1])[0]
     return axis
 
 
-def _kth_bounds(rows, k, pool, parts):
-    """Each sorted row's k-th smallest squared distance, bounded from above.
+def _kth_bounds(rows, k, size, runs, bound, pool, parts):
+    """Bound the k-th smallest squared distance of the sorted rows of ``runs``.
 
-    The sorted rows are cut into runs of ``size`` rows, ``n / _BOUND_SHARE``
-    but at most ``_BOUND_ROWS`` and at least ``k + 1``, and a row's bound is
-    its k-th smallest ``cdist`` value over the other rows of its run; the
-    last run reaches back to ``size`` rows, so every row sees at least k
-    others when ``k < n``.  The runs are shared out between ``parts`` tasks
-    of ``pool`` in groups that fill one buffer within the task's share of
-    ``_BLOCK_ENTRIES`` and take one partition, as a partition per short run
-    would spend more on handing over the GIL than it computes.
+    Run j holds the sorted rows ``[j * size, (j + 1) * size)``, the last one
+    reaching back to ``size`` rows, so that with ``size > k`` every row sees
+    at least k others.  Row ``j * size + i``'s bound, its k-th smallest
+    ``cdist`` value over the other rows of its run, goes to ``bound[j, i]``.
+    The runs are shared out between ``parts`` tasks of ``pool`` in groups
+    that fill one buffer within the task's share of ``_BLOCK_ENTRIES`` and
+    take one partition, as a partition per short run would spend more on
+    handing over the GIL than it computes.
     """
     n = rows.shape[0]
-    size = max(k + 1, min(_BOUND_ROWS, n // _BOUND_SHARE))  # at most n
-    runs = -(-n // size)
-    group = size * max(1, min(-(-runs // parts), _BLOCK_ENTRIES // parts // size**2))
-    bound = np.empty(n)
+    per = max(1, min(-(-len(runs) // parts), _BLOCK_ENTRIES // parts // size**2))
 
-    def fill(starts):
-        buf = np.empty((group, size))
-        for g0 in starts:
-            g1 = min(g0 + group, n)
-            dist = buf[: g1 - g0]
-            for lo in range(g0, g1, size):
-                hi = min(lo + size, n)
-                run = dist[lo - g0 : hi - g0]
-                cdist(rows[lo:hi], rows[hi - size : hi], "sqeuclidean", out=run)
-                np.fill_diagonal(run[:, lo - hi + size :], np.inf)
-            dist.partition(k - 1, axis=1)
-            bound[g0:g1] = dist[:, k - 1]
+    def fill(groups):
+        buf = np.empty((per, size, size))
+        for group in groups:
+            dist = buf[: len(group)]
+            for run, j in zip(dist, group):
+                lo, hi = j * size, min(j * size + size, n)
+                cdist(rows[lo:hi], rows[hi - size : hi], "sqeuclidean", out=run[: hi - lo])
+                np.fill_diagonal(run[: hi - lo, lo - hi + size :], np.inf)
+            # the rows past n in the last run's slot are scratch, never read
+            dist.partition(k - 1, axis=2)
+            bound[group] = dist[:, :, k - 1]
 
-    starts = range(0, n, group)
-    list(pool.map(fill, [starts[w::parts] for w in range(parts)]))
-    return bound
+    groups = [runs[g : g + per] for g in range(0, len(runs), per)]
+    list(pool.map(fill, [groups[w::parts] for w in range(parts)]))
 
 
-def _windows(rows, k, pool, parts):
+def _windows(values, k, pool, parts):
     """Each sorted row's column window ``[lo, hi)``, and the sort order.
 
     The rows are sorted by their projection p on the principal axis a.  A
     row's window holds every column whose projection lies within
 
-        r_i = sqrt(R_i * _SQRT_TIE_SLACK) * (1 + delta) + 2 E
+        r_i = sqrt(R_i * _SQRT_TIE_SLACK + (d + 2) t) * (1 + delta) + 2 E
 
-    of its own, where R_i is the ``_kth_bounds`` bound.  Every column a
-    scan of all n columns could select lies in it: that scan keeps column j
-    only if the computed squared distance D_ij is at most the k-th smallest
-    one, widened by ``_SQRT_TIE_SLACK``, so at most R_i * _SQRT_TIE_SLACK.
-    With u = 2**-53 the unit roundoff:
+    of its own, where R_i is the ``_kth_bounds`` bound and t = 2**-1074 the
+    smallest subnormal.  Every column a scan of all n columns could select
+    lies in it: that scan keeps column j only if the computed squared
+    distance D_ij is at most the k-th smallest one, widened by
+    ``_SQRT_TIE_SLACK``, so at most the computed R_i * _SQRT_TIE_SLACK.
+    With u = 2**-53 the unit roundoff, and t / 2 the most a product loses
+    to underflow (a sum or difference loses nothing to it):
 
-    - D_ij sums d non-negative terms, each rounded at most three times, so
-      |x_i - x_j|**2 <= D_ij (1 - u)**-(d + 2);
-    - a is the axis divided by its computed norm, so |a| <= 1 + (d + 2) u;
+    - D_ij sums d squares of rounded differences, so
+      |x_i - x_j|**2 <= (D_ij + d t / 2) (1 - u)**-(d + 2);
+    - a is scaled to a largest entry of 1 and divided by its computed norm,
+      whose square is at least 1, so |a| <= 1 + (d + 2) u;
     - the computed projection p_i is off by at most d u / (1 - d u) times
-      sum_k |x_ik a_k| <= |x_i| |a| (Higham's bound, for any order of
-      summation).
+      sum_k |x_ik a_k| <= sqrt(d) m |a|, with m the largest |x_ik|
+      (Higham's bound, for any order of summation), plus d t / 2 lost to
+      underflow.
 
-    With delta = 2 (d + 4) u and E = 2 (d + 2) u max_i |x_i|, the window
-    therefore covers |x_i - x_j| |a| plus both projection errors, and also
-    the few roundings made in computing r_i and p_i -+ r_i themselves.
-    The window so holds the k rows that gave R_i, hence the k-th smallest
-    distance within it is the one over all columns.  When R_i is infinite,
-    the window is every column.
+    With delta = 2 (d + 4) u and E = 2 (d + 2) u sqrt(d) m + d t, the
+    window therefore covers |x_i - x_j| |a| plus both projection errors,
+    and also the few roundings made in computing r_i and p_i -+ r_i
+    themselves.  The window so holds the k rows that gave R_i, hence the
+    k-th smallest distance within it is the one over all columns.  When
+    R_i is infinite, the window is every column.
+
+    Every ``_SAMPLE_RUNS``-th run is bounded first.  When the windows of
+    its rows hold at least ``_FULL_SHARE`` of the columns on average, the
+    blocks' windows would hold nearly every column anyway: the other runs
+    are not bounded, every window is every column, and the rows are given
+    back unsorted, in the order 0..n-1.
     """
-    n, d = rows.shape
-    axis = _principal_axis(rows[:: max(1, n // _AXIS_ROWS)])
-    proj = np.einsum("ij,j->i", rows, axis)
+    n, d = values.shape
+    axis = _principal_axis(values[:: max(1, n // _AXIS_ROWS)])
+    proj = np.einsum("ij,j->i", values, axis)
     order = np.argsort(proj)
-    rows = rows[order]
+    rows = values[order]
     proj = proj[order]
     u = np.finfo(np.float64).eps / 2
+    tiny = np.finfo(np.float64).smallest_subnormal
     delta = 2 * (d + 4) * u
-    error = 2 * (d + 2) * u * math.sqrt(np.max(np.einsum("ij,ij->i", rows, rows)))
-    bound = _kth_bounds(rows, k, pool, parts)
-    radius = np.sqrt(bound * _SQRT_TIE_SLACK) * (1 + delta) + 2 * error
-    lo = np.searchsorted(proj, proj - radius, side="left")
-    hi = np.searchsorted(proj, proj + radius, side="right")
+    error = 2 * (d + 2) * u * math.sqrt(d) * max(rows.max(), -rows.min()) + d * tiny
+    size = max(k + 1, min(_BOUND_ROWS, n // _BOUND_SHARE))  # at most n
+    runs = np.arange(-(-n // size))
+    bound = np.empty((runs.size, size))
+    row_bound = bound.reshape(-1)[:n]
+
+    def windows(at):
+        radius = np.sqrt(row_bound[at] * _SQRT_TIE_SLACK + (d + 2) * tiny) * (1 + delta)
+        radius += 2 * error
+        return (np.searchsorted(proj, proj[at] - radius, side="left"),
+                np.searchsorted(proj, proj[at] + radius, side="right"))
+
+    sample = runs % _SAMPLE_RUNS == 0
+    _kth_bounds(rows, k, size, runs[sample], bound, pool, parts)
+    lo, hi = windows(np.flatnonzero(sample[np.arange(n) // size]))
+    if np.sum(hi - lo) >= _FULL_SHARE * n * lo.size:
+        # a scan of whole rows needs no sort
+        return values, np.arange(n), np.zeros(n, dtype=np.intp), np.full(n, n)
+    _kth_bounds(rows, k, size, runs[~sample], bound, pool, parts)
+    lo, hi = windows(slice(None))
     return rows, order, lo, hi
 
 
@@ -296,15 +327,22 @@ def _window_blocks(lo, hi, budget):
     n = lo.size
     blocks = []
     start = 0
+    # a span that fits the budget whole, as every span of full windows does,
+    # costs a few operations on lists; the planning runs before the threads
+    lo_list, hi_list = lo.tolist(), hi.tolist()
     while start < n:
-        width = hi[start] - lo[start]
-        # rows x window grows with every row, so the rows that fit are a prefix
+        width = hi_list[start] - lo_list[start]
         span = min(n - start, max(2, min(width, budget // width)))
-        c0 = np.minimum.accumulate(lo[start:start + span])
-        c1 = np.maximum.accumulate(hi[start:start + span])
-        fits = np.arange(1, span + 1) * (c1 - c0) <= budget
-        count = min(span, max(2, np.count_nonzero(fits)))
-        blocks.append((start, start + count, int(c0[count - 1]), int(c1[count - 1])))
+        count = span
+        c0, c1 = min(lo_list[start:start + span]), max(hi_list[start:start + span])
+        if span * (c1 - c0) > budget:
+            # rows x window grows with every row, so the rows that fit are a prefix
+            c0s = np.minimum.accumulate(lo[start:start + span])
+            c1s = np.maximum.accumulate(hi[start:start + span])
+            fits = np.arange(1, span + 1) * (c1s - c0s) <= budget
+            count = min(span, max(2, np.count_nonzero(fits)))
+            c0, c1 = int(c0s[count - 1]), int(c1s[count - 1])
+        blocks.append((start, start + count, c0, c1))
         start += count
     return blocks
 
@@ -401,7 +439,8 @@ def build_knn_graph(features, spec):
     squared distance (the k-th smallest over a run of nearby sorted rows),
     widened for rounding.  A cloud spread along one axis far beyond its k-th
     neighbor distance is searched in a fraction of the n^2 pairs; the worst
-    case, a window of every column, takes O(n^2 d) time.  Blocks of sorted
+    case, a window of every column, takes O(n^2 d) time, and once a sample
+    of the windows shows it, the rows are scanned whole.  Blocks of sorted
     rows run on ``min(usable CPUs, blocks)`` threads, each block reduced to
     its k nearest rather than fully sorted: the partition threshold (each
     row's k-th smallest distance), then the flat indices of one

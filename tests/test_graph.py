@@ -353,17 +353,30 @@ def dominant_axis_cases(draw):
     return values, draw(st.integers(1, n - 1)), draw(st.integers(2, 2 * n))
 
 
+TILTED_LINE = np.array([[float(i), 30.0 + (i % 3)] for i in range(12)])
+
+
 @settings(max_examples=150, deadline=None)
 @given(case=dominant_axis_cases(), metric=st.sampled_from(["euclidean", "cosine"]))
 @example(case=(np.arange(9.0)[:, None], 2, 4), metric="euclidean")
 @example(case=(np.array([[float(i), 30.0] for i in range(12)]), 3, 2), metric="cosine")
+# an exact tie on the window's edge, moved by rounding in the projections
+@example(case=(np.array([[1000.0 + i, 1000.0 + 2 * i] for i in range(8)]), 1, 2),
+         metric="euclidean")
+# squared distances that round to 0 (1e-170) or to subnormals (1e-160)
+@example(case=(np.arange(10.0)[:, None] * 1e-170, 3, 3), metric="euclidean")
+@example(case=(TILTED_LINE * 1e-170, 2, 3), metric="euclidean")
+@example(case=(TILTED_LINE * 1e-160, 3, 2), metric="euclidean")
+@example(case=(TILTED_LINE * 1e-160, 3, 2), metric="cosine")
 def test_window_scan_matches_dense_oracle_on_a_dominant_axis(case, metric):
     values, k, rows = case
     spec = KernelSpec(k=k, metric=metric, kernel="binary")
     oracle = dense_knn_graph(values, spec)
-    for cpus in (1, 2):
-        assert_same_graph(build_on_cpus(cpus, values, spec, rows * values.shape[0]),
-                          oracle)
+    # scan the windows however many columns they hold
+    with mock.patch.object(graph_module, "_FULL_SHARE", np.inf):
+        for cpus in (1, 2):
+            assert_same_graph(build_on_cpus(cpus, values, spec, rows * values.shape[0]),
+                              oracle)
 
 
 @pytest.mark.parametrize("metric", ["euclidean", "cosine"])
@@ -381,6 +394,32 @@ def test_window_scan_skips_most_pairs_of_a_line_like_cloud(metric):
     with mock.patch.object(graph_module, "cdist", counting_cdist):
         built = build_knn_graph(values, spec)
     assert sum(pairs) < n * n / 4
+    assert_same_graph(built, dense_knn_graph(values, spec))
+
+
+def test_a_cloud_without_a_dominant_axis_is_scanned_in_whole_rows():
+    n = 400
+    values = np.random.default_rng(4).normal(size=(n, 8))
+    pairs, windows = [], []
+    window_blocks = graph_module._window_blocks
+
+    def counting_cdist(xa, xb, pair_metric, **kwargs):
+        pairs.append(len(xa) * len(xb))
+        return cdist(xa, xb, pair_metric, **kwargs)
+
+    def recording(lo, hi, budget):
+        windows.append((lo, hi))
+        return window_blocks(lo, hi, budget)
+
+    spec = KernelSpec(k=10)
+    with mock.patch.object(graph_module, "cdist", counting_cdist), \
+            mock.patch.object(graph_module, "_window_blocks", recording):
+        built = build_knn_graph(values, spec)
+    (lo, hi), = windows
+    assert not lo.any() and (hi == n).all()
+    # the sampled runs of 11 rows are all the bound pass compared
+    sampled = len(range(0, -(-n // 11), graph_module._SAMPLE_RUNS))
+    assert sum(pairs) - n * n == sampled * 11 * 11
     assert_same_graph(built, dense_knn_graph(values, spec))
 
 

@@ -57,7 +57,7 @@ from .evaluation import (
     stability_experiment,
     write_report_csv,
 )
-from .graph import _KERNELS, _METRICS, _SYMMETRIZATIONS
+from .graph import _KERNELS, _METRICS
 from .graph import KernelSpec, build_knn_graph, load_graph, save_graph
 from .solver import (
     LabelConstraints,
@@ -245,7 +245,6 @@ def cmd_build_graph(rc):
         metric=str(p["metric"]),
         kernel=str(p["kernel"]),
         sigma=None if p["sigma"] == "auto" else float(p["sigma"]),
-        symmetrization=str(p["symmetrize"]),
     )
     graph = build_knn_graph(features, spec)
     save_graph(graph, rc.outputs["out"])
@@ -346,7 +345,6 @@ _COMMANDS = {
         _Opt("kernel", "param", str, "gaussian", choices=_KERNELS),
         _Opt("sigma", "param", _sigma_value, "auto",
              help="gaussian bandwidth, or 'auto'"),
-        _Opt("symmetrize", "param", str, "mean", choices=_SYMMETRIZATIONS),
         _Opt("out", "out", str, required=True),
     ]),
     "solve": _Command(cmd_solve, "label a graph from seed nodes", [

@@ -69,9 +69,12 @@ _BOUND_ROWS = 256
 _SAMPLE_RUNS = 8
 _FULL_SHARE = 0.75
 
+# a cosine row whose largest |entry| lies outside this range is divided by
+# that entry first, as its sum of squares would under- or overflow
+_NORM_RANGE = (2.0**-500, 2.0**500)
+
 _METRICS = ("euclidean", "cosine")
 _KERNELS = ("gaussian", "binary")
-_SYMMETRIZATIONS = ("mean", "max")
 
 
 @dataclass
@@ -115,7 +118,6 @@ class KernelSpec:
     metric: str = "euclidean"
     kernel: str = "gaussian"
     sigma: float | None = None
-    symmetrization: str = "mean"
 
     def __post_init__(self):
         if self.k < 1:
@@ -124,8 +126,6 @@ class KernelSpec:
             raise ValueError(f"metric must be one of {_METRICS}")
         if self.kernel not in _KERNELS:
             raise ValueError(f"kernel must be one of {_KERNELS}")
-        if self.symmetrization not in _SYMMETRIZATIONS:
-            raise ValueError(f"symmetrization must be one of {_SYMMETRIZATIONS}")
         if self.sigma is not None:
             if self.kernel != "gaussian":
                 raise ValueError("sigma only applies to the gaussian kernel")
@@ -366,18 +366,23 @@ def _nearest_neighbors(values, k, metric):
     ``kth * _SQRT_TIE_SLACK``, so every entry whose root ties the k-th root
     still reaches the lexsort.  Cosine distance is half the squared
     euclidean distance of the unit rows, so the search ranks the unit rows
-    and halves the k distances it keeps.
+    and halves the k distances it keeps; a row whose largest |entry| lies
+    outside ``_NORM_RANGE`` is divided by it before it is normalized.
     """
     n = values.shape[0]
     if metric == "cosine":
         # 1 - <x,y>/(|x||y|) = |x/|x| - y/|y||^2 / 2; zero-norm rows are undefined
-        norms = np.linalg.norm(values, axis=1)
-        bad = np.flatnonzero(norms == 0.0)
+        peak = np.max(np.abs(values), axis=1)
+        bad = np.flatnonzero(peak == 0.0)
         if bad.size:
             raise DegenerateFeaturesError(
                 f"row {bad[0]} has zero norm; cosine distance is undefined"
             )
-        values = values / norms[:, None]
+        far = np.flatnonzero((peak < _NORM_RANGE[0]) | (peak > _NORM_RANGE[1]))
+        if far.size:
+            values = values.copy()
+            values[far] /= peak[far, None]
+        values = values / np.linalg.norm(values, axis=1)[:, None]
     neighbor = np.empty((n, k), dtype=np.intp)
     ndist = np.empty((n, k))
 
@@ -419,6 +424,14 @@ def _nearest_neighbors(values, k, metric):
         blocks = _window_blocks(lo, hi, _BLOCK_ENTRIES // cpus)
         workers = min(cpus, len(blocks))
         list(pool.map(scan, [blocks[w::workers] for w in range(workers)]))
+    # features beyond about 1e154 overflow a squared distance; unit rows cannot
+    overflow = np.flatnonzero(ndist[:, -1] == np.inf)
+    if overflow.size:
+        raise DegenerateFeaturesError(
+            f"the squared distance from row {overflow[0]} to its k-th nearest "
+            f"neighbor overflows float64 (largest |feature| "
+            f"{np.max(np.abs(values)):.6g}); scale the features down"
+        )
     if metric == "cosine":
         ndist *= 0.5
     return neighbor, ndist
@@ -430,8 +443,8 @@ def build_knn_graph(features, spec):
     Each node is connected to its ``spec.k`` nearest neighbors (self
     excluded, distance ties broken by node index, also across the k-th
     neighbor), directed weights are computed by the kernel, and the directed
-    graph is symmetrized by ``mean`` (missing reverse edge counts as zero) or
-    elementwise ``max``.
+    graph is symmetrized by the mean of the two directions (a missing
+    reverse edge counts as zero).
 
     The search is exact.  The rows are sorted on their principal axis, and
     each row is compared only with the columns whose projection lies within
@@ -472,7 +485,8 @@ def build_knn_graph(features, spec):
         gaussian weights underflow to zero).  The message names the metric,
         the bandwidth and the node's nearest-neighbor distance.
     DegenerateFeaturesError
-        For cosine metric with a zero-norm feature row.
+        For cosine metric with a zero-norm feature row, and when a squared
+        distance to a k-th nearest neighbor overflows float64.
     """
     if not isinstance(features, FeatureMatrix):
         features = FeatureMatrix(np.asarray(features, dtype=np.float64))
@@ -497,12 +511,8 @@ def build_knn_graph(features, spec):
     directed = sparse.coo_matrix(
         (weights.ravel(), (rows, neighbor.ravel())), shape=(n, n)
     ).tocsr()
-    if spec.symmetrization == "mean":
-        sym = (directed + directed.T) * 0.5
-    else:
-        sym = directed.maximum(directed.T)
     try:
-        return Graph.from_csr(sym)
+        return Graph.from_csr((directed + directed.T) * 0.5)
     except IsolatedNodeError as exc:
         # only gaussian weights can vanish: binary ones are all 1
         raise IsolatedNodeError(

@@ -83,6 +83,10 @@ ZERO_GUARD = 1e-12
 #: the inner loop evaluates its duality gap every this many iterations
 GAP_CHECK_EVERY = 10
 
+#: :func:`solve` stops as "budget" after this many outer steps, far more
+#: than a solve takes to stop on "tol" or "no_decrease"
+OUTER_MAX = 100
+
 
 @dataclass
 class LabelConstraints:
@@ -172,11 +176,10 @@ class SolverConfig:
 
     inner_max: int = 2000
     inner_tol: float = 1e-3
-    outer_max: int = 100
 
     def __post_init__(self):
-        if self.inner_max < 1 or self.outer_max < 1:
-            raise ValueError("iteration caps must be >= 1")
+        if self.inner_max < 1:
+            raise ValueError("inner_max must be >= 1")
         if not self.inner_tol > 0:  # NaN fails too
             raise ValueError("inner_tol must be positive")
 
@@ -631,7 +634,7 @@ def solve(graph, constraints, config=None):
     as "tol" on the first kept step that lowers the sum by at most
     ``inner_tol`` times the sum before it, all that an inner gap of that
     size resolves (also after a capped inner loop, which certifies less),
-    or at ``outer_max``; ``trace.stop_reason`` says which.  Returns
+    or after ``OUTER_MAX`` steps; ``trace.stop_reason`` says which.  Returns
     ``(Prediction, SolveTrace)``.  Labels are the row argmax of the final
     scores, ties broken toward the smallest class index and flagged.  Nodes
     of a component without seeds are returned tied (label 0) with one
@@ -661,7 +664,7 @@ def solve(graph, constraints, config=None):
     trace = SolveTrace(initial_ratios=[float(r) for r in r0])
     prev_sum = float(r0.sum())
     dual = None
-    for t in range(config.outer_max):
+    for t in range(OUTER_MAX):
         try:
             u_new, record, z = outer_step(u, operator, constraints, config, dual=dual)
         except NonFiniteError as exc:

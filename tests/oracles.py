@@ -25,8 +25,9 @@ import numpy as np
 from scipy import sparse
 from scipy.spatial.distance import cdist
 
-from graphtv import FeatureMatrix, Graph
+from graphtv import Graph
 from graphtv.errors import NonFiniteError, ParseError, ShapeMismatchError
+from graphtv.graph import FeatureMatrix
 from graphtv.solver import _certified_step
 from graphtv.tables import convert_cells, read_rows
 
@@ -133,11 +134,16 @@ def dense_distances(values, metric):
     """Full n x n distance matrix with ``inf`` on the diagonal.
 
     The cosine distance is half the squared euclidean distance of the unit
-    rows, the same per-pair arithmetic ``build_knn_graph`` uses.
+    rows, the same per-pair arithmetic ``build_knn_graph`` uses; a row whose
+    largest |entry| lies outside [2**-500, 2**500] is divided by it first.
     """
     if metric == "euclidean":
         dist = cdist(values, values, metric="euclidean")
     else:
+        peak = np.max(np.abs(values), axis=1)
+        far = (peak < 2.0**-500) | (peak > 2.0**500)
+        values = values.copy()
+        values[far] /= peak[far, None]
         unit = values / np.linalg.norm(values, axis=1)[:, None]
         dist = 0.5 * cdist(unit, unit, metric="sqeuclidean")
     np.fill_diagonal(dist, np.inf)
@@ -185,7 +191,7 @@ def dense_knn_graph(values, spec):
     """k-NN graph from the full n x n distance matrix and a stable row sort.
 
     Same distance arithmetic, tie rule (equal distances go to the lower node
-    index), kernel and symmetrization as ``build_knn_graph``.
+    index), kernel and mean symmetrization as ``build_knn_graph``.
     """
     values = np.asarray(values, dtype=np.float64)
     n = values.shape[0]
@@ -203,9 +209,7 @@ def dense_knn_graph(values, spec):
     directed = sparse.coo_matrix(
         (weights.ravel(), (rows, neighbor.ravel())), shape=(n, n)
     ).tocsr()
-    if spec.symmetrization == "mean":
-        return Graph.from_csr((directed + directed.T) * 0.5)
-    return Graph.from_csr(directed.maximum(directed.T))
+    return Graph.from_csr((directed + directed.T) * 0.5)
 
 
 def dense_normalized_adjacency(graph):

@@ -173,6 +173,7 @@ def test_solve_replays_sidecar_saved_with_a_byte_order_mark(tmp_path, sbm_files)
         ("tau0", 1.9, "--tau0"),
         ("outer_tol", 1e-6, "--outer-tol"),
         ("dt", 1.0, "--dt"),
+        ("outer_max", 100, "--outer-max"),
     ],
 )
 def test_solve_replays_sidecar_written_with_removed_option(
@@ -303,6 +304,9 @@ def test_experiment_sidecar_of_features_route_exits_2(tmp_path, sbm_files, capsy
         ("experiment", "outer_tol", 1e-6),
         ("experiment", "dt", 1.0),
         ("experiment", "jobs", 2),
+        ("experiment", "outer_max", 100),
+        ("build-graph", "symmetrize", "mean"),
+        ("build-graph", "symmetrize", "max"),
     ],
 )
 def test_replays_sidecar_written_with_removed_option(
@@ -310,34 +314,43 @@ def test_replays_sidecar_written_with_removed_option(
 ):
     # experiment's class count comes from the truth file, eval never reads
     # the seed margin, the inner loop's first steps follow from the graph,
-    # the outer loop stops on inner_tol, the proximal step is fixed at 1, and
-    # the worker count follows from the machine: old sidecars that carry any
-    # of these still replay
+    # the outer loop stops on inner_tol, the proximal step is fixed at 1, the
+    # worker count follows from the machine, the outer loop's cap is fixed at
+    # 100, and k-NN graphs are always mean-symmetrized: old sidecars that
+    # carry any of these still replay
     graph, truth, seeds = sbm_files
+    out_flag = "--report"
     if command == "experiment":
         argv = ["experiment", "--graph", str(graph), "--truth", str(truth),
                 "--fractions", "0.1,0.2", "--seeds", "0"]
+    elif command == "build-graph":
+        feats = tmp_path / "f.csv"
+        assert run("synth", "two-moons", "--n", "40", "--out-features", str(feats),
+                   "--out-truth", str(tmp_path / "t.csv")) == 0
+        argv = ["build-graph", "--features", str(feats), "--k", "5"]
+        out_flag = "--out"
     else:
         scores = tmp_path / "scores.csv"
         assert run("solve", "--graph", str(graph), "--labels", str(seeds),
                    "--out-scores", str(scores)) == 0
         argv = ["eval", "--scores", str(scores), "--truth", str(truth),
                 "--labels", str(seeds)]
-    report = tmp_path / "rep.json"
-    assert run(*argv, "--report", str(report)) == 0
+    report = tmp_path / "rep.out"
+    assert run(*argv, out_flag, str(report)) == 0
     rc = RunConfig.load(tmp_path / "rep.config.json")
     assert key not in rc.parameters
     rc.parameters[key] = old_value
     old = tmp_path / "old.config.json"
     rc.write(old)
-    replay = tmp_path / "replay.json"
-    assert run(command, "--config", str(old), "--report", str(replay)) == 0
+    replay = tmp_path / "replay.out"
+    assert run(command, "--config", str(old), out_flag, str(replay)) == 0
     assert replay.read_bytes() == report.read_bytes()
     capsys.readouterr()
+    flag = "--" + key.replace("_", "-")
     with pytest.raises(SystemExit) as info:
-        run(*argv, "--report", str(report), "--" + key, str(old_value))
+        run(*argv, out_flag, str(report), flag, str(old_value))
     assert info.value.code == 2
-    assert "--" + key in capsys.readouterr().err
+    assert flag in capsys.readouterr().err
 
 
 # the value of each required flag that names neither a file nor a choice
@@ -491,13 +504,13 @@ def test_corrupt_config_exits_2(tmp_path, sbm_files, capsys):
 
 
 def test_budget_exhaustion_exits_3_but_writes_outputs(
-    tmp_path, sbm_files, caplog
+    tmp_path, sbm_files, caplog, monkeypatch
 ):
     graph, truth, seeds = sbm_files
     scores = tmp_path / "s.csv"
     caplog.set_level(logging.INFO, logger="graphtv.cli")
+    monkeypatch.setattr(graphtv.solver, "OUTER_MAX", 1)
     assert run("solve", "--graph", str(graph), "--labels", str(seeds),
-               "--outer-max", "1",
                "--out-scores", str(scores)) == 3
     messages = [r.getMessage() for r in caplog.records]
     (line,) = [m for m in messages if "solve finished" in m]

@@ -9,13 +9,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.sparse.csgraph import connected_components
 
-from graphtv import (
-    FeatureMatrix,
+from graphtv import make_partition, synth_sbm, synth_two_moons
+from graphtv.datasets import (
     load_features_csv,
     load_labels_csv,
-    make_partition,
-    synth_sbm,
-    synth_two_moons,
     truth_from_pairs,
     write_features_csv,
     write_labels_csv,
@@ -26,6 +23,7 @@ from graphtv.errors import (
     ParseError,
     ShapeMismatchError,
 )
+from graphtv.graph import FeatureMatrix
 from oracles import dense_sbm, reference_load_features_csv
 
 

@@ -19,7 +19,6 @@ from graphtv import (
     build_knn_graph,
     evaluate,
     make_partition,
-    prediction_from_scores,
     roc_auc,
     solve,
     stability_experiment,
@@ -33,6 +32,7 @@ from graphtv.errors import (
     InvalidExperimentError,
     ShapeMismatchError,
 )
+from graphtv.solver import prediction_from_scores
 from graphtv.tables import write_json
 from oracles import (
     cliques_graph,

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphtv import NormalizedGradient, operator_norm
+from graphtv import NormalizedGradient
 from graphtv.errors import NoConvergenceError
-from graphtv.operators import diffusion_solve, normalized_adjacency
+from graphtv.operators import diffusion_solve, normalized_adjacency, operator_norm
 from oracles import (
     dense_gradient,
     dense_normalized_adjacency,

@@ -1,11 +1,27 @@
 """The package's public names and its documented API example."""
 
+import ast
 import re
 from pathlib import Path
 
 import graphtv
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
+
+
+def readme_python_blocks():
+    return re.findall(r"```python\n(.*?)```", README.read_text(), re.DOTALL)
+
+
+def names_imported_from_graphtv(source):
+    return {
+        alias.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and node.module == "graphtv"
+        and node.level == 0
+        for alias in node.names
+    }
 
 
 def test_every_public_name_resolves():
@@ -13,6 +29,17 @@ def test_every_public_name_resolves():
     missing = [name for name in graphtv.__all__ if not hasattr(graphtv, name)]
     assert missing == []
     assert len(set(graphtv.__all__)) == len(graphtv.__all__)
+
+
+def test_public_names_are_the_ones_scripts_gates_and_readme_use():
+    # the top level holds what the example scripts, the acceptance gates and
+    # the README example import, and nothing else: tests of other names
+    # import them from their modules
+    sources = [path.read_text() for path in sorted((ROOT / "scripts").glob("*.py"))]
+    sources.append((ROOT / "tests" / "test_acceptance.py").read_text())
+    sources.extend(readme_python_blocks())
+    used = set().union(*map(names_imported_from_graphtv, sources))
+    assert set(graphtv.__all__) == used | {"errors", "__version__"}
 
 
 def test_star_import():
@@ -23,7 +50,7 @@ def test_star_import():
 
 def test_readme_python_example_runs(capsys):
     # the README's API example must run against the code as it stands
-    blocks = re.findall(r"```python\n(.*?)```", README.read_text(), re.DOTALL)
+    blocks = readme_python_blocks()
     assert len(blocks) == 1
     exec(compile(blocks[0], str(README), "exec"), {})
     accuracy, auc, stop_reason = capsys.readouterr().out.split()

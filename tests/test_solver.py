@@ -20,17 +20,11 @@ from graphtv import (
     SolverConfig,
     build_knn_graph,
     constraint_violation,
-    initialize_state,
     make_partition,
-    outer_step,
-    prediction_from_scores,
     project_constraints,
-    read_scores_csv,
     solve,
     synth_sbm,
     synth_two_moons,
-    write_scores_csv,
-    write_trace_json,
 )
 from graphtv.errors import (
     EmptyClassError,
@@ -41,7 +35,18 @@ from graphtv.errors import (
     ShapeMismatchError,
 )
 from graphtv.operators import diffusion_solve, normalized_adjacency, operator_norm
-from graphtv.solver import GAP_CHECK_EVERY, _certified_step, _inner_loop, _ratio_terms
+from graphtv.solver import (
+    GAP_CHECK_EVERY,
+    _certified_step,
+    _inner_loop,
+    _ratio_terms,
+    initialize_state,
+    outer_step,
+    prediction_from_scores,
+    read_scores_csv,
+    write_scores_csv,
+    write_trace_json,
+)
 from oracles import (
     cliques_graph,
     dense_duality_gap,
@@ -856,11 +861,12 @@ def resolved(trace, inner_tol):
             for before, after in zip(sums, sums[1:])]
 
 
-def test_solve_budget_stop_reason():
+def test_solve_budget_stop_reason(monkeypatch):
     # the first step lowers the sum by about 60%, far above the stop bound
     graph = triangles_bridge()
     cons = make_constraints(6, 2, [[0], [3]], epsilon=0.1)
-    config = SolverConfig(outer_max=1)
+    monkeypatch.setattr(graphtv.solver, "OUTER_MAX", 1)
+    config = SolverConfig()
     _, trace = solve(graph, cons, config)
     assert trace.stop_reason == "budget"
     assert len(trace.records) == 1
@@ -926,9 +932,10 @@ def every_step(trace):
     return steps
 
 
-def test_solve_first_step_is_a_cold_outer_step():
+def test_solve_first_step_is_a_cold_outer_step(monkeypatch):
     graph, cons = moons_instance()
-    config = SolverConfig(outer_max=1)
+    monkeypatch.setattr(graphtv.solver, "OUTER_MAX", 1)
+    config = SolverConfig()
     prediction, trace = solve(graph, cons, config)
     assert trace.stop_reason == "budget"
     u = initialize_state(graph, cons)

@@ -25,7 +25,6 @@ from .operators import NormalizedGradient
 from .solver import (
     LabelConstraints,
     SolverConfig,
-    constraint_violation,
     project_constraints,
     solve,
 )
@@ -41,7 +40,6 @@ __all__ = [
     "LabelConstraints",
     "SolverConfig",
     "project_constraints",
-    "constraint_violation",
     "solve",
     "LabeledDataset",
     "synth_two_moons",

@@ -14,8 +14,8 @@ with ``--config <that file>`` reproduces the run byte for byte.  Config
 keys the command does not declare, such as removed options, are ignored.
 
 Exit codes: 0 success, 2 usage/validation, 3 non-convergence or an
-``experiment`` whose every cell failed (outputs are still written), 4
-numerical failure.  Log verbosity comes from the ``GRAPHX_LOG``
+``experiment`` whose every cell failed (outputs are still written), 4 a
+non-finite iterate.  Log verbosity comes from the ``GRAPHX_LOG``
 environment variable (error|warn|info|debug, default warn); logs go to
 stderr, data to stdout and files.
 """
@@ -45,7 +45,6 @@ from .datasets import (
     write_labels_csv,
 )
 from .errors import (
-    DegenerateStateError,
     GraphTVError,
     NoConvergenceError,
     NonFiniteError,
@@ -372,6 +371,14 @@ _COMMANDS = {
 }
 
 
+def _fits(opt, value):
+    """Whether a sidecar value has the JSON type of the flag's values."""
+    numbers = (int, float)  # not bool, the type JSON true and false load as
+    if opt.type in (_csv_ints, _csv_floats):
+        return isinstance(value, list) and all(type(x) in numbers for x in value)
+    return isinstance(value, str) or opt.kind == "param" and type(value) in numbers
+
+
 def _resolve(command, args):
     """Merge CLI flags over --config values over declared defaults."""
     loaded = None
@@ -389,6 +396,8 @@ def _resolve(command, args):
                 if opt.dest in sect and sect[opt.dest] is not None:
                     value = sect[opt.dest]
                     break
+            if value is not None and not _fits(opt, value):
+                raise ParseError(f"run-config '{opt.dest}' has a wrong type", line=1)
         if value is None:
             value = opt.default
         if value is None and opt.required:
@@ -462,7 +471,7 @@ def main(argv=None):
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (NonFiniteError, DegenerateStateError) as exc:
+    except NonFiniteError as exc:
         print(f"error: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except NoConvergenceError as exc:

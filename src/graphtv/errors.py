@@ -54,10 +54,6 @@ class NonFiniteError(GraphTVError):
         super().__init__(message)
 
 
-class DegenerateStateError(GraphTVError):
-    """The solver state collapsed to (numerically) zero and cannot be normalized."""
-
-
 class GenerationFailedError(GraphTVError):
     """A random generator could not produce a valid instance within its retry budget."""
 

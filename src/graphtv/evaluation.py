@@ -23,7 +23,7 @@ from .errors import (
 from .operators import diffusion_solve, normalized_adjacency
 from .datasets import make_partition
 from .graph import _usable_cpus
-from .solver import LabelConstraints, SolverConfig, prediction_from_scores, solve
+from .solver import LabelConstraints, Prediction, SolverConfig, solve
 from .tables import fmt, write_table
 
 log = logging.getLogger(__name__)
@@ -144,7 +144,7 @@ def baseline_label_spreading(graph, constraints):
     lab = constraints.labeled_nodes
     y[lab, constraints.own_class[lab]] = 1.0
     f = diffusion_solve(normalized_adjacency(graph), (1.0 - alpha) * y, alpha)
-    return prediction_from_scores(f)
+    return Prediction(f)
 
 
 def solve_counters(trace):

@@ -56,7 +56,6 @@ import numpy as np
 from scipy.sparse.csgraph import connected_components
 
 from .errors import (
-    DegenerateStateError,
     EmptyClassError,
     NoProgressWarning,
     NonFiniteError,
@@ -203,7 +202,6 @@ class OuterRecord:
     inner_iters: int
     hit_cap: bool
     gap: float
-    max_violation: float
     wall_ms: float
 
 
@@ -224,26 +222,21 @@ class SolveTrace:
 
 @dataclass
 class Prediction:
-    """Final scores, argmax labels, and near-tie flags."""
+    """Scores, and what they imply: the row argmax ``labels`` (ties to the
+    lowest index) and ``tie_flag``, top two scores within ``TIE_THRESHOLD``.
+    """
 
-    labels: np.ndarray
     scores: np.ndarray
-    tie_flag: np.ndarray
+    labels: np.ndarray = field(init=False)
+    tie_flag: np.ndarray = field(init=False)
 
     def __post_init__(self):
+        self.scores = np.asarray(self.scores, dtype=np.float64)
         if not np.isfinite(self.scores).all():
             raise NonFiniteError("prediction scores contain NaN or Inf")
-
-
-def prediction_from_scores(scores):
-    """Argmax labels from a score matrix; near-ties flagged, broken low."""
-    scores = np.asarray(scores, dtype=np.float64)
-    top_two = np.sort(scores, axis=1)[:, -2:]
-    return Prediction(
-        labels=np.argmax(scores, axis=1),
-        scores=scores,
-        tie_flag=(top_two[:, 1] - top_two[:, 0]) < TIE_THRESHOLD,
-    )
+        top_two = np.sort(self.scores, axis=1)[:, -2:]
+        self.labels = np.argmax(self.scores, axis=1)
+        self.tie_flag = (top_two[:, 1] - top_two[:, 0]) < TIE_THRESHOLD
 
 
 class _Projection:
@@ -320,25 +313,6 @@ def project_constraints(u, constraints):
     return np.ascontiguousarray(out.T)
 
 
-def constraint_violation(u, constraints):
-    """Largest violation of the seed margins / zero class-sums (0 if feasible)."""
-    worst = 0.0
-    lab = constraints.labeled_nodes
-    if lab.size:
-        eps = constraints.epsilon
-        own = constraints.own_class[lab]
-        own_vals = u[lab, own]
-        worst = max(worst, float(np.max(eps - own_vals, initial=0.0)))
-        others = np.minimum(u[lab], -eps)  # entries already <= -eps unchanged
-        gap = u[lab] - others
-        gap[np.arange(lab.size), own] = 0.0
-        worst = max(worst, float(gap.max(initial=0.0)))
-    unl = constraints.unlabeled_nodes
-    if unl.size:
-        worst = max(worst, float(np.abs(u[unl].sum(axis=1)).max(initial=0.0)))
-    return worst
-
-
 def _ratio_terms(operator, u):
     """Columnwise TV(u), ||u||_1 and TV(u) / max(||u||_1, ZERO_GUARD)."""
     tv = np.abs(operator.matrix @ u).sum(axis=0)
@@ -355,16 +329,18 @@ def seedless_nodes(graph, constraints):
 
 
 def initialize_state(graph, constraints):
-    """Harmonic extension of the seed margins, normalized and projected.
+    """Harmonic extension of the seeds, normalized and projected.
 
     Ratio descent only moves downhill from where it starts, so it starts
-    from the p=2 smooth solution (Zhu, Ghahramani & Lafferty 2003): seeds
-    sit at their margins ``Y_L``, unlabeled rows solve
-    ``(I - S_UU) X_U = S_UL (Y_L - rowmean(Y_L))`` with
+    from the p=2 smooth solution (Zhu, Ghahramani & Lafferty 2003): seed
+    rows ``Y_L`` hold +1 in their own class and -1 elsewhere, unlabeled
+    rows solve ``(I - S_UU) X_U = S_UL (Y_L - rowmean(Y_L))`` with
     ``S = D^-1/2 W D^-1/2`` (zero class-sums included), and nodes of a
     component without seeds stay zero.  Returns the ``(n, L)`` score
     matrix, scaled to unit Frobenius norm (without a median shift that
-    could zero a tied block) and projected onto the constraints.
+    could zero a tied block) and projected onto the constraints.  The
+    extension is linear in ``Y_L``, so ``epsilon`` enters only through the
+    projection, and the norm is at least sqrt(seeds * L) before scaling.
     """
     if constraints.n != graph.n:
         raise ShapeMismatchError(
@@ -372,8 +348,8 @@ def initialize_state(graph, constraints):
         )
     u = np.zeros((constraints.n, constraints.n_classes))
     lab = constraints.labeled_nodes
-    u[lab] = -constraints.epsilon
-    u[lab, constraints.own_class[lab]] = constraints.epsilon
+    u[lab] = -1.0
+    u[lab, constraints.own_class[lab]] = 1.0
     unl = constraints.unlabeled_nodes
     free = unl[~seedless_nodes(graph, constraints)[unl]]
     if free.size:
@@ -387,10 +363,7 @@ def initialize_state(graph, constraints):
             u[free] = np.hstack([half, -half])
         else:
             u[free] = diffusion_solve(rows[:, free], rhs, 1.0)
-    nrm = np.linalg.norm(u)
-    if nrm < 1e-14:
-        raise DegenerateStateError("initial state is numerically zero")
-    return project_constraints(u / nrm, constraints)
+    return project_constraints(u / np.linalg.norm(u), constraints)
 
 
 def _dual_value(w, anchor, project, u_star, tmp):
@@ -586,9 +559,11 @@ def outer_step(u, operator, constraints, config, *, dual=None):
     score matrix this module hands out does), which is what makes the
     recorded ``decrease_slack`` a certificate: the anchor is then feasible
     for the inner problem with surrogate value exactly zero.  The median
-    shift can push seeds off their margins; that transient is recorded as
-    ``max_violation`` and repaired by a final projection, so the returned
-    matrix is feasible again.  The inner loop starts its dual from
+    shift can push seeds off their margins, and a final projection makes
+    the returned matrix feasible again.  The shift cannot zero the state:
+    the raw inner output is projected, so its column 0 holds an entry
+    >= eps and one <= -eps, and any shift of them leaves a norm >= eps.
+    The inner loop starts its dual from
     ``dual`` (see :func:`_inner_loop`), from ``clip(K u)`` when it is None.
     Returns ``(u_new, record, z)``, ``z`` being the inner loop's last dual.
     """
@@ -600,11 +575,7 @@ def outer_step(u, operator, constraints, config, *, dual=None):
     tv_pre, l1_pre, ratios_pre = _ratio_terms(operator, raw)
     slack = coeff * l1_pre - tv_pre
     shifted = raw - np.median(raw, axis=0)
-    nrm = np.linalg.norm(shifted)
-    if nrm < 1e-14:
-        raise DegenerateStateError("state collapsed to zero after median shift")
-    shifted /= nrm
-    violation = constraint_violation(shifted, constraints)
+    shifted /= np.linalg.norm(shifted)
     u_new = project_constraints(shifted, constraints)
     _, _, ratios_carried = _ratio_terms(operator, u_new)
     record = OuterRecord(
@@ -615,7 +586,6 @@ def outer_step(u, operator, constraints, config, *, dual=None):
         inner_iters=iters,
         hit_cap=not converged,
         gap=gap,
-        max_violation=float(violation),
         wall_ms=(time.perf_counter() - t0) * 1e3,
     )
     return u_new, record, z
@@ -635,9 +605,8 @@ def solve(graph, constraints, config=None):
     ``inner_tol`` times the sum before it, all that an inner gap of that
     size resolves (also after a capped inner loop, which certifies less),
     or after ``OUTER_MAX`` steps; ``trace.stop_reason`` says which.  Returns
-    ``(Prediction, SolveTrace)``.  Labels are the row argmax of the final
-    scores, ties broken toward the smallest class index and flagged.  Nodes
-    of a component without seeds are returned tied (label 0) with one
+    ``(Prediction, SolveTrace)``.  Nodes of a component without seeds are
+    returned tied (label 0) with one
     :class:`~graphtv.errors.SeedlessComponentWarning`.  Every inner loop
     starts from the certified steps of :class:`SolverConfig`; the first
     one starts its dual cold at ``clip(K u)`` and every later one from the
@@ -694,7 +663,7 @@ def solve(graph, constraints, config=None):
             break
         prev_sum = record.sum_ratios
     u[seedless] = 0.0
-    return prediction_from_scores(u), trace
+    return Prediction(u), trace
 
 
 def write_scores_csv(path, prediction):
@@ -710,8 +679,12 @@ def write_scores_csv(path, prediction):
 
 
 def read_scores_csv(path):
-    """Parse a scores table back into a Prediction."""
-    scores, labels, ties = [], [], []
+    """Parse a scores table back into a Prediction.
+
+    The label and tie columns must be the ones the scores imply (see
+    :class:`Prediction`); the first line that differs raises ParseError.
+    """
+    scores, given = [], []
     with open(path, "r", newline="", encoding="utf-8-sig") as fh:
         rows = read_rows(fh)
         lineno, head = next(rows, (1, None))
@@ -719,7 +692,7 @@ def read_scores_csv(path):
             raise ParseError("empty scores file", line=1)
         n_classes = len(head) - 3
         expected = ["node", *(f"score_{k}" for k in range(n_classes)), "label", "tie"]
-        if lineno != 1 or n_classes < 1 or head != expected:
+        if lineno != 1 or n_classes < 2 or head != expected:
             raise ParseError("malformed scores header", line=1)
         converters = [int, *[float] * n_classes, int, int]
         for lineno, cells in rows:
@@ -732,20 +705,17 @@ def read_scores_csv(path):
                 )
             if not all(map(math.isfinite, vals)):
                 raise ParseError("score is not finite", line=lineno)
-            if not 0 <= label < n_classes:
-                raise ParseError(f"label {label} out of range", line=lineno)
-            if tie not in (0, 1):
-                raise ParseError(f"tie flag {tie} is not 0 or 1", line=lineno)
             scores.append(vals)
-            labels.append(label)
-            ties.append(bool(tie))
+            given.append((lineno, label, tie))
     if not scores:
         raise ParseError("scores file has no data rows", line=2)
-    return Prediction(
-        labels=np.asarray(labels, dtype=np.int64),
-        scores=np.asarray(scores, dtype=np.float64),
-        tie_flag=np.asarray(ties, dtype=bool),
-    )
+    prediction = Prediction(scores)
+    implied = zip(prediction.labels.tolist(), prediction.tie_flag.tolist())
+    for (lineno, label, tie), (own, tied) in zip(given, implied):
+        if (label, tie) != (own, tied):  # a tie cell of 1 equals True
+            raise ParseError(f"label {label}, tie {tie}: the scores imply "
+                             f"label {own}, tie {int(tied)}", line=lineno)
+    return prediction
 
 
 def write_trace_json(path, trace):

@@ -273,6 +273,25 @@ def reference_project_constraints(u, constraints):
     return out
 
 
+def constraint_violation(u, constraints):
+    """Largest violation of the seed margins / zero class-sums (0 if feasible)."""
+    worst = 0.0
+    lab = constraints.labeled_nodes
+    if lab.size:
+        eps = constraints.epsilon
+        own = constraints.own_class[lab]
+        own_vals = u[lab, own]
+        worst = max(worst, float(np.max(eps - own_vals, initial=0.0)))
+        others = np.minimum(u[lab], -eps)  # entries already <= -eps unchanged
+        gap = u[lab] - others
+        gap[np.arange(lab.size), own] = 0.0
+        worst = max(worst, float(gap.max(initial=0.0)))
+    unl = constraints.unlabeled_nodes
+    if unl.size:
+        worst = max(worst, float(np.abs(u[unl].sum(axis=1)).max(initial=0.0)))
+    return worst
+
+
 def dense_duality_gap(graph, constraints, u, z, anchor, coeff):
     """Primal value and gap of one surrogate at the pair (u, z), densely.
 

@@ -21,7 +21,6 @@ from graphtv import (
     SolverConfig,
     baseline_label_spreading,
     build_knn_graph,
-    constraint_violation,
     evaluate,
     make_partition,
     project_constraints,
@@ -34,7 +33,12 @@ from graphtv import (
 from graphtv.cli import RunConfig, main
 from graphtv.datasets import write_labels_csv
 from graphtv.errors import NoProgressWarning
-from oracles import dense_gradient, pairwise_auc, random_connected_graph
+from oracles import (
+    constraint_violation,
+    dense_gradient,
+    pairwise_auc,
+    random_connected_graph,
+)
 
 
 def _report(tag, wall, detail=""):

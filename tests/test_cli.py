@@ -19,6 +19,7 @@ from graphtv.errors import (
     ParseError,
 )
 from graphtv.graph import save_graph
+from graphtv.solver import read_scores_csv
 from graphtv.tables import json_text
 from oracles import cliques_graph, triangles_bridge
 
@@ -463,6 +464,40 @@ def test_eval_truth_class_beyond_scores_exits_2(tmp_path, sbm_files, capsys):
     assert not (tmp_path / "r.json").exists()
 
 
+@pytest.mark.parametrize("column", [-2, -1], ids=["label", "tie"])
+def test_eval_of_scores_contradicting_their_labels_exits_2(
+    tmp_path, sbm_files, capsys, column
+):
+    # the label and tie columns follow from the scores; a file whose column
+    # says otherwise is rejected at that line instead of being scored
+    graph, truth, seeds = sbm_files
+    scores = tmp_path / "s.csv"
+    assert run("solve", "--graph", str(graph), "--labels", str(seeds),
+               "--out-scores", str(scores)) == 0
+    lines = scores.read_text().split("\n")
+    cells = lines[7].split(",")  # node 6, on line 8
+    cells[column] = str(1 - int(cells[column]))
+    lines[7] = ",".join(cells)
+    scores.write_text("\n".join(lines))
+    report = tmp_path / "r.json"
+    assert run("eval", "--scores", str(scores), "--truth", str(truth),
+               "--labels", str(seeds), "--report", str(report)) == 2
+    assert "line 8: label" in capsys.readouterr().err
+    assert not report.exists()
+
+
+@pytest.mark.parametrize("epsilon", ["1e-16", "1e-300"])
+def test_solve_takes_any_margin_in_range(tmp_path, sbm_files, epsilon):
+    # the margin enters only through the projection, so however small it
+    # is the start normalizes and the descent runs
+    graph, _, seeds = sbm_files
+    scores = tmp_path / "s.csv"
+    assert run("solve", "--graph", str(graph), "--labels", str(seeds),
+               "--epsilon", epsilon, "--out-scores", str(scores)) == 0
+    labels = read_scores_csv(scores).labels
+    assert labels[[0, 5, 12, 17]].tolist() == [0, 0, 1, 1]
+
+
 def test_isolated_node_build_exits_2_and_explains(tmp_path, capsys):
     # centred two-moons under cosine: the auto bandwidth is so small that one
     # node's gaussian weights all underflow to zero
@@ -501,6 +536,39 @@ def test_corrupt_config_exits_2(tmp_path, sbm_files, capsys):
                "--labels", str(seeds),
                "--out-scores", str(tmp_path / "s.csv")) == 2
     assert "unknown run-config keys" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("parameters", "k", [5]),
+        ("parameters", "sigma", [1]),
+        ("parameters", "k", True),
+        ("parameters", "k", {"value": 5}),
+        ("parameters", "k", [5, "x"]),
+        ("inputs", "features", 5),
+        ("outputs", "out", ["g.gxg"]),
+    ],
+    ids=["list-for-int", "list-for-sigma", "bool", "object", "list-of-mixed",
+         "number-for-path", "list-for-path"],
+)
+def test_sidecar_value_of_wrong_type_exits_2(
+    tmp_path, capsys, section, key, value
+):
+    # a JSON value of the wrong type is a malformed sidecar, not a crash or
+    # a file descriptor number
+    feats = tmp_path / "f.csv"
+    assert run("synth", "two-moons", "--n", "40", "--out-features", str(feats),
+               "--out-truth", str(tmp_path / "t.csv")) == 0
+    assert run("build-graph", "--features", str(feats), "--k", "5",
+               "--out", str(tmp_path / "g.gxg")) == 0
+    rc = RunConfig.load(tmp_path / "g.config.json")
+    getattr(rc, section)[key] = value
+    bad = tmp_path / "bad.config.json"
+    rc.write(bad)
+    capsys.readouterr()
+    assert run("build-graph", "--config", str(bad)) == 2
+    assert f"'{key}'" in capsys.readouterr().err
 
 
 def test_budget_exhaustion_exits_3_but_writes_outputs(

@@ -32,7 +32,7 @@ from graphtv.errors import (
     InvalidExperimentError,
     ShapeMismatchError,
 )
-from graphtv.solver import prediction_from_scores
+from graphtv.solver import Prediction
 from graphtv.tables import write_json
 from oracles import (
     cliques_graph,
@@ -118,7 +118,7 @@ def test_evaluate_perfect_prediction():
         np.arange(2)[None, :] == truth[:, None], 2.0, -2.0
     ) + 0.01 * np.arange(6)[:, None]
     cons = make_constraints(6, 2, [[0], [3]])
-    report = evaluate(prediction_from_scores(scores), truth, cons)
+    report = evaluate(Prediction(scores), truth, cons)
     assert report.accuracy == 1.0
     assert report.per_class_auc == [1.0, 1.0]
     assert report.average_auc == 1.0
@@ -128,7 +128,7 @@ def test_evaluate_perfect_prediction():
 def test_evaluate_uniform_scores_all_half():
     truth = np.array([0, 0, 1, 1, 0, 1])
     cons = make_constraints(6, 2, [[0], [2]])
-    report = evaluate(prediction_from_scores(np.zeros((6, 2))), truth, cons)
+    report = evaluate(Prediction(np.zeros((6, 2))), truth, cons)
     assert report.per_class_auc == [0.5, 0.5]
 
 
@@ -138,7 +138,7 @@ def test_evaluate_matches_oracle_per_class(rng):
     truth[:3] = [0, 1, 2]
     scores = rng.normal(size=(n, L))
     cons = make_constraints(n, L, [[0], [1], [2]])
-    report = evaluate(prediction_from_scores(scores), truth, cons)
+    report = evaluate(Prediction(scores), truth, cons)
     held = np.setdiff1d(np.arange(n), [0, 1, 2])
     for k in range(L):
         expect = pairwise_auc(scores[held, k], truth[held] == k)
@@ -151,10 +151,10 @@ def test_evaluate_ignores_seed_scores(rng):
     truth = np.array([0, 1] * 8)
     cons = make_constraints(16, 2, [[0, 2], [1, 3]])
     scores = rng.normal(size=(16, 2))
-    base = evaluate(prediction_from_scores(scores), truth, cons)
+    base = evaluate(Prediction(scores), truth, cons)
     bumped = scores.copy()
     bumped[[0, 1, 2, 3]] += rng.normal(scale=50.0, size=(4, 2))
-    after = evaluate(prediction_from_scores(bumped), truth, cons)
+    after = evaluate(Prediction(bumped), truth, cons)
     assert after.accuracy == base.accuracy
     assert after.per_class_auc == base.per_class_auc
 
@@ -165,7 +165,7 @@ def test_evaluate_degenerate_class_excluded_with_warning(rng):
     cons = make_constraints(7, 3, [[0], [3], [6]])
     scores = rng.normal(size=(7, 3))
     with pytest.warns(DegenerateClassWarning):
-        report = evaluate(prediction_from_scores(scores), truth, cons)
+        report = evaluate(Prediction(scores), truth, cons)
     assert report.per_class_auc[2] is None
     valid = [a for a in report.per_class_auc[:2]]
     assert report.average_auc == pytest.approx(np.mean(valid), abs=1e-12)
@@ -179,7 +179,7 @@ def test_evaluate_rejects_truth_class_out_of_range(stray):
     cons = make_constraints(6, 2, [[0], [3]])
     scores = np.zeros((6, 2))
     with pytest.raises(ValueError, match="truth contains a class id out of range"):
-        evaluate(prediction_from_scores(scores), truth, cons)
+        evaluate(Prediction(scores), truth, cons)
 
 
 # ---------------------------------------------------------------- baseline

@@ -19,7 +19,6 @@ from graphtv import (
     NormalizedGradient,
     SolverConfig,
     build_knn_graph,
-    constraint_violation,
     make_partition,
     project_constraints,
     solve,
@@ -37,18 +36,19 @@ from graphtv.errors import (
 from graphtv.operators import diffusion_solve, normalized_adjacency, operator_norm
 from graphtv.solver import (
     GAP_CHECK_EVERY,
+    Prediction,
     _certified_step,
     _inner_loop,
     _ratio_terms,
     initialize_state,
     outer_step,
-    prediction_from_scores,
     read_scores_csv,
     write_scores_csv,
     write_trace_json,
 )
 from oracles import (
     cliques_graph,
+    constraint_violation,
     dense_duality_gap,
     dense_gradient,
     dense_harmonic_extension,
@@ -234,7 +234,7 @@ def test_initialize_state_two_seeds_pinned():
     graph = from_dense(np.array([[0.0, 1.0], [1.0, 0.0]]))
     cons = make_constraints(2, 2, [[0], [1]], epsilon=0.1)
     u = initialize_state(graph, cons)
-    # margins 0.1, medians zero, Frobenius norm 0.2 -> entries +-0.5
+    # seed rows +-1, Frobenius norm 2 -> entries +-0.5, clear of the 0.1 margins
     assert np.array_equal(u, np.array([[0.5, -0.5], [-0.5, 0.5]]))
     assert np.linalg.norm(u) == pytest.approx(1.0, abs=1e-12)
 
@@ -261,6 +261,25 @@ def test_initialize_state_validates():
         initialize_state(graph, make_constraints(3, 2, [[0], [1]]))
     with pytest.raises(EmptyClassError, match="class 1 has no seeds"):
         make_constraints(2, 2, [[0], []])
+
+
+@pytest.mark.parametrize("n_classes", [2, 3])
+def test_initialize_state_takes_epsilon_only_from_the_projection(rng, n_classes):
+    # the extension is linear in the seed rows, so they sit at +-1 and the
+    # margin enters only through the projection: the unlabeled rows are the
+    # same bytes at every margin, and no margin is too small to normalize
+    graph = random_connected_graph(rng, 20)
+    labeled = random_constraints(rng, 20, n_classes).labeled
+    unlabeled_rows = []
+    for eps in (1e-300, 1e-16, 0.1, 1.0):
+        cons = make_constraints(20, n_classes, labeled, epsilon=eps)
+        u = initialize_state(graph, cons)
+        lab = cons.labeled_nodes
+        own = u[lab, cons.own_class[lab]]
+        assert (own >= eps).all()
+        assert (np.sort(u[lab], axis=1)[:, :-1] <= -eps).all()
+        unlabeled_rows.append(u[cons.unlabeled_nodes])
+    assert all(same_bits(rows, unlabeled_rows[0]) for rows in unlabeled_rows)
 
 
 def test_constraints_reject_overlapping_seed_sets():
@@ -679,7 +698,6 @@ def test_outer_step_decreases_on_bridged_triangles():
     assert min(record.decrease_slack) >= -1e-9
     # carried state is renormalized and feasible
     assert np.linalg.norm(project_constraints(u, cons) - u) <= 1e-12
-    assert record.max_violation >= 0.0
     assert record.wall_ms >= 0.0
 
 
@@ -1007,8 +1025,8 @@ def test_two_class_warm_start_matches_two_column_solve(outlier):
     graph, truth = two_moons_400(outlier)
     cons, _ = make_partition(truth, 2, 0.05, 1)
     lab, unl = cons.labeled_nodes, cons.unlabeled_nodes
-    u = np.full((graph.n, 2), -cons.epsilon)
-    u[lab, cons.own_class[lab]] = cons.epsilon
+    u = np.full((graph.n, 2), -1.0)
+    u[lab, cons.own_class[lab]] = 1.0
     rows = normalized_adjacency(graph)[unl]
     margins = u[lab] - u[lab].mean(axis=1, keepdims=True)
     u[unl] = diffusion_solve(rows[:, unl], rows[:, lab] @ margins, 1.0)
@@ -1137,11 +1155,11 @@ def test_ratio_pinned_values():
 
 def test_prediction_ties_break_to_smallest_index():
     scores = np.array([[0.5, 0.5, 0.1], [0.2, 0.7, 0.7], [0.1, 0.2, 0.9]])
-    prediction = prediction_from_scores(scores)
+    prediction = Prediction(scores)
     assert prediction.labels.tolist() == [0, 1, 2]
     assert prediction.tie_flag.tolist() == [True, True, False]
     near = np.array([[0.5, 0.5 - 1e-13], [0.5, 0.5 - 1e-11]])
-    flagged = prediction_from_scores(near)
+    flagged = Prediction(near)
     assert flagged.tie_flag.tolist() == [True, False]
 
 
@@ -1167,7 +1185,7 @@ def test_near_isolated_node_keeps_its_warm_start_label():
 
 def test_scores_csv_roundtrip(tmp_path, rng):
     scores = rng.normal(size=(17, 3))
-    prediction = prediction_from_scores(scores)
+    prediction = Prediction(scores)
     path = tmp_path / "scores.csv"
     write_scores_csv(path, prediction)
     back = read_scores_csv(path)
@@ -1200,10 +1218,14 @@ def test_scores_csv_skips_a_byte_order_mark(tmp_path):
         (_SCORES_HEAD + _SCORES_ROW0 + "1,nan,-0.5,0,0\n", 3),
         (_SCORES_HEAD + "0,0.5,-0.5,2,0\n", 2),
         (_SCORES_HEAD + _SCORES_ROW0 + "1,0.5,-0.5,0,7\n", 3),
+        (_SCORES_HEAD + _SCORES_ROW0 + "1,0.5,-0.5,1,0\n", 3),
+        (_SCORES_HEAD + _SCORES_ROW0 + "1,0.5,0.5,0,0\n", 3),
+        ("node,score_0,label,tie\n0,0.5,0,0\n", 1),
     ],
     ids=[
         "empty", "bad-header", "header-only", "field-count", "non-int-node",
-        "node-order", "nan-score", "label-range", "tie-range",
+        "node-order", "nan-score", "label-range", "tie-range", "label-flipped",
+        "tie-flipped", "one-score-column",
     ],
 )
 def test_read_scores_csv_errors_carry_line_numbers(tmp_path, text, line):
@@ -1224,7 +1246,7 @@ def test_trace_json_schema(tmp_path):
     assert isinstance(doc, list) and doc
     for entry in doc:
         for key in (
-            "ratios", "inner_iters", "hit_cap", "gap", "max_violation", "wall_ms"
+            "ratios", "inner_iters", "hit_cap", "gap", "wall_ms"
         ):
             assert key in entry
         assert isinstance(entry["hit_cap"], bool)

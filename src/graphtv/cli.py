@@ -372,10 +372,17 @@ _COMMANDS = {
 
 
 def _fits(opt, value):
-    """Whether a sidecar value has the JSON type of the flag's values."""
-    numbers = (int, float)  # not bool, the type JSON true and false load as
+    """Whether a sidecar value has the JSON type of the flag's values.
+
+    An int flag, and each entry of a ``_csv_ints`` list, takes a JSON integer
+    only: 5.7 would be truncated to 5 while the sidecar kept 5.7.
+    """
+    # not bool, the type JSON true and false load as
+    numbers = (int,) if opt.type in (int, _csv_ints) else (int, float)
     if opt.type in (_csv_ints, _csv_floats):
         return isinstance(value, list) and all(type(x) in numbers for x in value)
+    if opt.type is int:
+        return type(value) in numbers
     return isinstance(value, str) or opt.kind == "param" and type(value) in numbers
 
 

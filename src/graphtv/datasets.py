@@ -87,6 +87,9 @@ def synth_sbm(sizes, p_in, p_out, seed):
     its own block's first), the order of a single n(n - 1)/2 draw, so each
     seed keeps the graph it has always given.  Rows go one at a time
     straight into the CSR: O(n^2) time, O(n + m) memory for m edges.
+    Blocks are contiguous, so row i of block b compares its draws with the
+    tail of one threshold vector per block: p_in up to the end of block b,
+    p_out after it.
     Draws are resampled (same generator stream) until no node is isolated,
     up to 100 attempts, then :class:`~graphtv.errors.GenerationFailedError`
     is raised.  Returns ``(Graph, truth)`` with block ids as truth.
@@ -99,11 +102,13 @@ def synth_sbm(sizes, p_in, p_out, seed):
             raise ValueError(f"{name} must lie in [0, 1]")
     n = sum(sizes)
     truth = np.repeat(np.arange(len(sizes), dtype=np.int64), sizes)
+    columns = np.arange(n)
+    thresholds = [np.where(columns < end, p_in, p_out) for end in np.cumsum(sizes)]
     rng = np.random.default_rng(seed)
     for _ in range(_SBM_MAX_ATTEMPTS):
         cols = []
-        for i in range(n):
-            prob = np.where(truth[i + 1 :] == truth[i], p_in, p_out)
+        for i, block in enumerate(truth.tolist()):
+            prob = thresholds[block][i + 1 :]
             cols.append(i + 1 + np.flatnonzero(rng.random(n - 1 - i) < prob))
         indices = np.concatenate(cols)
         indptr = np.concatenate([[0], np.cumsum([c.size for c in cols])])

@@ -54,6 +54,8 @@ def operator_norm(operator):
     ||K||^2 = lambda_max(K^T K) <= max_i (|K|^T |K| 1)_i, the Schur test:
     two sparse products, exact up to rounding.  For this degree-normalized
     gradient the bound is at most sqrt(2), which a single edge attains.
+    :func:`~graphtv.solver.solve` no longer calls it: its inner loop steps
+    each edge by its own row of K.
     """
     magnitude = abs(operator.matrix)
     row_sums = magnitude @ np.ones(operator.matrix.shape[1])

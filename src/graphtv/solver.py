@@ -15,7 +15,9 @@ around the current state v and solves the resulting convex surrogate
 with c^k the pre-step ratio of class k, by an accelerated primal-dual
 (gradient-ascent on a box-constrained dual edge variable, proximal descent
 on the nodes, extrapolation with a decreasing step ratio; Chambolle & Pock
-2011, Algorithm 2).  Every few iterations the inner loop evaluates the
+2011, Algorithm 2), whose dual steps are diagonally preconditioned: each
+edge steps by its own row sum of |K| (Pock & Chambolle 2011, alpha = 1),
+not by the worst row's.  Every few iterations the inner loop evaluates the
 primal-dual gap P(u) - D(z), P being the surrogate above, z the dual edge
 variable in the unit box, drive^k = c^k sign(v^k), w = drive - K^T z and
 
@@ -53,6 +55,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
 from scipy.sparse.csgraph import connected_components
 
 from .errors import (
@@ -63,12 +66,7 @@ from .errors import (
     SeedlessComponentWarning,
     ShapeMismatchError,
 )
-from .operators import (
-    NormalizedGradient,
-    diffusion_solve,
-    normalized_adjacency,
-    operator_norm,
-)
+from .operators import NormalizedGradient, diffusion_solve, normalized_adjacency
 from .tables import convert_cells, fmt, read_rows, write_json, write_table
 
 log = logging.getLogger(__name__)
@@ -160,13 +158,15 @@ class SolverConfig:
     """Tunable knobs of the solver; defaults are the calibrated ones.
 
     The inner loop is CP Algorithm 2 on a surrogate that is mu-strongly
-    convex with mu = 1, its tether weight.  It starts from the dual and
-    primal steps sigma = tau = sqrt(0.999) / B, where
-    B = :func:`~graphtv.operators.operator_norm` is a closed-form upper
-    bound on ||K||, so the Chambolle & Pock (2011) condition
-    sigma*tau*||K||^2 <= 0.999 < 1 holds.  It decays the steps by
-    theta = 1/sqrt(1 + 2*gamma*tau) = 1/sqrt(1 + tau) per iteration, i.e.
-    with gamma = mu/2, which meets the algorithm's condition gamma <= mu.
+    convex with mu = 1, its tether weight.  It starts from Pock &
+    Chambolle's (2011) alpha = 1 diagonal steps: edge e takes the dual step
+    0.999 / r_e, r = |K| 1 being the row sums of K, and the nodes the primal
+    step tau = 1 / max(|K|^T 1), so ||diag(0.999 / r)^1/2 K||^2 tau <= 0.999
+    < 1, the Chambolle & Pock (2011) condition in the rescaled dual.  It
+    multiplies tau by theta = 1/sqrt(1 + 2*gamma*tau) = 1/sqrt(1 + tau) per
+    iteration, and divides by theta a scalar sigma that starts at 1 and
+    multiplies every edge's step, i.e. with gamma = mu/2, which meets the
+    algorithm's condition gamma <= mu.
     It stops once its primal-dual gap is at most ``inner_tol * |P(u)|``,
     P being the surrogate's primal value, or at ``inner_max`` iterations.
     ``inner_tol`` also stops :func:`solve` on the smallest ratio-sum
@@ -377,13 +377,27 @@ def _dual_value(w, anchor, project, u_star, tmp):
     return tmp.sum() / 2.0 - cross
 
 
-def _certified_step(operator):
-    """The inner loop's first dual and primal step, sigma = tau.
+def _certified_steps(operator):
+    """The inner loop's first primal step and its diagonally scaled K.
 
-    sqrt(0.999) / B with B = operator_norm(operator) >= ||K||, so
-    sigma * tau * ||K||^2 <= 0.999.
+    Pock & Chambolle's (2011) alpha = 1 preconditioner: with the row sums
+    r = |K| 1 and column sums c = |K|^T 1, the primal step is the scalar
+    tau = 1 / max(c) and edge e takes its own dual step 0.999 / r_e, so
+    ``fwd_steps = diag(0.999 / r) K`` and ||diag(0.999 / r)^1/2 K||^2 * tau
+    <= 0.999 (their Lemma 2).  Each entry is divided by its row sum before
+    it is scaled, so it lies in [-1, 1]; a row whose entries both underflowed
+    to zero takes step 0.  Returns ``(tau, fwd_steps)``, a CSR matrix with
+    the pattern of K.
     """
-    return math.sqrt(0.999) / operator_norm(operator)
+    fwd = operator.matrix
+    magnitude = abs(fwd)
+    col_sums = magnitude.T @ np.ones(fwd.shape[0])
+    row_sums = np.repeat(magnitude @ np.ones(fwd.shape[1]), np.diff(fwd.indptr))
+    steps = np.divide(fwd.data, row_sums, out=np.zeros_like(row_sums),
+                      where=row_sums > 0.0)
+    steps *= 0.999
+    fwd_steps = sparse.csr_matrix((steps, fwd.indices, fwd.indptr), shape=fwd.shape)
+    return 1.0 / col_sums.max(), fwd_steps
 
 
 def _inner_loop(anchor, operator, constraints, config, coeff, dual=None):
@@ -394,7 +408,14 @@ def _inner_loop(anchor, operator, constraints, config, coeff, dual=None):
     variable in the unit box such as the last dual of a previous loop, or
     at the clamped gradient ``clip(K anchor)`` when it is None.  ``anchor``
     and ``dual`` are only read, and the steps restart at
-    :func:`_certified_step` either way.  The loop itself holds every array
+    :func:`_certified_steps` either way: the dual update is
+    ``z += sigma * (fwd_steps @ u_tilde)``, every edge scaled by its own
+    step, and the scalar ``sigma`` starts at 1.  With y' = diag(0.999 /
+    r)^-1/2 z this is Algorithm 2 on an operator of norm at most
+    sqrt(0.999), and the box projection of z stays a clip.  The dual
+    average keeps the scalar ``sigma`` as its weight: any convex
+    combination of box points is dual-feasible, so the gap stays exact.
+    TV(u) is taken with the unscaled K.  The loop itself holds every array
     class-major, (L, n) on the nodes and (L, m) on the edges.  Returns
     ``(u, iters, gap, converged, z)``: ``u`` is a new C-contiguous
     ``(n, L)`` array and ``z`` the ``(m, L)`` last dual iterate.  Each gap
@@ -480,14 +501,15 @@ def _inner_loop(anchor, operator, constraints, config, coeff, dual=None):
         np.negative(x[0], out=out[1])
         return out
 
-    sigma = tau = _certified_step(operator)
+    tau, fwd_steps = _certified_steps(operator)
+    sigma = 1.0  # the scale of every edge's own step in fwd_steps
     gap = math.inf
     converged = False
     for it in range(1, config.inner_max + 1):
         check = it % GAP_CHECK_EVERY == 0 or it == config.inner_max
         # dual ascent on the edges, then projection onto the unit box
         for k, z_k in enumerate(z):
-            grad = fwd @ u_tilde[k]
+            grad = fwd_steps @ u_tilde[k]
             grad *= sigma
             z_k += grad
         np.clip(z, -1.0, 1.0, out=z)

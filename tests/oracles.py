@@ -28,7 +28,7 @@ from scipy.spatial.distance import cdist
 from graphtv import Graph
 from graphtv.errors import NonFiniteError, ParseError, ShapeMismatchError
 from graphtv.graph import FeatureMatrix
-from graphtv.solver import _certified_step
+from graphtv.solver import _certified_steps
 from graphtv.tables import convert_cells, read_rows
 
 
@@ -339,7 +339,9 @@ def reference_inner_loop(anchor, operator, constraints, config, coeff, dual=None
     """The accelerated primal-dual loop written with whole-array temporaries.
 
     Starts from u = u_tilde = ``anchor``, z = ``dual`` (clip(K anchor) when
-    it is None) and the solver's own certified steps; every update builds
+    it is None) and the solver's own certified steps: the scalar primal step
+    and the row-scaled K of ``_certified_steps``, whose dual steps the scalar
+    sigma (starting at 1) multiplies.  Every update builds
     new arrays and the projection is the copying
     :func:`reference_project_constraints`.  Every ``check_every``
     iterations and on the last one it checks that the iterate is finite
@@ -368,7 +370,8 @@ def reference_inner_loop(anchor, operator, constraints, config, coeff, dual=None
     u = anchor
     z = np.clip(fwd @ anchor, -1.0, 1.0) if dual is None else dual
     u_tilde = anchor
-    sigma = tau = _certified_step(operator)
+    tau, fwd_steps = _certified_steps(operator)
+    sigma = 1.0
     iters = 0
     adj_z_sum = np.zeros(u.shape)
     weight = 0.0
@@ -377,7 +380,7 @@ def reference_inner_loop(anchor, operator, constraints, config, coeff, dual=None
     for it in range(1, config.inner_max + 1):
         check = it % check_every == 0 or it == config.inner_max
         # dual ascent on the edges, then projection onto the unit box
-        z = np.clip(z + sigma * (fwd @ u_tilde), -1.0, 1.0)
+        z = np.clip(z + sigma * (fwd_steps @ u_tilde), -1.0, 1.0)
         adj_z = adj @ z
         adj_z_sum = adj_z_sum + sigma * adj_z
         weight += sigma

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import graphtv.solver
-from graphtv import LabelConstraints, SolverConfig
+from graphtv import LabelConstraints, SolverConfig, synth_sbm
 from graphtv.cli import _COMMANDS, _SOLVER_OPTS, RunConfig, main
 from graphtv.datasets import load_labels_csv, write_labels_csv
 from graphtv.errors import (
@@ -571,6 +571,72 @@ def test_sidecar_value_of_wrong_type_exits_2(
     assert f"'{key}'" in capsys.readouterr().err
 
 
+def integer_option_sidecar(tmp_path, command):
+    """Run ``command`` with valid flags; the path of the sidecar it wrote."""
+    graph, truth = tmp_path / "g.gxg", tmp_path / "truth.csv"
+    assert run("synth", "sbm", "--sizes", "12,12", "--p-in", "0.7", "--p-out",
+               "0.05", "--seed", "3", "--out-graph", str(graph),
+               "--out-truth", str(truth)) == 0
+    feats, seeds = tmp_path / "f.csv", tmp_path / "seeds.csv"
+    write_labels_csv(seeds, np.array([0, 12]), np.array([0, 1]))
+    argv = {
+        "synth two-moons": ["synth", "two-moons", "--n", "40", "--seed", "1",
+                            "--out-features", str(feats),
+                            "--out-truth", str(tmp_path / "t.csv")],
+        "synth sbm": ["synth", "sbm", "--sizes", "10,10", "--p-in", "0.7",
+                      "--p-out", "0.05", "--out-graph", str(tmp_path / "h.gxg"),
+                      "--out-truth", str(tmp_path / "h.csv")],
+        "build-graph": ["build-graph", "--features", str(feats), "--k", "5",
+                        "--out", str(tmp_path / "k.gxg")],
+        "solve": ["solve", "--graph", str(graph), "--labels", str(seeds),
+                  "--inner-max", "20", "--out-scores", str(tmp_path / "s.csv")],
+        "experiment": ["experiment", "--graph", str(graph), "--truth", str(truth),
+                       "--fractions", "0.2", "--seeds", "0,1",
+                       "--report", str(tmp_path / "rep.json")],
+    }
+    if command == "build-graph":
+        assert run(*argv["synth two-moons"]) == 0
+    assert run(*argv[command]) == 0
+    first_out = {"synth two-moons": feats, "synth sbm": tmp_path / "h.gxg",
+                 "build-graph": tmp_path / "k.gxg", "solve": tmp_path / "s.csv",
+                 "experiment": tmp_path / "rep.json"}[command]
+    return first_out.with_suffix(".config.json")
+
+
+@pytest.mark.parametrize(
+    "command, key, value",
+    [
+        ("build-graph", "k", 5.7),
+        ("build-graph", "k", 5.0),
+        ("build-graph", "k", "5"),
+        ("synth two-moons", "n", 40.5),
+        ("synth two-moons", "seed", 1.5),
+        ("synth sbm", "sizes", [10, 10.5]),
+        ("synth sbm", "sizes", [10.0, 10]),
+        ("synth sbm", "seed", 0.5),
+        ("solve", "inner_max", 20.5),
+        ("experiment", "seeds", [0, 1.5]),
+    ],
+    ids=["k-fraction", "k-float", "k-string", "n", "seed", "sizes-fraction",
+         "sizes-float", "sbm-seed", "inner_max", "seeds"],
+)
+def test_sidecar_non_integer_for_integer_flag_exits_2(
+    tmp_path, capsys, command, key, value
+):
+    # a number the int flag would reject is not truncated to one it takes
+    sidecar = integer_option_sidecar(tmp_path, command)
+    rc = RunConfig.load(sidecar)
+    assert type(rc.parameters[key]) in (int, list)
+    before = sidecar.read_bytes()
+    assert run(*command.split(), "--config", str(sidecar)) == 0  # replays as is
+    assert sidecar.read_bytes() == before
+    rc.parameters[key] = value
+    rc.write(sidecar)
+    capsys.readouterr()
+    assert run(*command.split(), "--config", str(sidecar)) == 2
+    assert f"'{key}'" in capsys.readouterr().err
+
+
 def test_budget_exhaustion_exits_3_but_writes_outputs(
     tmp_path, sbm_files, caplog, monkeypatch
 ):
@@ -595,9 +661,9 @@ def test_tol_stop_exits_0(tmp_path, caplog, inner_max, kept, caps):
     # same bound as a converged one, although its gap certifies less: at
     # --inner-max 10 every step is capped and the run still ends on tol
     graph = tmp_path / "g.gxg"
-    save_graph(triangles_bridge(), graph)
+    save_graph(cliques_graph([range(5), range(5, 10)], [(4, 5, 0.1)]), graph)
     seeds = tmp_path / "seeds.csv"
-    write_labels_csv(seeds, np.array([0, 3]), np.array([0, 1]))
+    write_labels_csv(seeds, np.array([0, 5]), np.array([0, 1]))
     trace = tmp_path / "trace.json"
     caplog.set_level(logging.INFO, logger="graphtv.cli")
     assert run("solve", "--graph", str(graph), "--labels", str(seeds),
@@ -694,11 +760,12 @@ def test_solve_info_line_counts_rolled_back_inner_work(
     # the step that is rolled back ran a full inner loop too; the info line
     # counts its iterations and cap hit with those of the kept steps.  On
     # this instance the first step raises the ratio sum at either cap, so it
-    # is really rolled back rather than cut off by the outer stop
+    # is really rolled back rather than cut off by the outer stop; uncapped,
+    # its inner loop takes 30 iterations
     graph = tmp_path / "g.gxg"
-    save_graph(cliques_graph([(0, 1, 2), (3, 4, 5, 6)], [(2, 3, 0.1)]), graph)
+    save_graph(synth_sbm((6, 9), 0.7, 0.05, 3)[0], graph)
     seeds = tmp_path / "seeds.csv"
-    write_labels_csv(seeds, np.array([0, 3]), np.array([0, 1]))
+    write_labels_csv(seeds, np.array([0, 6]), np.array([0, 1]))
     steps = []
     real_step = graphtv.solver.outer_step
 

@@ -24,14 +24,7 @@ class DegenerateFeaturesError(GraphTVError):
 
 
 class NoConvergenceError(GraphTVError):
-    """An iterative routine hit its iteration cap before reaching tolerance.
-
-    Carries the last iterate so callers can inspect how far the run got.
-    """
-
-    def __init__(self, message, last_iterate=None):
-        self.last_iterate = last_iterate
-        super().__init__(message)
+    """An iterative routine hit its iteration cap before reaching tolerance."""
 
 
 class ShapeMismatchError(GraphTVError):

@@ -55,7 +55,9 @@ def operator_norm(operator):
     two sparse products, exact up to rounding.  For this degree-normalized
     gradient the bound is at most sqrt(2), which a single edge attains.
     :func:`~graphtv.solver.solve` no longer calls it: its inner loop steps
-    each edge by its own row of K.
+    each edge by its own row of K.  It stays only for the benchmark's
+    ``operator_norm`` probe, and goes with the benchmark change that
+    deletes that probe (ROADMAP item 1).
     """
     magnitude = abs(operator.matrix)
     row_sums = magnitude @ np.ones(operator.matrix.shape[1])
@@ -76,8 +78,8 @@ def diffusion_solve(block, rhs, alpha):
     ``block`` is a principal block of :func:`normalized_adjacency`; the
     system is positive definite for ``alpha < 1``, and for ``alpha = 1``
     when every connected piece of the block has an edge leaving it.  Raises
-    :class:`~graphtv.errors.NoConvergenceError` (carrying the last iterate)
-    if a column misses relative residual 1e-12.
+    :class:`~graphtv.errors.NoConvergenceError` if a column misses relative
+    residual 1e-12.
     """
     rhs = np.asarray(rhs, dtype=np.float64)
     system = sparse.identity(block.shape[0], format="csr") - alpha * block
@@ -87,7 +89,6 @@ def diffusion_solve(block, rhs, alpha):
         if info != 0:
             raise NoConvergenceError(
                 f"conjugate gradients did not reach 1e-12 on column {k} "
-                f"in {info} iterations",
-                last_iterate=out,
+                f"in {info} iterations"
             )
     return out

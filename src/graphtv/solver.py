@@ -23,10 +23,9 @@ variable in the unit box, drive^k = c^k sign(v^k), w = drive - K^T z and
 
     D(z) = ||u* - v||^2 / 2 - <w, u*>,      u* = P_C(v + w),
 
-taken at the better of the last dual iterate and the sigma-weighted
-average of all of them (the last one alone can stall while u converges);
-it stops once the gap is at most inner_tol * |P(u)|.  The first outer step
-starts its dual at clip(K v); every later one starts from the last dual of
+taken at the last iterate pair (u, z), the pair the loop returns; it stops
+once the gap is at most inner_tol * |P(u)|.  The first outer step starts
+its dual at clip(K v); every later one starts from the last dual of
 the step before, since consecutive surrogates differ little and the loop
 converges from any dual in the unit box, so the gap still certifies it.
 At two classes the state is mirrored, class 1 the negation of class 0:
@@ -412,13 +411,13 @@ def _inner_loop(anchor, operator, constraints, config, coeff, dual=None):
     ``z += sigma * (fwd_steps @ u_tilde)``, every edge scaled by its own
     step, and the scalar ``sigma`` starts at 1.  With y' = diag(0.999 /
     r)^-1/2 z this is Algorithm 2 on an operator of norm at most
-    sqrt(0.999), and the box projection of z stays a clip.  The dual
-    average keeps the scalar ``sigma`` as its weight: any convex
-    combination of box points is dual-feasible, so the gap stays exact.
-    TV(u) is taken with the unscaled K.  The loop itself holds every array
-    class-major, (L, n) on the nodes and (L, m) on the edges.  Returns
-    ``(u, iters, gap, converged, z)``: ``u`` is a new C-contiguous
-    ``(n, L)`` array and ``z`` the ``(m, L)`` last dual iterate.  Each gap
+    sqrt(0.999), and the box projection of z stays a clip.  The gap is
+    taken at the last dual iterate, so the recorded gap is that of the
+    returned pair ``(u, z)``.  TV(u) is taken with the unscaled K.  The
+    loop itself holds every array class-major, (L, n) on the nodes and
+    (L, m) on the edges.  Returns ``(u, iters, gap, converged, z)``: ``u``
+    is a new C-contiguous ``(n, L)`` array and ``z`` the ``(m, L)`` last
+    dual iterate.  Each gap
     term is bounded by the anchor, ``coeff`` and ||K||, so a non-finite gap
     means a non-finite iterate and raises NonFiniteError at that check.
 
@@ -427,7 +426,7 @@ def _inner_loop(anchor, operator, constraints, config, coeff, dual=None):
     runs class 0 alone: one sparse product per direction and iteration
     instead of two, half of every update, and a projection that only
     clamps the seeds, since a mirrored node's class mean is exactly 0.0.
-    The gap check widens u and both duals to full-width ``[x, -x]`` and
+    The gap check widens u and the dual to full-width ``[x, -x]`` and
     runs unchanged, except that ``K u`` is one class-0 product and its
     negation; ``u`` and ``z`` are returned widened.  The test
     compares values, not sign bits: at odd n the median shift leaves +0.0
@@ -477,12 +476,6 @@ def _inner_loop(anchor, operator, constraints, config, coeff, dual=None):
     u = v_rows.copy()
     u_prev = np.empty_like(u)
     scratch = np.empty_like(u)
-    # sigma-weighted sum of K^T z over the iterations: K^T of the ergodic
-    # dual average, whose dual value keeps improving where the last dual
-    # iterate can stall (sigma grows without bound)
-    adj_z_sum = np.zeros_like(u)
-    w_mean = np.empty_like(u)
-    weight = 0.0
     u_tilde = v_rows.copy()
     z = np.array(dual.T[:rows], order="C")
     # the gap is evaluated on full-width (L, n) arrays
@@ -515,19 +508,9 @@ def _inner_loop(anchor, operator, constraints, config, coeff, dual=None):
         np.clip(z, -1.0, 1.0, out=z)
         for k, z_k in enumerate(z):
             scratch[k] = adj @ z_k
-        # u_prev is dead until the swap below, so it serves as scratch
-        np.multiply(scratch, sigma, out=u_prev)
-        adj_z_sum += u_prev
-        weight += sigma
         np.subtract(drive_rows, scratch, out=scratch)  # w = drive - K^T z
         if check:
-            # the better lower bound of the last and the averaged dual
-            np.divide(adj_z_sum, weight, out=w_mean)
-            np.subtract(drive_rows, w_mean, out=w_mean)
-            lower = max(
-                _dual_value(widen(scratch, wide), v, project, u_star, tmp),
-                _dual_value(widen(w_mean, wide), v, project, u_star, tmp),
-            )
+            lower = _dual_value(widen(scratch, wide), v, project, u_star, tmp)
         # proximal descent on the nodes: resolvent of the quadratic tether
         # ||u - anchor||^2 / 2 plus the linearized-l1 drive, followed by
         # projection onto the seed set

@@ -345,10 +345,10 @@ def reference_inner_loop(anchor, operator, constraints, config, coeff, dual=None
     new arrays and the projection is the copying
     :func:`reference_project_constraints`.  Every ``check_every``
     iterations and on the last one it checks that the iterate is finite
-    and evaluates the surrogate's primal-dual gap, against the better of
-    the last dual iterate and the sigma-weighted dual average; it stops
-    once that is at most ``inner_tol`` times the primal value's magnitude.
-    The tether, the linear term and both dual values are summed over the
+    and evaluates the surrogate's primal-dual gap at the last iterate pair
+    (u, z), the pair it returns; it stops once that is at most
+    ``inner_tol`` times the primal value's magnitude.
+    The tether, the linear term and the dual value are summed over the
     class-major (L, n) layout, the order of the solver loop's buffers.
     Returns ``(u, iters, gap, converged, z)`` like the solver loop, z being
     the last dual iterate.
@@ -373,20 +373,15 @@ def reference_inner_loop(anchor, operator, constraints, config, coeff, dual=None
     tau, fwd_steps = _certified_steps(operator)
     sigma = 1.0
     iters = 0
-    adj_z_sum = np.zeros(u.shape)
-    weight = 0.0
     gap = math.inf
     converged = False
     for it in range(1, config.inner_max + 1):
         check = it % check_every == 0 or it == config.inner_max
         # dual ascent on the edges, then projection onto the unit box
         z = np.clip(z + sigma * (fwd_steps @ u_tilde), -1.0, 1.0)
-        adj_z = adj @ z
-        adj_z_sum = adj_z_sum + sigma * adj_z
-        weight += sigma
-        w = drive - adj_z
+        w = drive - adj @ z
         if check:
-            dual = max(dual_value(w), dual_value(drive - adj_z_sum / weight))
+            lower = dual_value(w)
         # proximal descent on the nodes: resolvent of the quadratic tether
         # ||u - anchor||^2 / 2 plus the linearized-l1 drive, followed by
         # projection onto the seed set
@@ -406,7 +401,7 @@ def reference_inner_loop(anchor, operator, constraints, config, coeff, dual=None
                 - class_major_sum(drive * u)
                 + np.abs(fwd @ u).sum()
             )
-            gap = float(primal - dual)
+            gap = float(primal - lower)
             if math.isfinite(gap) and gap <= config.inner_tol * abs(primal):
                 converged = True
                 break

@@ -141,12 +141,11 @@ def test_normalized_adjacency_matches_dense_oracle(rng):
     assert np.max(np.abs(s.toarray() - dense_normalized_adjacency(graph))) <= 1e-15
 
 
-def test_diffusion_solve_error_carries_iterate(rng):
+def test_diffusion_solve_names_the_column_it_misses(rng):
     # alpha = 1 on the whole graph is singular (I - S kills D^1/2 1); a
     # right-hand side with a component along that direction has no solution
     graph = random_connected_graph(rng, 8)
     rhs = np.sqrt(graph.degrees)[:, None] * np.ones((1, 2))
     rhs[0] += 1.0
-    with pytest.raises(NoConvergenceError, match="column 0") as info:
+    with pytest.raises(NoConvergenceError, match="column 0"):
         diffusion_solve(normalized_adjacency(graph), rhs, 1.0)
-    assert info.value.last_iterate.shape == (8, 2)

@@ -683,7 +683,7 @@ def test_inner_gap_is_non_negative_at_every_check(seed, n, n_classes, inner_max)
     assert gap >= -1e-10 * (1.0 + abs(primal_value(op, u, anchor, coeff)))
 
 
-@pytest.mark.parametrize("inner_max", [1, 10, 57])
+@pytest.mark.parametrize("inner_max", [1, 10, 57, 200])
 def test_inner_gap_matches_dense_oracle(rng, inner_max):
     graph = random_connected_graph(rng, 15)
     op = NormalizedGradient(graph)
@@ -697,12 +697,8 @@ def test_inner_gap_matches_dense_oracle(rng, inner_max):
     _, _, coeff = _ratio_terms(op, anchor)
     primal, last_gap = dense_duality_gap(graph, cons, u, z, anchor, coeff)
     assert primal == pytest.approx(primal_value(op, u, anchor, coeff), rel=1e-12)
-    if inner_max == 1:
-        # one iterate: the dual average is the last dual iterate
-        assert gap == pytest.approx(last_gap, rel=1e-10, abs=1e-13)
-    else:
-        # the loop takes the better of the last and the averaged dual
-        assert gap <= last_gap + 1e-12
+    # the recorded gap is that of the returned pair, reproducible from it
+    assert gap == pytest.approx(last_gap, rel=1e-10, abs=1e-13)
     assert gap >= -1e-12
 
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import collections
 import dataclasses
+import functools
 import json
 import logging
 import os
@@ -438,6 +439,7 @@ def _attach(parser, command):
     parser.set_defaults(command=command)
 
 
+@functools.cache  # one tree per process: main() is called many times
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="graphtv",

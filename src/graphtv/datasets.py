@@ -2,14 +2,13 @@
 
 Features CSV: one node per row of comma-separated decimal floats, with an
 optional first header row starting with '#'.  Label/truth CSV: header
-``node,class`` followed by 0-based integer pairs.  Both are written
-through :mod:`graphtv.tables`, and read through it except where numpy's
-reader parses a well-formed features CSV (see :func:`load_features_csv`).
+``node,class`` followed by 0-based integer pairs.  Both are written and
+read through :mod:`graphtv.tables`: numpy's C reader parses them, and a
+Python row loop reads a file again to name the line of an error.
 """
 
 import itertools
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,9 +22,11 @@ from .errors import (
 )
 from .graph import FeatureMatrix, Graph
 from .solver import LabelConstraints
-from .tables import convert_cells, fmt, read_rows, write_table
+from .tables import _FLOAT, convert_cells, read_array, read_rows, write_table
 
 _SBM_MAX_ATTEMPTS = 100
+# draws per rng call of synth_sbm: 1 MiB of doubles
+_SBM_RUN = 1 << 17
 
 
 @dataclass
@@ -85,11 +86,11 @@ def synth_sbm(sizes, p_in, p_out, seed):
     with ``p_out``.  An attempt takes one uniform double per pair i < j in
     row-major order of the upper triangle (row i: columns i + 1 .. n - 1,
     its own block's first), the order of a single n(n - 1)/2 draw, so each
-    seed keeps the graph it has always given.  Rows go one at a time
-    straight into the CSR: O(n^2) time, O(n + m) memory for m edges.
-    Blocks are contiguous, so row i of block b compares its draws with the
-    tail of one threshold vector per block: p_in up to the end of block b,
-    p_out after it.
+    seed keeps the graph it has always given.  The stream is drawn in runs
+    of at most ``_SBM_RUN`` doubles; each draw below ``max(p_in, p_out)``
+    is mapped to its (row, column) by the row offsets and compared with
+    p_in or p_out by whether its two nodes share a block: O(n^2) time,
+    O(n + m) memory for m edges.
     Draws are resampled (same generator stream) until no node is isolated,
     up to 100 attempts, then :class:`~graphtv.errors.GenerationFailedError`
     is raised.  Returns ``(Graph, truth)`` with block ids as truth.
@@ -102,17 +103,26 @@ def synth_sbm(sizes, p_in, p_out, seed):
             raise ValueError(f"{name} must lie in [0, 1]")
     n = sum(sizes)
     truth = np.repeat(np.arange(len(sizes), dtype=np.int64), sizes)
-    columns = np.arange(n)
-    thresholds = [np.where(columns < end, p_in, p_out) for end in np.cumsum(sizes)]
+    # row i's draws start at starts[i]
+    starts = np.concatenate([[0], np.cumsum(np.arange(n - 1, 0, -1))])
+    total = int(starts[-1])  # n(n - 1)/2
+    p_max = max(p_in, p_out)
     rng = np.random.default_rng(seed)
     for _ in range(_SBM_MAX_ATTEMPTS):
-        cols = []
-        for i, block in enumerate(truth.tolist()):
-            prob = thresholds[block][i + 1 :]
-            cols.append(i + 1 + np.flatnonzero(rng.random(n - 1 - i) < prob))
+        rows, cols = [], []
+        for begin in range(0, total, _SBM_RUN):
+            draws = rng.random(min(_SBM_RUN, total - begin))
+            hits = np.flatnonzero(draws < p_max)
+            at = begin + hits
+            row = np.searchsorted(starts, at, side="right") - 1
+            col = at - starts[row] + row + 1
+            keep = draws[hits] < np.where(truth[row] == truth[col], p_in, p_out)
+            rows.append(row[keep])
+            cols.append(col[keep])
         indices = np.concatenate(cols)
-        indptr = np.concatenate([[0], np.cumsum([c.size for c in cols])])
-        if (np.diff(indptr) + np.bincount(indices, minlength=n)).min() > 0:
+        out_degree = np.bincount(np.concatenate(rows), minlength=n)
+        if (out_degree + np.bincount(indices, minlength=n)).min() > 0:
+            indptr = np.concatenate([[0], np.cumsum(out_degree)])
             upper = sparse.csr_matrix(
                 (np.ones(indices.size), indices, indptr), shape=(n, n)
             )
@@ -165,16 +175,17 @@ def write_features_csv(path, features):
     values = features.values if isinstance(features, FeatureMatrix) else features
     header = [f"x{j}" for j in range(values.shape[1])]
     header[0] = "#" + header[0]
-    write_table(path, header, ([fmt(x) for x in row] for row in values.tolist()))
+    row = ",".join([_FLOAT] * values.shape[1])
+    write_table(path, header, map(row.__mod__, map(tuple, values.tolist())))
 
 
 def load_features_csv(path):
     """Read a features CSV into a FeatureMatrix.
 
-    numpy's C reader (``np.loadtxt``) parses the file; it converts each
-    cell with the same correctly rounded string-to-double as Python's
-    ``float``.  Only when it raises, finds no data row or reads a NaN/Inf
-    entry does the Python row loop read the file again: it raises
+    numpy's C reader (:func:`~graphtv.tables.read_array`) parses the file;
+    it converts each cell with the same correctly rounded string-to-double
+    as Python's ``float``.  Only when it raises, finds no data row or reads
+    a NaN/Inf entry does the Python row loop read the file again: it raises
     :class:`ParseError` (with 1-based line number) on malformed rows, NaN/Inf
     entries and a file without data rows, and :class:`ShapeMismatchError`
     on ragged rows, or reads the cells that only ``float`` accepts, such as
@@ -183,15 +194,7 @@ def load_features_csv(path):
     with open(path, encoding="utf-8-sig") as fh:
         if not fh.readline().strip().startswith("#"):
             fh.seek(0)
-        try:
-            with warnings.catch_warnings():
-                # the row loop below reports an empty file
-                warnings.filterwarnings(
-                    "ignore", "loadtxt: input contained no data", UserWarning
-                )
-                values = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
-        except ValueError:
-            values = None
+        values = read_array(fh, np.float64, 2)
     if values is not None and values.size and np.isfinite(values).all():
         return FeatureMatrix(values)
     # the row loop, whose every error names its line
@@ -217,12 +220,26 @@ def load_features_csv(path):
 
 
 def write_labels_csv(path, nodes, classes):
-    rows = ((str(int(i)), str(int(c))) for i, c in zip(nodes, classes))
-    write_table(path, ["node", "class"], rows)
+    pairs = zip(np.asarray(nodes).tolist(), np.asarray(classes).tolist())
+    write_table(path, ["node", "class"], map("%d,%d".__mod__, pairs))
 
 
 def load_labels_csv(path):
-    """Read a ``node,class`` CSV into parallel int arrays."""
+    """Read a ``node,class`` CSV into parallel int arrays.
+
+    numpy's C reader parses the rows as int64.  Unless line 1 is the
+    header, there is a row and every row holds two ids of at least 0, the
+    Python row loop reads the file again: it raises :class:`ParseError`
+    naming the line, or reads the cells that only ``int`` accepts, such as
+    ``1_0`` and non-ASCII digits.
+    """
+    with open(path, encoding="utf-8-sig") as fh:
+        header = fh.readline().strip() == "node,class"
+        pairs = read_array(fh, np.int64, 2) if header else None
+    if pairs is not None and pairs.shape[1] == 2 and pairs.size and pairs.min() >= 0:
+        nodes, classes = pairs.T.copy()
+        return nodes, classes
+    # the row loop, whose every error names its line
     nodes, classes = [], []
     with open(path, "r", newline="", encoding="utf-8-sig") as fh:
         rows = read_rows(fh)
@@ -234,6 +251,8 @@ def load_labels_csv(path):
             node, cls = convert_cells((int, int), cells, lineno)
             if node < 0 or cls < 0:
                 raise ParseError("indices must be non-negative", line=lineno)
+            if max(node, cls) > np.iinfo(np.int64).max:
+                raise ParseError("index exceeds the int64 range", line=lineno)
             nodes.append(node)
             classes.append(cls)
     if not nodes:

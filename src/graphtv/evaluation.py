@@ -323,7 +323,7 @@ def write_report_csv(path, report):
         else:
             counts = [cell["stop_reason"]]
             counts += [str(int(cell[key])) for key in _COUNTERS[1:]]
-        return head + ["" if x is None else fmt(x) for x in values] + counts
+        return ",".join(head + ["" if x is None else fmt(x) for x in values] + counts)
 
     header = ["fraction", "seed", "accuracy", "auc_mean"]
     header += [f"auc_{k}" for k in range(width)]

@@ -66,7 +66,7 @@ from .errors import (
     ShapeMismatchError,
 )
 from .operators import NormalizedGradient, diffusion_solve, normalized_adjacency
-from .tables import convert_cells, fmt, read_rows, write_json, write_table
+from .tables import _FLOAT, convert_cells, read_array, read_rows, write_json, write_table
 
 log = logging.getLogger(__name__)
 
@@ -671,16 +671,19 @@ def solve(graph, constraints, config=None):
     return Prediction(u), trace
 
 
+def _scores_header(n_classes):
+    return ["node", *(f"score_{k}" for k in range(n_classes)), "label", "tie"]
+
+
 def write_scores_csv(path, prediction):
     """Scores table: node,score_0,...,score_{L-1},label,tie (17 sig. digits)."""
-    n_classes = prediction.scores.shape[1]
-    header = ["node", *(f"score_{k}" for k in range(n_classes)), "label", "tie"]
-    columns = (prediction.scores, prediction.labels, prediction.tie_flag)
-    rows = (
-        [str(i), *[fmt(x) for x in scores], str(label), str(int(tie))]
-        for i, (scores, label, tie) in enumerate(zip(*(c.tolist() for c in columns)))
+    n, n_classes = prediction.scores.shape
+    row = ",".join(["%d", *[_FLOAT] * n_classes, "%d", "%d"])
+    columns = zip(
+        range(n), *prediction.scores.T.tolist(),
+        prediction.labels.tolist(), prediction.tie_flag.tolist(),
     )
-    write_table(path, header, rows)
+    write_table(path, _scores_header(n_classes), map(row.__mod__, columns))
 
 
 def read_scores_csv(path):
@@ -688,7 +691,27 @@ def read_scores_csv(path):
 
     The label and tie columns must be the ones the scores imply (see
     :class:`Prediction`); the first line that differs raises ParseError.
+    numpy's C reader parses the rows; unless the header is well formed,
+    the nodes count up from 0, the scores are finite and the labels and
+    ties agree, the Python row loop reads the file again to raise
+    ParseError naming the line, or to read the cells only Python accepts.
     """
+    with open(path, encoding="utf-8-sig") as fh:
+        head = fh.readline().strip().split(",")
+        n_classes = len(head) - 3
+        table = None
+        if n_classes >= 2 and head == _scores_header(n_classes):
+            row = [("node", np.int64), ("scores", np.float64, (n_classes,)),
+                   ("label", np.int64), ("tie", np.int64)]
+            table = read_array(fh, np.dtype(row), 1)
+    if (table is not None and table.size
+            and np.array_equal(table["node"], np.arange(table.size))
+            and np.isfinite(table["scores"]).all()):
+        prediction = Prediction(np.ascontiguousarray(table["scores"]))
+        if (np.array_equal(prediction.labels, table["label"])
+                and np.array_equal(prediction.tie_flag, table["tie"])):
+            return prediction
+    # the row loop, whose every error names its line
     scores, given = [], []
     with open(path, "r", newline="", encoding="utf-8-sig") as fh:
         rows = read_rows(fh)
@@ -696,8 +719,7 @@ def read_scores_csv(path):
         if head is None:
             raise ParseError("empty scores file", line=1)
         n_classes = len(head) - 3
-        expected = ["node", *(f"score_{k}" for k in range(n_classes)), "label", "tie"]
-        if lineno != 1 or n_classes < 2 or head != expected:
+        if lineno != 1 or n_classes < 2 or head != _scores_header(n_classes):
             raise ParseError("malformed scores header", line=1)
         converters = [int, *[float] * n_classes, int, int]
         for lineno, cells in rows:

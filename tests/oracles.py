@@ -7,9 +7,10 @@ counts pairs literally, the k-NN oracle stable-sorts a full distance
 matrix, the exact cosine distance works in 80-digit decimals, the
 diffusion oracles solve their linear systems densely, the duality-gap
 oracle uses the dense gradient, the reference inner loop allocates
-fresh arrays on every iteration, and the reference features reader converts
-each CSV cell with Python's ``float``.  Tests compare the fast implementations
-against these slow-but-obvious routes.
+fresh arrays on every iteration, the reference table readers convert each
+CSV cell with Python's ``float`` or ``int``, and the reference table writers
+format each cell on its own.  Tests compare the fast implementations against
+these slow-but-obvious routes.
 
 Where a test compares bits, an oracle adds floats in the library's order:
 the class mean of a projection adds the classes left to right, and the
@@ -28,7 +29,7 @@ from scipy.spatial.distance import cdist
 from graphtv import Graph
 from graphtv.errors import NonFiniteError, ParseError, ShapeMismatchError
 from graphtv.graph import FeatureMatrix
-from graphtv.solver import _certified_steps
+from graphtv.solver import Prediction, _certified_steps
 from graphtv.tables import convert_cells, read_rows
 
 
@@ -185,6 +186,110 @@ def reference_load_features_csv(path):
     if not rows:
         raise ParseError("no data rows", line=1)
     return FeatureMatrix(np.asarray(rows, dtype=np.float64))
+
+
+def reference_load_labels_csv(path):
+    """Read a ``node,class`` CSV into parallel int arrays, row by row.
+
+    Raises :class:`ParseError` (with 1-based line number) on a missing
+    header, a row without two integer fields, a negative id, an id beyond
+    int64 and a file without data rows.
+    """
+    nodes, classes = [], []
+    with open(path, "r", newline="", encoding="utf-8-sig") as fh:
+        rows = read_rows(fh)
+        if next(rows, None) != (1, ["node", "class"]):
+            raise ParseError("expected header 'node,class'", line=1)
+        for lineno, cells in rows:
+            if len(cells) != 2:
+                raise ParseError("expected two fields", line=lineno)
+            node, cls = convert_cells((int, int), cells, lineno)
+            if node < 0 or cls < 0:
+                raise ParseError("indices must be non-negative", line=lineno)
+            if max(node, cls) > np.iinfo(np.int64).max:
+                raise ParseError("index exceeds the int64 range", line=lineno)
+            nodes.append(node)
+            classes.append(cls)
+    if not nodes:
+        raise ParseError("no data rows", line=1)
+    return np.asarray(nodes, dtype=np.int64), np.asarray(classes, dtype=np.int64)
+
+
+def reference_read_scores_csv(path):
+    """Parse a scores table into a Prediction, row by row.
+
+    Raises :class:`ParseError` (with 1-based line number) on a malformed
+    header or row, nodes out of order, a non-finite score, a file without
+    data rows, and at the first line whose label or tie cell differs from
+    what its scores imply.
+    """
+    scores, given = [], []
+    with open(path, "r", newline="", encoding="utf-8-sig") as fh:
+        rows = read_rows(fh)
+        lineno, head = next(rows, (1, None))
+        if head is None:
+            raise ParseError("empty scores file", line=1)
+        n_classes = len(head) - 3
+        expected = ["node", *(f"score_{k}" for k in range(n_classes)), "label", "tie"]
+        if lineno != 1 or n_classes < 2 or head != expected:
+            raise ParseError("malformed scores header", line=1)
+        converters = [int, *[float] * n_classes, int, int]
+        for lineno, cells in rows:
+            if len(cells) != len(head):
+                raise ParseError(f"expected {len(head)} fields", line=lineno)
+            node, *vals, label, tie = convert_cells(converters, cells, lineno)
+            if node != len(scores):
+                raise ParseError(
+                    f"expected node {len(scores)}, got {node}", line=lineno
+                )
+            if not all(map(math.isfinite, vals)):
+                raise ParseError("score is not finite", line=lineno)
+            scores.append(vals)
+            given.append((lineno, label, tie))
+    if not scores:
+        raise ParseError("scores file has no data rows", line=2)
+    prediction = Prediction(scores)
+    implied = zip(prediction.labels.tolist(), prediction.tie_flag.tolist())
+    for (lineno, label, tie), (own, tied) in zip(given, implied):
+        if (label, tie) != (own, tied):  # a tie cell of 1 equals True
+            raise ParseError(f"label {label}, tie {tie}: the scores imply "
+                             f"label {own}, tie {int(tied)}", line=lineno)
+    return prediction
+
+
+def _write_cells(path, header, rows):
+    with open(path, "w", newline="") as fh:
+        fh.write("\n".join([",".join(header), *map(",".join, rows)]) + "\n")
+
+
+def _cell(x):
+    return format(float(x), ".17g")
+
+
+def reference_write_features_csv(path, values):
+    """Features CSV of a 2-d array, each float formatted on its own."""
+    values = np.asarray(values)
+    header = [f"x{j}" for j in range(values.shape[1])]
+    header[0] = "#" + header[0]
+    _write_cells(path, header, ([_cell(x) for x in row] for row in values.tolist()))
+
+
+def reference_write_labels_csv(path, nodes, classes):
+    """Labels CSV, each id converted with ``int`` on its own."""
+    rows = ((str(int(i)), str(int(c))) for i, c in zip(nodes, classes))
+    _write_cells(path, ["node", "class"], rows)
+
+
+def reference_write_scores_csv(path, prediction):
+    """Scores table of a Prediction, each cell formatted on its own."""
+    n_classes = prediction.scores.shape[1]
+    header = ["node", *(f"score_{k}" for k in range(n_classes)), "label", "tie"]
+    columns = (prediction.scores, prediction.labels, prediction.tie_flag)
+    rows = (
+        [str(i), *[_cell(x) for x in scores], str(label), str(int(tie))]
+        for i, (scores, label, tie) in enumerate(zip(*(c.tolist() for c in columns)))
+    )
+    _write_cells(path, header, rows)
 
 
 def dense_knn_graph(values, spec):

@@ -10,7 +10,7 @@ import pytest
 
 import graphtv.solver
 from graphtv import LabelConstraints, SolverConfig, synth_sbm
-from graphtv.cli import _COMMANDS, _SOLVER_OPTS, RunConfig, main
+from graphtv.cli import _COMMANDS, _SOLVER_OPTS, RunConfig, build_parser, main
 from graphtv.datasets import load_labels_csv, write_labels_csv
 from graphtv.errors import (
     DegenerateClassWarning,
@@ -464,6 +464,31 @@ def test_eval_truth_class_beyond_scores_exits_2(tmp_path, sbm_files, capsys):
     assert not (tmp_path / "r.json").exists()
 
 
+@pytest.mark.parametrize("command", ["solve", "eval"])
+def test_id_beyond_int64_exits_2_and_names_its_line(
+    tmp_path, sbm_files, capsys, command
+):
+    # int() reads the id, but no int64 array can hold it
+    graph, truth, seeds = sbm_files
+    scores = tmp_path / "s.csv"
+    assert run("solve", "--graph", str(graph), "--labels", str(seeds),
+               "--out-scores", str(scores)) == 0
+    source = seeds if command == "solve" else truth
+    text = source.read_text()
+    bad = tmp_path / "bad.csv"
+    bad.write_text(text + "99999999999999999999,0\n")
+    capsys.readouterr()
+    if command == "solve":
+        argv = ["solve", "--graph", str(graph), "--labels", str(bad),
+                "--out-scores", str(tmp_path / "s2.csv")]
+    else:
+        argv = ["eval", "--scores", str(scores), "--truth", str(bad),
+                "--labels", str(seeds), "--report", str(tmp_path / "r.json")]
+    assert run(*argv) == 2
+    line = len(text.splitlines()) + 1
+    assert f"line {line}: index exceeds the int64 range" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("column", [-2, -1], ids=["label", "tie"])
 def test_eval_of_scores_contradicting_their_labels_exits_2(
     tmp_path, sbm_files, capsys, column
@@ -809,6 +834,50 @@ def test_argparse_rejects_unknown_flags_and_bad_choices(tmp_path):
         run("build-graph", "--features", "f.csv", "--k", "5",
             "--sigma", "wide", "--out", "g.gxg")
     assert info.value.code == 2
+
+
+def test_repeated_calls_in_one_process_share_one_parser(tmp_path):
+    # main() parses every call with one cached parser; a call after any
+    # other, a usage error included, must write what a first call writes
+    def pipeline(out):
+        out.mkdir()
+        feats, truth = out / "f.csv", out / "t.csv"
+        codes = [run("synth", "two-moons", "--n", "60", "--noise", "0.08",
+                     "--out-features", str(feats), "--out-truth", str(truth))]
+        nodes, classes = load_labels_csv(truth)
+        seeds = out / "seeds.csv"
+        pick = np.concatenate([nodes[classes == k][:2] for k in (0, 1)])
+        write_labels_csv(seeds, pick, np.repeat([0, 1], 2))
+        graph, scores = out / "g.gxg", out / "s.csv"
+        solve = ["solve", "--graph", str(graph), "--labels", str(seeds),
+                 "--out-scores", str(scores)]
+        codes.append(run("build-graph", "--features", str(feats), "--k", "6",
+                         "--out", str(graph)))
+        codes.append(run(*solve))
+        first_scores = scores.read_bytes()
+        codes.append(run("eval", "--scores", str(scores), "--truth", str(truth),
+                         "--labels", str(seeds), "--report", str(out / "r.json")))
+        codes.append(run("experiment", "--graph", str(graph), "--truth", str(truth),
+                         "--fractions", "0.1", "--seeds", "0",
+                         "--report", str(out / "e.json")))
+        with pytest.raises(SystemExit) as info:
+            run("solve", "--bogus", "1")
+        codes.append(info.value.code)
+        codes.append(run(*solve))
+        assert scores.read_bytes() == first_scores
+        files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        return codes, files
+
+    assert build_parser() is build_parser()
+    first_codes, first_files = pipeline(tmp_path / "a")
+    assert first_codes == [0, 0, 0, 0, 0, 2, 0]
+    codes, files = pipeline(tmp_path / "b")
+    assert codes == first_codes
+    assert files.keys() == first_files.keys()
+    for name, data in files.items():
+        if name.endswith(".config.json"):  # it records the run's own paths
+            data = data.replace(b"/b/", b"/a/")
+        assert data == first_files[name], name
 
 
 def test_solver_flag_defaults_are_solver_config_defaults():

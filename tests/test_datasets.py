@@ -107,6 +107,8 @@ def test_sbm_gives_up_when_isolated_nodes_persist():
         ((3, 3), 1.0, 1.0, 0),
         ((4, 5), 0.0, 1.0, 2),
         ((7, 3, 12), 0.6, 0.05, 4),
+        ((30, 40, 20), 0.1, 0.4, 5),  # p_in < p_out
+        ((800, 800), 0.01, 0.002, 0),  # 1.28M draws cross run boundaries
     ],
 )
 def test_sbm_matches_dense_oracle_exactly(sizes, p_in, p_out, seed):

@@ -197,19 +197,6 @@ def _cell(graph, truth, n_classes, config, epsilon, cell):
     return result, raised
 
 
-#: the grid's shared arguments in a worker process, set by its initializer
-_worker_grid = None
-
-
-def _start_worker(*grid):
-    global _worker_grid
-    _worker_grid = grid
-
-
-def _worker_cell(cell):
-    return _cell(*_worker_grid, cell)
-
-
 def stability_experiment(
     dataset, fractions, seeds, config=None, epsilon=LabelConstraints.epsilon
 ):
@@ -232,9 +219,9 @@ def stability_experiment(
     cells that have an accuracy.
 
     The cells run on ``min(cells, usable CPUs)`` processes: in this one
-    when that is 1, else in a pool of worker processes that receive the
-    graph once.  Each cell's warnings are re-issued here, and each error
-    cell logged, in grid order, so the report, the warnings and the log
+    when that is 1, else in a pool of worker processes, each cell's task
+    carrying the graph.  Each cell's warnings are re-issued here, and each
+    error cell logged, in grid order, so the report, the warnings and the log
     lines do not depend on the worker count.  An exception other than a
     solver error reaches the caller.  A non-monotone mean-accuracy trend
     across increasing fractions is logged as a warning but never raised.
@@ -248,15 +235,14 @@ def stability_experiment(
     if config is None:
         config = SolverConfig()
     shared = (dataset.graph, dataset.truth, dataset.n_classes, config, epsilon)
+    task = partial(_cell, *shared)
     grid = [(f, s) for f in fractions for s in seeds]
     workers = min(len(grid), _usable_cpus())
     if workers == 1:
-        results = list(map(partial(_cell, *shared), grid))
+        results = list(map(task, grid))
     else:
-        with ProcessPoolExecutor(
-            workers, initializer=_start_worker, initargs=shared
-        ) as pool:
-            results = list(pool.map(_worker_cell, grid))
+        with ProcessPoolExecutor(workers) as pool:
+            results = list(pool.map(task, grid))
     # a repeat is shown once under the "default" action, as if raised here
     registry = globals().setdefault("__warningregistry__", {})
     cells = []

@@ -10,13 +10,11 @@ axis and scans each row only against the columns whose projection lies
 within a rigorous bound of its own: the square root of an upper bound on
 the row's k-th squared distance, widened for rounding (Friedman, Baskett &
 Shustek 1975).  A cloud spread along one axis far beyond its k-th neighbor
-distance is searched in a fraction of the n^2 pairs.  The bound pass
-starts with every eighth run of sorted rows; when their windows hold three
-quarters of the columns or more, as in a cloud with no dominant axis, the
-pass stops there and the rows are scanned whole and unsorted, the O(n^2 d)
-scan of all pairs.  Blocks of rows are scanned against one contiguous
-window of columns each, on the ``min(usable CPUs, blocks)`` threads of one
-pool, one thread at one CPU.
+distance is searched in a fraction of the n^2 pairs; in a cloud with no
+dominant axis the windows hold nearly every column, and the search is the
+O(n^2 d) scan of all pairs.  Blocks of rows are scanned against one
+contiguous window of columns each, on the ``min(usable CPUs, blocks)``
+threads of one pool, one thread at one CPU.
 The ``2**18`` distances (2 MiB of float64) it may hold at once are split
 between the threads, so beyond its O(n k) result and O(n d) sorted copy it
 holds one fixed-size budget of distances, never an n x n matrix; at two
@@ -64,10 +62,6 @@ _AXIS_ROWS = 512
 # run of n / _BOUND_SHARE sorted rows, but at most _BOUND_ROWS of them
 _BOUND_SHARE = 64
 _BOUND_ROWS = 256
-# every _SAMPLE_RUNS-th run is bounded first: when its rows' windows hold on
-# average _FULL_SHARE of the columns or more, every window is every column
-_SAMPLE_RUNS = 8
-_FULL_SHARE = 0.75
 
 # a cosine row whose largest |entry| lies outside this range is divided by
 # that entry first, as its sum of squares would under- or overflow
@@ -213,35 +207,31 @@ def _principal_axis(values):
     return axis
 
 
-def _kth_bounds(rows, k, size, runs, bound, pool, parts):
-    """Bound the k-th smallest squared distance of the sorted rows of ``runs``.
+def _kth_bounds(rows, k, size, pool, parts):
+    """Bound the k-th smallest squared distance of each sorted row.
 
-    Run j holds the sorted rows ``[j * size, (j + 1) * size)``, the last one
-    reaching back to ``size`` rows, so that with ``size > k`` every row sees
-    at least k others.  Row ``j * size + i``'s bound, its k-th smallest
-    ``cdist`` value over the other rows of its run, goes to ``bound[j, i]``.
-    The runs are shared out between ``parts`` tasks of ``pool`` in groups
-    that fill one buffer within the task's share of ``_BLOCK_ENTRIES`` and
-    take one partition, as a partition per short run would spend more on
-    handing over the GIL than it computes.
+    The sorted rows are cut into runs of ``size`` rows, the last one reaching
+    back to ``size`` rows, so that with ``size > k`` every row sees at least
+    k others.  A row's bound is its k-th smallest ``cdist`` value over the
+    other rows of its run.  The runs are shared out between ``parts`` tasks
+    of ``pool``, each partitioning its runs in one ``(size, size)`` buffer.
     """
     n = rows.shape[0]
-    per = max(1, min(-(-len(runs) // parts), _BLOCK_ENTRIES // parts // size**2))
+    bound = np.empty(n)
 
-    def fill(groups):
-        buf = np.empty((per, size, size))
-        for group in groups:
-            dist = buf[: len(group)]
-            for run, j in zip(dist, group):
-                lo, hi = j * size, min(j * size + size, n)
-                cdist(rows[lo:hi], rows[hi - size : hi], "sqeuclidean", out=run[: hi - lo])
-                np.fill_diagonal(run[: hi - lo, lo - hi + size :], np.inf)
-            # the rows past n in the last run's slot are scratch, never read
-            dist.partition(k - 1, axis=2)
-            bound[group] = dist[:, :, k - 1]
+    def fill(starts):
+        buf = np.empty((size, size))
+        for lo in starts:
+            hi = min(lo + size, n)
+            dist = buf[: hi - lo]
+            cdist(rows[lo:hi], rows[hi - size : hi], "sqeuclidean", out=dist)
+            np.fill_diagonal(dist[:, lo - hi + size :], np.inf)
+            dist.partition(k - 1, axis=1)
+            bound[lo:hi] = dist[:, k - 1]
 
-    groups = [runs[g : g + per] for g in range(0, len(runs), per)]
-    list(pool.map(fill, [groups[w::parts] for w in range(parts)]))
+    starts = range(0, n, size)
+    list(pool.map(fill, [starts[w::parts] for w in range(parts)]))
+    return bound
 
 
 def _windows(values, k, pool, parts):
@@ -275,12 +265,6 @@ def _windows(values, k, pool, parts):
     themselves.  The window so holds the k rows that gave R_i, hence the
     k-th smallest distance within it is the one over all columns.  When
     R_i is infinite, the window is every column.
-
-    Every ``_SAMPLE_RUNS``-th run is bounded first.  When the windows of
-    its rows hold at least ``_FULL_SHARE`` of the columns on average, the
-    blocks' windows would hold nearly every column anyway: the other runs
-    are not bounded, every window is every column, and the rows are given
-    back unsorted, in the order 0..n-1.
     """
     n, d = values.shape
     axis = _principal_axis(values[:: max(1, n // _AXIS_ROWS)])
@@ -293,24 +277,11 @@ def _windows(values, k, pool, parts):
     delta = 2 * (d + 4) * u
     error = 2 * (d + 2) * u * math.sqrt(d) * max(rows.max(), -rows.min()) + d * tiny
     size = max(k + 1, min(_BOUND_ROWS, n // _BOUND_SHARE))  # at most n
-    runs = np.arange(-(-n // size))
-    bound = np.empty((runs.size, size))
-    row_bound = bound.reshape(-1)[:n]
-
-    def windows(at):
-        radius = np.sqrt(row_bound[at] * _SQRT_TIE_SLACK + (d + 2) * tiny) * (1 + delta)
-        radius += 2 * error
-        return (np.searchsorted(proj, proj[at] - radius, side="left"),
-                np.searchsorted(proj, proj[at] + radius, side="right"))
-
-    sample = runs % _SAMPLE_RUNS == 0
-    _kth_bounds(rows, k, size, runs[sample], bound, pool, parts)
-    lo, hi = windows(np.flatnonzero(sample[np.arange(n) // size]))
-    if np.sum(hi - lo) >= _FULL_SHARE * n * lo.size:
-        # a scan of whole rows needs no sort
-        return values, np.arange(n), np.zeros(n, dtype=np.intp), np.full(n, n)
-    _kth_bounds(rows, k, size, runs[~sample], bound, pool, parts)
-    lo, hi = windows(slice(None))
+    bound = _kth_bounds(rows, k, size, pool, parts)
+    radius = np.sqrt(bound * _SQRT_TIE_SLACK + (d + 2) * tiny) * (1 + delta)
+    radius += 2 * error
+    lo = np.searchsorted(proj, proj - radius, side="left")
+    hi = np.searchsorted(proj, proj + radius, side="right")
     return rows, order, lo, hi
 
 
@@ -322,27 +293,20 @@ def _window_blocks(lo, hi, budget):
     stays within ``budget`` and its rows number no more than the columns of
     its first row's window, so that the rows' own spread does not widen a
     block of narrow windows much.  It keeps at least two rows, but at the
-    tail, as a scan of whole rows always did.
+    tail.
     """
     n = lo.size
     blocks = []
     start = 0
-    # a span that fits the budget whole, as every span of full windows does,
-    # costs a few operations on lists; the planning runs before the threads
-    lo_list, hi_list = lo.tolist(), hi.tolist()
     while start < n:
-        width = hi_list[start] - lo_list[start]
+        width = int(hi[start] - lo[start])
         span = min(n - start, max(2, min(width, budget // width)))
-        count = span
-        c0, c1 = min(lo_list[start:start + span]), max(hi_list[start:start + span])
-        if span * (c1 - c0) > budget:
-            # rows x window grows with every row, so the rows that fit are a prefix
-            c0s = np.minimum.accumulate(lo[start:start + span])
-            c1s = np.maximum.accumulate(hi[start:start + span])
-            fits = np.arange(1, span + 1) * (c1s - c0s) <= budget
-            count = min(span, max(2, np.count_nonzero(fits)))
-            c0, c1 = int(c0s[count - 1]), int(c1s[count - 1])
-        blocks.append((start, start + count, c0, c1))
+        # rows x window grows with every row, so the rows that fit are a prefix
+        c0s = np.minimum.accumulate(lo[start:start + span])
+        c1s = np.maximum.accumulate(hi[start:start + span])
+        fits = np.arange(1, span + 1) * (c1s - c0s) <= budget
+        count = min(span, max(2, np.count_nonzero(fits)))
+        blocks.append((start, start + count, int(c0s[count - 1]), int(c1s[count - 1])))
         start += count
     return blocks
 
@@ -452,8 +416,7 @@ def build_knn_graph(features, spec):
     squared distance (the k-th smallest over a run of nearby sorted rows),
     widened for rounding.  A cloud spread along one axis far beyond its k-th
     neighbor distance is searched in a fraction of the n^2 pairs; the worst
-    case, a window of every column, takes O(n^2 d) time, and once a sample
-    of the windows shows it, the rows are scanned whole.  Blocks of sorted
+    case, a window of every column, takes O(n^2 d) time.  Blocks of sorted
     rows run on ``min(usable CPUs, blocks)`` threads, each block reduced to
     its k nearest rather than fully sorted: the partition threshold (each
     row's k-th smallest distance), then the flat indices of one

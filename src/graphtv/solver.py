@@ -235,7 +235,9 @@ class Prediction:
             raise NonFiniteError("prediction scores contain NaN or Inf")
         top_two = np.sort(self.scores, axis=1)[:, -2:]
         self.labels = np.argmax(self.scores, axis=1)
-        self.tie_flag = (top_two[:, 1] - top_two[:, 0]) < TIE_THRESHOLD
+        # a gap beyond the largest float overflows to +inf: no tie
+        with np.errstate(over="ignore"):
+            self.tie_flag = (top_two[:, 1] - top_two[:, 0]) < TIE_THRESHOLD
 
 
 class _Projection:

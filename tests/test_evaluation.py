@@ -342,9 +342,8 @@ def test_stability_pool_has_at_most_one_worker_per_cell(monkeypatch):
     started = []
 
     class SerialPool:
-        def __init__(self, max_workers, initializer, initargs):
+        def __init__(self, max_workers):
             started.append(max_workers)
-            initializer(*initargs)
 
         def __enter__(self):
             return self

@@ -368,11 +368,9 @@ def test_window_scan_matches_dense_oracle_on_a_dominant_axis(case, metric):
     values, k, rows = case
     spec = KernelSpec(k=k, metric=metric, kernel="binary")
     oracle = dense_knn_graph(values, spec)
-    # scan the windows however many columns they hold
-    with mock.patch.object(graph_module, "_FULL_SHARE", np.inf):
-        for cpus in (1, 2):
-            assert_same_graph(build_on_cpus(cpus, values, spec, rows * values.shape[0]),
-                              oracle)
+    for cpus in (1, 2):
+        assert_same_graph(build_on_cpus(cpus, values, spec, rows * values.shape[0]),
+                          oracle)
 
 
 @pytest.mark.parametrize("metric", ["euclidean", "cosine"])
@@ -393,30 +391,33 @@ def test_window_scan_skips_most_pairs_of_a_line_like_cloud(metric):
     assert_same_graph(built, dense_knn_graph(values, spec))
 
 
-def test_a_cloud_without_a_dominant_axis_is_scanned_in_whole_rows():
+def test_a_cloud_without_a_dominant_axis_matches_dense_oracle():
     n = 400
     values = np.random.default_rng(4).normal(size=(n, 8))
-    pairs, windows = [], []
-    window_blocks = graph_module._window_blocks
-
-    def counting_cdist(xa, xb, pair_metric, **kwargs):
-        pairs.append(len(xa) * len(xb))
-        return cdist(xa, xb, pair_metric, **kwargs)
-
-    def recording(lo, hi, budget):
-        windows.append((lo, hi))
-        return window_blocks(lo, hi, budget)
-
     spec = KernelSpec(k=10)
-    with mock.patch.object(graph_module, "cdist", counting_cdist), \
-            mock.patch.object(graph_module, "_window_blocks", recording):
-        built = build_knn_graph(values, spec)
-    (lo, hi), = windows
-    assert not lo.any() and (hi == n).all()
-    # the sampled runs of 11 rows are all the bound pass compared
-    sampled = len(range(0, -(-n // 11), graph_module._SAMPLE_RUNS))
-    assert sum(pairs) - n * n == sampled * 11 * 11
-    assert_same_graph(built, dense_knn_graph(values, spec))
+    assert_same_graph(build_knn_graph(values, spec), dense_knn_graph(values, spec))
+
+
+def tail14(n_scale, sep, seed):
+    """The long-tailed 14-class cloud in 32-d, class sizes times ``n_scale``."""
+    rng = np.random.default_rng(seed)
+    sizes = [max(8, round(n_scale * 600 / (k + 1) ** 0.8)) for k in range(14)]
+    means = rng.normal(0, sep, (14, 32))
+    return np.concatenate([means[k] + rng.normal(size=(size, 32))
+                           for k, size in enumerate(sizes)])
+
+
+@pytest.mark.parametrize("sep", [0.8, 1.2])
+@pytest.mark.parametrize("metric, kernel", [("euclidean", "gaussian"),
+                                            ("cosine", "binary")])
+def test_long_tailed_cloud_in_32_dimensions_matches_dense_oracle(sep, metric, kernel):
+    # windows of nearly every column, widened by the rounding terms of d = 32
+    values = tail14(0.2, sep, 0)
+    assert values.shape == (493, 32)
+    spec = KernelSpec(k=10, metric=metric, kernel=kernel)
+    oracle = dense_knn_graph(values, spec)
+    for cpus in (1, 2):
+        assert_same_graph(build_on_cpus(cpus, values, spec), oracle)
 
 
 def test_two_moons_matches_dense_oracle():

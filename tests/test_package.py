@@ -89,3 +89,38 @@ def test_benchmark_imports_resolve_against_src():
         if name is not None and not hasattr(mod, name):
             unresolved.append(f"{path}: from {module} import {name}")
     assert unresolved == []
+
+
+def module_level_names(tree):
+    """Names a module assigns at its top level, outside any def or class."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign):
+            targets = [node.target]
+        else:
+            continue
+        for target in targets:
+            yield from (n.id for n in ast.walk(target) if isinstance(n, ast.Name))
+
+
+def names_read(tree):
+    """Names a module reads: loaded names, attributes and imported names."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.ImportFrom):
+            yield from (alias.name for alias in node.names)
+
+
+def test_every_module_level_name_is_read_in_src():
+    # a constant or knob that no code reaches any more goes with that code
+    trees = {path.name: ast.parse(path.read_text())
+             for path in sorted((SRC / "graphtv").glob("*.py"))}
+    read = set().union(*(names_read(tree) for tree in trees.values()))
+    unread = [f"{name}: {target}" for name, tree in trees.items()
+              for target in module_level_names(tree)
+              if target != "__all__" and target not in read]
+    assert unread == []

@@ -1260,6 +1260,16 @@ def test_prediction_ties_break_to_smallest_index():
     assert flagged.tie_flag.tolist() == [True, False]
 
 
+def test_prediction_gap_beyond_the_largest_float_is_no_tie():
+    # the gap overflows to +inf, which reads as no tie, and warns of nothing
+    top = np.finfo(np.float64).max
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        prediction = Prediction([[top, -top], [-top, top]])
+    assert prediction.labels.tolist() == [0, 1]
+    assert prediction.tie_flag.tolist() == [False, False]
+
+
 @pytest.mark.xfail(
     strict=True,
     reason="ROADMAP item 4: at two classes and odd n the median re-centering "

@@ -150,8 +150,7 @@ def test_scores_csv_matches_row_by_row_reader(tmp_path_factory, data):
     assert outcome(read_scores_csv, path) == outcome(reference_read_scores_csv, path)
 
 
-# floats whose 17-digit text is easy to get wrong; the extremes only in rows
-# of equal scores, where a score gap cannot overflow
+# floats whose 17-digit text is easy to get wrong
 SMALL = [-0.0, 0.0, 5e-324, -5e-324, 1.0, -3.0, 2.0**53, 1e16, 0.1]
 EXTREME = [1.7976931348623157e308, -1.7976931348623157e308]
 
@@ -213,12 +212,14 @@ def test_labels_writer_matches_per_cell_writer(tmp_path_factory, columns):
 @settings(max_examples=100, deadline=None)
 @given(rows=st.integers(2, 4).flatmap(lambda n_classes: st.lists(
     st.one_of(
-        st.lists(st.one_of(st.sampled_from(SMALL), st.floats(-1e300, 1e300)),
+        st.lists(st.one_of(st.sampled_from(SMALL + EXTREME),
+                           st.floats(-1e300, 1e300)),
                  min_size=n_classes, max_size=n_classes),
         st.sampled_from(SMALL + EXTREME).map(lambda x: [x] * n_classes),
     ),
     min_size=1, max_size=6,
 )))
+@example(rows=[EXTREME, EXTREME[::-1], [0.1, EXTREME[1]]])
 def test_scores_writer_matches_per_cell_writer(tmp_path_factory, rows):
     prediction = Prediction(rows)
     fast, ref, path = written(tmp_path_factory, write_scores_csv,

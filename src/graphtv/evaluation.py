@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .errors import (
     DegenerateClassError,
@@ -67,7 +66,8 @@ def roc_auc(scores, positives):
             f"need both positives and negatives (got {n_pos} positives "
             f"out of {positives.size})"
         )
-    ranks = rankdata(scores, method="average")
+    _, group, counts = np.unique(scores, return_inverse=True, return_counts=True)
+    ranks = (2 * np.cumsum(counts) - counts + 1)[group] / 2.0
     return float((ranks[positives].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 

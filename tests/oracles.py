@@ -6,7 +6,8 @@ oracle draws every pair at once into an n x n adjacency, the AUC oracle
 counts pairs literally, the k-NN oracle stable-sorts a full distance
 matrix, the exact cosine distance works in 80-digit decimals, the
 diffusion oracles solve their linear systems densely, the duality-gap
-oracle uses the dense gradient, the reference inner loop allocates
+oracle uses the dense gradient, the dual optimum comes from L-BFGS-B
+rather than a primal-dual loop, the reference inner loop allocates
 fresh arrays on every iteration, the reference table readers convert each
 CSV cell with Python's ``float`` or ``int``, and the reference table writers
 format each cell on its own.  Tests compare the fast implementations against
@@ -24,6 +25,7 @@ import math
 
 import numpy as np
 from scipy import sparse
+from scipy.optimize import minimize
 from scipy.spatial.distance import cdist
 
 from graphtv import Graph
@@ -31,6 +33,12 @@ from graphtv.errors import NonFiniteError, ParseError, ShapeMismatchError
 from graphtv.graph import FeatureMatrix
 from graphtv.solver import Prediction, _certified_steps
 from graphtv.tables import convert_cells, read_rows
+
+
+def same_bits(a, b):
+    """Equal shape and identical float64 bytes (signed zeros and NaNs too)."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def from_dense(matrix):
@@ -415,6 +423,33 @@ def dense_duality_gap(graph, constraints, u, z, anchor, coeff):
     x = reference_project_constraints(anchor + w, constraints)
     dual = np.sum((x - anchor) ** 2) / 2.0 - np.sum(w * x)
     return float(primal), float(primal - dual)
+
+
+def dual_optimum(graph, constraints, anchor, coeff):
+    """max D(z) over the unit box, by L-BFGS-B from z = 0.
+
+    D is the dual of :func:`dense_duality_gap` with the dense gradient K;
+    it is concave with gradient K P_C(v + w), w = drive - K^T z.  Any z
+    the optimizer stops at gives a lower bound on the true maximum, which
+    itself is at most the surrogate's primal minimum.
+    """
+    grad = dense_gradient(graph)
+    drive = np.sign(anchor) * coeff
+    shape = (grad.shape[0], constraints.n_classes)
+
+    def neg_dual(flat):
+        w = drive - grad.T @ flat.reshape(shape)
+        x = reference_project_constraints(anchor + w, constraints)
+        value = np.sum((x - anchor) ** 2) / 2.0 - np.sum(w * x)
+        return -value, -(grad @ x).ravel()
+
+    size = shape[0] * shape[1]
+    found = minimize(
+        neg_dual, np.zeros(size), jac=True, method="L-BFGS-B",
+        bounds=[(-1.0, 1.0)] * size,
+        options={"maxiter": 20000, "ftol": 0.0, "gtol": 0.0},
+    )
+    return -float(found.fun)
 
 
 def surrogate_objective(operator, u, anchor):

@@ -6,8 +6,9 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.stats import rankdata
 
 import graphtv.evaluation
 from graphtv import (
@@ -39,6 +40,7 @@ from oracles import (
     dense_label_spreading,
     pairwise_auc,
     random_connected_graph,
+    same_bits,
 )
 
 
@@ -86,6 +88,38 @@ def test_roc_auc_matches_pairwise_oracle(seed, n, dup):
     if positives.all() or not positives.any():
         positives[0] = ~positives[0]
     assert abs(roc_auc(scores, positives) - pairwise_auc(scores, positives)) <= 1e-12
+
+
+def tied_scores(gen, n, kind):
+    if kind == "rounded normals":
+        return np.round(gen.normal(size=n), int(gen.integers(0, 3)))
+    if kind == "small integers":
+        return gen.integers(-3, 4, size=n).astype(np.float64)
+    if kind == "signed zeros":
+        return gen.choice([-0.0, 0.0, -1.0, 1.0], size=n)
+    return np.full(n, 0.25)  # every score equal
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 300),
+    kind=st.sampled_from(["rounded normals", "small integers", "signed zeros"]),
+)
+@example(seed=0, n=300, kind="equal")
+def test_roc_auc_has_the_bits_of_scipy_midranks(seed, n, kind):
+    # eval reports and grid.json are compared byte for byte, so the midranks
+    # must equal scipy's rankdata(method="average") to the last bit, with
+    # -0.0 and +0.0 tied as rankdata ties them
+    gen = np.random.default_rng(seed)
+    scores = tied_scores(gen, n, kind)
+    positives = gen.random(n) < gen.random()
+    if positives.all() or not positives.any():
+        positives[0] = ~positives[0]
+    p = int(positives.sum())
+    q = n - p
+    expected = (rankdata(scores)[positives].sum() - p * (p + 1) / 2.0) / (p * q)
+    assert same_bits(roc_auc(scores, positives), expected)
 
 
 @settings(max_examples=60, deadline=None)

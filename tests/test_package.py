@@ -2,7 +2,10 @@
 
 import ast
 import importlib
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import graphtv
@@ -60,15 +63,15 @@ def test_readme_python_example_runs(capsys):
     assert stop_reason in ("tol", "no_decrease", "budget")
 
 
-def graphtv_imports(source):
-    """(module, name) for each graphtv import in ``source``; name None for
-    a plain ``import graphtv.<mod>``."""
+def absolute_imports(source, package):
+    """(module, name) for each import from ``package`` in ``source``; name
+    None for a plain ``import <package>.<mod>``."""
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
             yield from ((a.name, None) for a in node.names
-                        if a.name.split(".")[0] == "graphtv")
+                        if a.name.split(".")[0] == package)
         elif (isinstance(node, ast.ImportFrom) and node.level == 0
-              and node.module.split(".")[0] == "graphtv"):
+              and node.module.split(".")[0] == package):
             yield from ((node.module, a.name) for a in node.names)
 
 
@@ -79,7 +82,7 @@ def test_benchmark_imports_resolve_against_src():
     imports = {
         (path.name, module, name)
         for path in sorted((ROOT / "bench").glob("*.py"))
-        for module, name in graphtv_imports(path.read_text())
+        for module, name in absolute_imports(path.read_text(), "graphtv")
     }
     assert ("workloads.py", "graphtv.cli", None) in imports  # the parse found them
     unresolved = []
@@ -124,3 +127,25 @@ def test_every_module_level_name_is_read_in_src():
               for target in module_level_names(tree)
               if target != "__all__" and target not in read]
     assert unread == []
+
+
+def test_src_imports_no_private_scipy_module():
+    # scipy may move or drop its underscored modules in any release
+    private = [f"{path.name}: {module} {name}"
+               for path in sorted((SRC / "graphtv").glob("*.py"))
+               for module, name in absolute_imports(path.read_text(), "scipy")
+               if any(part.startswith("_") for part in [*module.split("."), name or ""])]
+    assert private == []
+
+
+def test_cli_process_does_not_load_scipy_stats():
+    # every command runs in a process of its own, and importing scipy.stats
+    # took about half of one; the CLI needs none of it
+    code = ("import sys, graphtv.cli; print(*sorted(m for m in sys.modules "
+            "if m.split('.')[:2] == ['scipy', 'stats']))")
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == []

@@ -52,10 +52,13 @@ from oracles import (
     dense_duality_gap,
     dense_gradient,
     dense_harmonic_extension,
+    dense_sbm,
+    dual_optimum,
     from_dense,
     random_connected_graph,
     reference_inner_loop,
     reference_project_constraints,
+    same_bits,
     surrogate_objective,
     triangles_bridge,
 )
@@ -77,12 +80,6 @@ def random_constraints(rng, n, n_classes, epsilon=0.1, per=None):
         per = int(rng.integers(1, cap + 1))
     labeled = [nodes[k * per : (k + 1) * per] for k in range(n_classes)]
     return make_constraints(n, n_classes, labeled, epsilon)
-
-
-def same_bits(a, b):
-    """Equal shape and identical float64 bytes (signed zeros and NaNs too)."""
-    a, b = np.asarray(a), np.asarray(b)
-    return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def random_inner_problem(rng, n, n_classes, per=None):
@@ -700,6 +697,30 @@ def test_inner_gap_matches_dense_oracle(rng, inner_max):
     # the recorded gap is that of the returned pair, reproducible from it
     assert gap == pytest.approx(last_gap, rel=1e-10, abs=1e-13)
     assert gap >= -1e-12
+
+
+@pytest.mark.parametrize("n_classes", [2, 3])
+@pytest.mark.parametrize("seed", range(12))
+def test_inner_gap_bounds_the_distance_to_an_independent_dual_optimum(seed, n_classes):
+    # D(z) <= D* <= P* for every z in the box, so a recorded gap P(u) - D(z)
+    # is a certificate only if it is at least P(u) - D*; D* comes from
+    # L-BFGS-B, not from the loop's own algorithm or dual formula.  At two
+    # classes the warm start is mirrored and the loop runs class 0 alone.
+    rng = np.random.default_rng(seed)
+    graph, truth = dense_sbm(rng.integers(5, 11, n_classes), 0.5, 0.1, seed)
+    labeled = [rng.choice(np.flatnonzero(truth == k), 2, replace=False)
+               for k in range(n_classes)]
+    cons = make_constraints(graph.n, n_classes, labeled)
+    op = NormalizedGradient(graph)
+    anchor = initialize_state(graph, cons)
+    _, _, coeff = _ratio_terms(op, anchor)
+    best = dual_optimum(graph, cons, anchor, coeff)
+    configs = [SolverConfig(inner_tol=1e-300, inner_max=cap) for cap in (1, 10, 57, 1000)]
+    for config in configs + [SolverConfig()]:
+        u, _, gap, _, z = _inner_loop(anchor, op, cons, config, coeff)
+        primal, _ = dense_duality_gap(graph, cons, u, z, anchor, coeff)
+        assert constraint_violation(u, cons) <= 1e-12
+        assert primal - best <= gap + 1e-9 * max(1.0, abs(primal))
 
 
 # -------------------------------------------------------------- outer step
